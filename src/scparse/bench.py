@@ -147,17 +147,21 @@ def pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def fit_report(records: list[BenchRecord]) -> str:
+    """One line per fitted series; a series that admits no fit (too few
+    lengths, or constant, such as exactly 3 events per word on the local
+    suite) is reported as a degenerate fit."""
     xs = [r.W * math.log(r.W) for r in records]
-    e = [float(r.events_created) for r in records]
-    e_per_w = [r.events_created / r.W for r in records]
-    a, b = linfit(xs, e)
-    r1 = pearson(xs, e)
-    a2, b2 = linfit(xs, e_per_w)
-    r2 = pearson(xs, e_per_w)
-    lines = [
-        f"E       = {a:.3f} + {b:.6f} * (W log W)   PCC = {r1:.4f}",
-        f"E / W   = {a2:.3f} + {b2:.6f} * (W log W)   PCC = {r2:.4f}",
-    ]
+    series = (("E      ", [float(r.events_created) for r in records]),
+              ("E / W  ", [r.events_created / r.W for r in records]))
+    lines = []
+    for label, ys in series:
+        try:
+            a, b = linfit(xs, ys)
+            r = pearson(xs, ys)
+        except ValueError as exc:
+            lines.append(f"{label} = degenerate fit ({exc})")
+        else:
+            lines.append(f"{label} = {a:.3f} + {b:.6f} * (W log W)   PCC = {r:.4f}")
     return "\n".join(lines)
 
 

@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import bench as benchmod
-from .engine import init_session
+from .engine import EngineError, init_session, lexical_symbols
 from .forest import TreeCount, build_forest, count_trees, dump_forest
 from .grammar import GrammarError, load_grammar
 from .lattice import LatticeError, load_lattice, tokenize_plain
@@ -72,6 +72,7 @@ def cmd_parse(args) -> int:
         raise UsageError("need an input string or --lattice FILE")
 
     if args.engine == "earley":
+        lexical_symbols(compiled.grammar, lat)  # the same typed error as the engine's
         ok = earley_recognize(compiled.grammar, lat)
         if args.count_trees:
             print(f"trees: {_render_count(earley_count_trees(compiled.grammar, lat))}")
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (UsageError, GrammarError, LatticeError) as exc:
+    except (UsageError, GrammarError, LatticeError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

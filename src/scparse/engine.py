@@ -5,27 +5,38 @@ breaking point, a packed node store keyed by (symbol, span), and an event
 store.  Events are doubly-dotted production instances covering at least
 one rhs symbol; their extremes are closed (dot at the rhs boundary) or
 open (prediction pending) and live in the corresponding CaD lists.  Link
-analyses record, per extreme, the evidence that its requirement can be
-met: another event, a node, or an input boundary.  A status machine
-classifies every event as RUN / DERIVATION / EPSILON / DELETE from the
-closure and link state of its extremes, and the parsing cycle drains the
-epsilon, delete and run queues plus the fusion agenda in that strict
-priority order.  Constraint propagation is the delete cascade: removing
-an event strips its links, which may starve its partners in turn.
+analyses find, per extreme, evidence that its requirement can be met:
+another event's extreme at the same CaD, a node, or an input boundary.
+A status machine classifies every event as RUN / DERIVATION / EPSILON /
+DELETE from the closure state of its extremes and whether each has any
+evidence, and the parsing cycle drains the epsilon, delete and run queues
+plus the fusion agenda in that strict priority order.
 
-Nodes are never deleted and node links are never removed, so early
-deletions stay sound: lexical nodes, through the transitively closed
-relation tables, witness everything the input can ever provide.
+Status asks only whether an extreme has evidence, so each extreme keeps a
+single support (AC-6 arc consistency; the watched literals of SAT
+solvers): one witness, preferably a node or the boundary since those never
+die.  An event keeps a watch list of the extremes its own extremes
+witness.  A new extreme takes the first witness at its CaD and becomes the
+witness of every compatible partner there that has none.  Constraint
+propagation is the delete cascade: when an event leaves its CaDs, every
+extreme it witnessed rescans that CaD for another witness, and one that
+finds none may starve in turn.  Fusion links, which `fuse` looks up and
+counts, are the exception: they are kept explicitly, per side and keyed by
+partner id, on both events.
+
+Nodes are never deleted, so early deletions stay sound: lexical nodes,
+through the transitively closed relation tables, witness everything the
+input can ever provide.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import InputLattice
 from .relations import CC, CO, OC, OO, CompiledGrammar
-from .grammar import Production
+from .grammar import Grammar, Production
 
 # Event statuses.  DERIVATION is a resting state: such events move only
 # through fusion or when deletion propagation starves them.
@@ -34,14 +45,13 @@ DELETE = "DELETE"
 EPSILON = "EPSILON"
 DERIVATION = "DERIVATION"
 
-LEFT = "L"
-RIGHT = "R"
+# Extreme sides index the per-side fields of an event.
+LEFT = 0
+RIGHT = 1
+SIDE_NAMES = "LR"
 
-# Link kinds.
-K_DERIVATION = "derivation"
-K_ADJACENCY = "adjacency"
-K_FUSION = "fusion"
-K_BOUNDARY = "boundary"
+# The witness of a closed extreme at the input boundary it may touch.
+BOUNDARY = "boundary"
 
 
 class EngineError(ValueError):
@@ -82,17 +92,9 @@ class Analysis:
         return (self.production.id, tuple(c.id for c in self.children))
 
 
-@dataclass(frozen=True)
-class Link:
-    kind: str
-    partner_type: str          # "event" / "node" / "boundary"
-    partner: object            # Event, Node or None
-    partner_side: str | None   # which extreme of a partner event holds the mirror
-
-
 class Event:
     __slots__ = ("id", "production", "leftdot", "rightdot", "left", "right",
-                 "children", "left_links", "right_links", "status", "alive", "retired")
+                 "children", "witness", "fusion", "watchers", "status", "alive")
 
     def __init__(self, eid, production, leftdot, rightdot, left, right, children):
         self.id = eid
@@ -102,14 +104,19 @@ class Event:
         self.left = left            # left CaD index
         self.right = right          # right CaD index
         self.children = tuple(children)
-        self.left_links: dict = {}
-        self.right_links: dict = {}
+        # Per side: the extreme's one witness (an Event, a Node, BOUNDARY or
+        # None), its fusion links (partner id -> Event), and the (event,
+        # side) extremes this extreme witnesses.  Watch list entries go
+        # stale when the watcher dies; readers check them.
+        self.witness: list = [None, None]
+        self.fusion: tuple[dict, dict] = ({}, {})
+        self.watchers: tuple[list, list] = ([], [])
         self.status = None
         self.alive = True
-        self.retired = False
 
-    def links(self, side):
-        return self.left_links if side == LEFT else self.right_links
+    def supported(self, side: int) -> bool:
+        """Whether the extreme on `side` has any evidence."""
+        return self.witness[side] is not None or bool(self.fusion[side])
 
     @property
     def left_closed(self):
@@ -148,6 +155,19 @@ class CaD:
         self.ndri: list[Node] = []                # nodes starting here
 
 
+def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
+    """The symbol id of every lattice item's preterminal, in item order;
+    EngineError if one is not in the grammar."""
+    ids = []
+    for it in lattice.items:
+        sym = grammar.by_name.get(it.preterminal)
+        if sym is None:
+            raise EngineError(f"lexical item {it.unit!r}: preterminal "
+                              f"{it.preterminal!r} is not in the grammar")
+        ids.append(sym.id)
+    return ids
+
+
 class Chart:
     """One parse session: mutable while parsing, immutable once completed."""
 
@@ -160,6 +180,8 @@ class Chart:
         self.nodes: dict[tuple[int, int, int], Node] = {}
         self.node_list: list[Node] = []
         self.events: dict[int, Event] = {}
+        # Keys of live events and of fired ones: a fired event's key stays,
+        # so an identical closed event is never created and fired again.
         self.event_index: dict[tuple, Event] = {}
         self.queues = {EPSILON: deque(), DELETE: deque(), RUN: deque()}
         self.fusion_agenda: deque[tuple[int, int, int]] = deque()
@@ -168,7 +190,10 @@ class Chart:
             "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
             "links": 0, "nodes": 0, "packed": 0,
         }
-        self.trace_lines: list[str] | None = [] if trace else None
+        # Every trace line is built behind `if self.tracing`, so an
+        # untraced parse formats nothing.
+        self.tracing = trace
+        self.trace_lines: list[str] = []
         self.debug = debug
         self.status_audit: list[tuple] = []
         self.step_limit = step_limit
@@ -186,19 +211,10 @@ class Chart:
             for p in prods:
                 node.add_analysis(Analysis(p, tuple(self.eps_nodes[s.id] for s in p.rhs)))
 
-        g = compiled.grammar
-        for it in lattice.items:
-            sym = g.by_name.get(it.preterminal)
-            if sym is None:
-                raise EngineError(f"lexical item {it.unit!r}: preterminal "
-                                  f"{it.preterminal!r} is not in the grammar")
-            self.add_node(sym.id, it.fbp, it.lbp, origin="lexical")
+        for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
+            self.add_node(sid, it.fbp, it.lbp, origin="lexical")
 
     # -- small helpers ----------------------------------------------------
-
-    def _trace(self, line: str):
-        if self.trace_lines is not None:
-            self.trace_lines.append(line)
 
     def _sym_name(self, sid: int) -> str:
         return self.compiled.grammar.symbols[sid].name
@@ -216,14 +232,16 @@ class Chart:
     def add_node(self, symbol: int, fbp: int, lbp: int,
                  analysis: Analysis | None = None, origin: str = "derived"):
         """Admit a (symbol, span) node; pack the analysis onto an existing
-        node, or create the node, its events and its producer links."""
+        node, or create the node, its events, and make it the witness of
+        the extremes waiting for it."""
         key = (symbol, fbp, lbp)
         existing = self.nodes.get(key)
         if existing is not None:
             if analysis is not None and existing.add_analysis(analysis):
                 self.stats["packed"] += 1
-                self._trace(f"pack {self._sym_name(symbol)} [{fbp},{lbp}] "
-                            f"analysis {analysis.production.id}")
+                if self.tracing:
+                    self.trace_lines.append(f"pack {self._sym_name(symbol)} [{fbp},{lbp}] "
+                                            f"analysis {analysis.production.id}")
             return existing, False
 
         node = self._make_node(symbol, fbp, lbp, origin)
@@ -236,7 +254,9 @@ class Chart:
         self.cads[fbp].ndri.append(node)
         self.cads[lbp].ndle.append(node)
         self.stats["nodes"] += 1
-        self._trace(f"node {node.id} {self._sym_name(symbol)} [{fbp},{lbp}] {origin}")
+        if self.tracing:
+            self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
+                                    f"[{fbp},{lbp}] {origin}")
         self._create_events(node)
         self._node_producer_links(node)
         return node, True
@@ -274,7 +294,7 @@ class Chart:
     def _new_event(self, production, leftdot, rightdot, left, right, children):
         ev = Event(self._next_event_id, production, leftdot, rightdot, left, right, children)
         if ev.key() in self.event_index:
-            return None  # identical live event already exists
+            return None  # an identical event is live or has fired
         self._next_event_id += 1
         self.events[ev.id] = ev
         self.event_index[ev.key()] = ev
@@ -283,7 +303,8 @@ class Chart:
         self.stats["events_created"] += 1
         if self.debug:
             self._assert_event_tiling(ev)
-        self._trace(f"create e{ev.id} {ev.render()}")
+        if self.tracing:
+            self.trace_lines.append(f"create e{ev.id} {ev.render()}")
         self._analyze_extreme(ev, LEFT)
         self._analyze_extreme(ev, RIGHT)
         self._refresh_status(ev)
@@ -312,7 +333,7 @@ class Chart:
         assert len(ev.children) == ev.rightdot - ev.leftdot
         self._assert_tiling(ev.left, ev.right, ev.children)
 
-    def _wire_extreme(self, ev: Event, side: str):
+    def _wire_extreme(self, ev: Event, side: int):
         if side == LEFT:
             cad = self.cads[ev.left]
             (cad.closed_left if ev.left_closed else cad.open_left)[ev.id] = ev
@@ -320,7 +341,7 @@ class Chart:
             cad = self.cads[ev.right]
             (cad.closed_right if ev.right_closed else cad.open_right)[ev.id] = ev
 
-    def _unwire_extreme(self, ev: Event, side: str):
+    def _unwire_extreme(self, ev: Event, side: int):
         if side == LEFT:
             cad = self.cads[ev.left]
             cad.closed_left.pop(ev.id, None)
@@ -332,131 +353,165 @@ class Chart:
 
     # -- step 4: link analyses --------------------------------------------
 
-    def _add_link(self, ev: Event, side: str, kind: str, partner_type: str,
-                  partner, partner_side=None, refresh_partner=True):
-        if partner_type == "event":
-            lkey = ("ev", partner.id, kind)
-        elif partner_type == "node":
-            lkey = ("nd", partner.id, kind)
-        else:
-            lkey = ("bound",)
-        mine = ev.links(side)
-        if lkey in mine:
-            return False
-        mine[lkey] = Link(kind, partner_type, partner, partner_side)
-        self.stats["links"] += 1
-        if partner_type == "event":
-            partner.links(partner_side)[("ev", ev.id, kind)] = Link(kind, "event", ev, side)
-            self._trace(f"link {kind} e{ev.id}.{side} <-> e{partner.id}.{partner_side}")
-            if refresh_partner:
-                self._refresh_status(partner)
-        elif partner_type == "node":
-            self._trace(f"link {kind} e{ev.id}.{side} <-> n{partner.id}")
-        else:
-            self._trace(f"link {kind} e{ev.id}.{side} <-> boundary")
-        return True
+    def _witnesses(self, ev: Event, side: int):
+        """Yield everything at this extreme's CaD that can witness it: the
+        input boundary and nodes first (they never die), then the
+        compatible extremes of live events.  The relation is symmetric: a
+        yielded event's extreme here can be witnessed by this one.
 
-    def _analyze_extreme(self, ev: Event, side: str):
-        """Run the derivation/adjacency/boundary/fusion analyses that apply
-        at this extreme's CaD and record the resulting links."""
+        A closed extreme needs a neighbor: the boundary, an adjacent node
+        or closed extreme, or an open extreme whose required symbol this
+        extreme's constituent can begin (end).  An open extreme needs a
+        closed extreme whose constituent can end (begin) with its required
+        symbol; a bare node is no promise that such a constituent will ever
+        close here, and terminal expectations are met by fusion with the
+        terminal's own anchored events."""
         comp = self.compiled
-        rhs = ev.production.rhs
         if side == LEFT:
             cad = self.cads[ev.left]
             if ev.left_closed:
-                # left adjacency, or the input boundary at point 0
                 delta = ev.production.lhs.id
                 if cad.index == 0:
                     if comp.lm >> delta & 1:
-                        self._add_link(ev, LEFT, K_BOUNDARY, "boundary", None)
+                        yield BOUNDARY
                     return
                 la = comp.la[delta]
-                for p in list(cad.closed_right.values()):
-                    if p is not ev and la >> p.production.lhs.id & 1:
-                        self._add_link(ev, LEFT, K_ADJACENCY, "event", p, RIGHT)
                 for nd in cad.ndle:
                     if la >> nd.symbol & 1:
-                        self._add_link(ev, LEFT, K_ADJACENCY, "node", nd)
-                # reciprocal derivation: open-right extremes waiting here may
-                # be satisfied by this event's (future) constituent
-                for q in list(cad.open_right.values()):
-                    if q is not ev and comp.lpd[delta] >> q.production.rhs[q.rightdot].id & 1:
-                        self._add_link(q, RIGHT, K_DERIVATION, "event", ev, LEFT,
-                                       refresh_partner=False)
-                        self._refresh_status(q)
+                        yield nd
+                for p in cad.closed_right.values():
+                    if la >> p.production.lhs.id & 1:
+                        yield p
+                lpd = comp.lpd[delta]
+                for q in cad.open_right.values():
+                    if lpd >> q.production.rhs[q.rightdot].id & 1:
+                        yield q
             else:
-                # right-derivation: the required symbol left of the left dot
-                # Only event partners here: a bare node is no promise that a
-                # rho-rooted constituent will ever close at this point, and
-                # keeping such links would shield doomed events from the
-                # deletion cascade.  Terminal expectations are covered by
-                # fusion links with the terminal's own anchored events.
-                rho = rhs[ev.leftdot - 1].id
-                for p in list(cad.closed_right.values()):
-                    if p is not ev and comp.rpd[p.production.lhs.id] >> rho & 1:
-                        self._add_link(ev, LEFT, K_DERIVATION, "event", p, RIGHT)
-                # left-fusion partners: same production ending here with a
-                # dot gap covered by nullable symbols only
-                for p in list(cad.open_right.values()):
-                    if (p is not ev and p.production is ev.production
-                            and p.rightdot <= ev.leftdot
-                            and self._nullable_gap(ev.production, p.rightdot, ev.leftdot)):
-                        if self._add_link(p, RIGHT, K_FUSION, "event", ev, LEFT):
-                            self._refresh_status(p)
-                            self.fusion_agenda.append((p.id, ev.id, cad.index))
+                rho = ev.production.rhs[ev.leftdot - 1].id
+                rpd = comp.rpd
+                for p in cad.closed_right.values():
+                    if rpd[p.production.lhs.id] >> rho & 1:
+                        yield p
         else:
             cad = self.cads[ev.right]
             if ev.right_closed:
                 delta = ev.production.lhs.id
                 if cad.index == self.n:
                     if comp.rm >> delta & 1:
-                        self._add_link(ev, RIGHT, K_BOUNDARY, "boundary", None)
+                        yield BOUNDARY
                     return
                 ra = comp.ra[delta]
-                for p in list(cad.closed_left.values()):
-                    if p is not ev and ra >> p.production.lhs.id & 1:
-                        self._add_link(ev, RIGHT, K_ADJACENCY, "event", p, LEFT)
                 for nd in cad.ndri:
                     if ra >> nd.symbol & 1:
-                        self._add_link(ev, RIGHT, K_ADJACENCY, "node", nd)
-                for q in list(cad.open_left.values()):
-                    if q is not ev and comp.rpd[delta] >> q.production.rhs[q.leftdot - 1].id & 1:
-                        self._add_link(q, LEFT, K_DERIVATION, "event", ev, RIGHT,
-                                       refresh_partner=False)
-                        self._refresh_status(q)
+                        yield nd
+                for p in cad.closed_left.values():
+                    if ra >> p.production.lhs.id & 1:
+                        yield p
+                rpd = comp.rpd[delta]
+                for q in cad.open_left.values():
+                    if rpd >> q.production.rhs[q.leftdot - 1].id & 1:
+                        yield q
             else:
-                rho = rhs[ev.rightdot].id
-                for p in list(cad.closed_left.values()):
-                    if p is not ev and comp.lpd[p.production.lhs.id] >> rho & 1:
-                        self._add_link(ev, RIGHT, K_DERIVATION, "event", p, LEFT)
-                for p in list(cad.open_left.values()):
-                    if (p is not ev and p.production is ev.production
-                            and ev.rightdot <= p.leftdot
-                            and self._nullable_gap(ev.production, ev.rightdot, p.leftdot)):
-                        if self._add_link(ev, RIGHT, K_FUSION, "event", p, LEFT):
-                            self.fusion_agenda.append((ev.id, p.id, cad.index))
+                rho = ev.production.rhs[ev.rightdot].id
+                lpd = comp.lpd
+                for p in cad.closed_left.values():
+                    if lpd[p.production.lhs.id] >> rho & 1:
+                        yield p
+
+    def _set_witness(self, ev: Event, side: int, witness):
+        ev.witness[side] = witness
+        if witness.__class__ is Event:
+            witness.watchers[1 - side].append((ev, side))
+        self.stats["links"] += 1
+        if self.tracing:
+            if witness.__class__ is Event:
+                by = f"e{witness.id}.{SIDE_NAMES[1 - side]}"
+            elif witness is BOUNDARY:
+                by = BOUNDARY
+            else:
+                by = f"n{witness.id}"
+            self.trace_lines.append(f"link e{ev.id}.{SIDE_NAMES[side]} <- {by}")
+
+    def _analyze_extreme(self, ev: Event, side: int):
+        """Link analysis of a freshly wired extreme: take the first witness
+        at its CaD, become the witness of every partner there that has
+        none, and link up with fusion partners."""
+        other = 1 - side
+        for w in self._witnesses(ev, side):
+            if ev.witness[side] is None:
+                self._set_witness(ev, side, w)
+            if w.__class__ is Event and w.witness[other] is None:
+                self._set_witness(w, other, ev)
+                self._refresh_status(w)
+        # fusion partners: same production, open extremes meeting here with
+        # a dot gap covered by nullable symbols only.  p gains support and
+        # is refreshed (without that on the right side, random_case(396)
+        # counts 10 trees instead of 12); ev's refresh in mid-analysis on
+        # the left side sets where it enters the queues, which the event
+        # counts depend on.
+        if side == LEFT and not ev.left_closed:
+            cad = self.cads[ev.left]
+            for p in cad.open_right.values():
+                if (p.production is ev.production and p.rightdot <= ev.leftdot
+                        and self._nullable_gap(ev.production, p.rightdot, ev.leftdot)):
+                    self._add_fusion(p, ev, cad.index)
+                    self._refresh_status(ev)
+                    self._refresh_status(p)
+        elif side == RIGHT and not ev.right_closed:
+            cad = self.cads[ev.right]
+            for p in cad.open_left.values():
+                if (p.production is ev.production and ev.rightdot <= p.leftdot
+                        and self._nullable_gap(ev.production, ev.rightdot, p.leftdot)):
+                    self._add_fusion(ev, p, cad.index)
+                    self._refresh_status(p)
+
+    def _add_fusion(self, e1: Event, e2: Event, cad_index: int):
+        """Link e1's open right extreme with e2's open left one and put the
+        pair on the fusion agenda."""
+        e1.fusion[RIGHT][e2.id] = e2
+        e2.fusion[LEFT][e1.id] = e1
+        self.stats["links"] += 1
+        self.fusion_agenda.append((e1.id, e2.id, cad_index))
+        if self.tracing:
+            self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
     def _node_producer_links(self, node: Node):
-        """A freshly created node supplies evidence to the consumer
-        extremes already waiting at its boundary CaDs."""
+        """A freshly created node witnesses the closed extremes without a
+        witness that wait for it at its boundary CaDs."""
         comp = self.compiled
-        start = self.cads[node.fbp]
-        for ev in list(start.closed_right.values()):
-            if comp.ra[ev.production.lhs.id] >> node.symbol & 1:
-                self._add_link(ev, RIGHT, K_ADJACENCY, "node", node)
+        for ev in self.cads[node.fbp].closed_right.values():
+            if ev.witness[RIGHT] is None and comp.ra[ev.production.lhs.id] >> node.symbol & 1:
+                self._set_witness(ev, RIGHT, node)
                 self._refresh_status(ev)
-        end = self.cads[node.lbp]
-        for ev in list(end.closed_left.values()):
-            if comp.la[ev.production.lhs.id] >> node.symbol & 1:
-                self._add_link(ev, LEFT, K_ADJACENCY, "node", node)
+        for ev in self.cads[node.lbp].closed_left.values():
+            if ev.witness[LEFT] is None and comp.la[ev.production.lhs.id] >> node.symbol & 1:
+                self._set_witness(ev, LEFT, node)
                 self._refresh_status(ev)
+
+    def _release(self, ev: Event) -> list[Event]:
+        """ev has left its CaDs: every extreme it witnessed rescans its CaD,
+        and its fusion partners drop their links with it.  Returns those
+        partners, whose status may have changed."""
+        partners = []
+        for side in (LEFT, RIGHT):
+            for p, s in ev.watchers[side]:
+                if p.alive and p.witness[s] is ev:
+                    p.witness[s] = None
+                    witness = next(self._witnesses(p, s), None)
+                    if witness is not None:
+                        self._set_witness(p, s, witness)
+                    partners.append(p)
+            for p in ev.fusion[side].values():
+                del p.fusion[1 - side][ev.id]
+                partners.append(p)
+        return partners
 
     # -- step 5: the logical status machine --------------------------------
 
     def compute_status(self, ev: Event) -> str:
         rhs = ev.production.rhs
         lc, rc = ev.left_closed, ev.right_closed
-        ll, rl = bool(ev.left_links), bool(ev.right_links)
+        ll, rl = ev.supported(LEFT), ev.supported(RIGHT)
         nullable = self.compiled.nullable
         if lc and rc:
             status = RUN if (ll and rl) else DELETE
@@ -499,7 +554,8 @@ class Chart:
         status = self.compute_status(ev)
         if status != ev.status:
             ev.status = status
-            self._trace(f"status e{ev.id} {status} {ev.render()}")
+            if self.tracing:
+                self.trace_lines.append(f"status e{ev.id} {status} {ev.render()}")
             if status in self.queues:
                 self.queues[status].append(ev.id)
 
@@ -510,10 +566,10 @@ class Chart:
         canonical zero-width node, and re-analyze the moved extreme."""
         rhs = ev.production.rhs
         nullable = self.compiled.nullable
-        right_ok = (not ev.right_closed and not ev.right_links
-                    and rhs[ev.rightdot].id in nullable and bool(ev.left_links))
-        left_ok = (not ev.left_closed and not ev.left_links
-                   and rhs[ev.leftdot - 1].id in nullable and bool(ev.right_links))
+        right_ok = (not ev.right_closed and not ev.supported(RIGHT)
+                    and rhs[ev.rightdot].id in nullable and ev.supported(LEFT))
+        left_ok = (not ev.left_closed and not ev.supported(LEFT)
+                   and rhs[ev.leftdot - 1].id in nullable and ev.supported(RIGHT))
         if not (right_ok or left_ok):
             self._refresh_status(ev)
             return
@@ -531,7 +587,8 @@ class Chart:
             ev.children = (self.eps_nodes[sym],) + ev.children
             ev.leftdot -= 1
             side = LEFT
-        self._trace(f"expand e{ev.id} {ev.render()}")
+        if self.tracing:
+            self.trace_lines.append(f"expand e{ev.id} {ev.render()}")
         if ev.key() in self.event_index:
             # an identical event already covers the expanded form
             self._wire_extreme(ev, side)
@@ -546,8 +603,9 @@ class Chart:
         self._force_delete(ev, register_stats=True)
 
     def _force_delete(self, ev: Event, register_stats: bool):
-        """Remove an event and its links; partners whose evidence this was
-        get their status recomputed (the constraint-propagation cascade)."""
+        """Remove an event; the extremes it supported rescan for another
+        witness and get their status recomputed (the constraint-propagation
+        cascade)."""
         if not ev.alive:
             return
         ev.alive = False
@@ -558,36 +616,29 @@ class Chart:
         del self.events[ev.id]
         if register_stats:
             self.stats["events_deleted"] += 1
-        self._trace(f"delete e{ev.id} {ev.render()}")
-        for side in (LEFT, RIGHT):
-            for link in list(ev.links(side).values()):
-                if link.partner_type == "event" and link.partner.alive:
-                    link.partner.links(link.partner_side).pop(("ev", ev.id, link.kind), None)
-                    self._refresh_status(link.partner)
-        ev.left_links.clear()
-        ev.right_links.clear()
+        if self.tracing:
+            self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
+        for partner in self._release(ev):
+            self._refresh_status(partner)
 
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
-        resulting node.  The event is retired, not deleted: its links are
-        dropped silently because firing is success, not failure."""
+        resulting node.  The event leaves its CaDs but its key stays
+        indexed.  The extremes it supported rescan before the node is
+        admitted, and their status is refreshed after, once the node and
+        its events have witnessed what they can."""
         analysis = Analysis(ev.production, ev.children)
         ev.alive = False
-        ev.retired = True
         self._unwire_extreme(ev, LEFT)
         self._unwire_extreme(ev, RIGHT)
-        if self.event_index.get(ev.key()) is ev:
-            del self.event_index[ev.key()]
         del self.events[ev.id]
         self.stats["events_run"] += 1
-        self._trace(f"run e{ev.id} {ev.render()}")
-        for side in (LEFT, RIGHT):
-            for link in ev.links(side).values():
-                if link.partner_type == "event" and link.partner.alive:
-                    link.partner.links(link.partner_side).pop(("ev", ev.id, link.kind), None)
-        ev.left_links.clear()
-        ev.right_links.clear()
+        if self.tracing:
+            self.trace_lines.append(f"run e{ev.id} {ev.render()}")
+        partners = self._release(ev)
         self.add_node(ev.production.lhs.id, ev.left, ev.right, analysis)
+        for partner in partners:
+            self._refresh_status(partner)
 
     def fuse(self, left_id: int, right_id: int, cad_index: int):
         """Merge two same-production events whose dot ranges meet at a CaD
@@ -598,7 +649,7 @@ class Chart:
         if (e1 is None or e2 is None or not e1.alive or not e2.alive
                 or e1.right != cad_index or e2.left != cad_index
                 or e1.right_closed or e2.left_closed
-                or ("ev", e2.id, K_FUSION) not in e1.right_links
+                or e2.id not in e1.fusion[RIGHT]
                 or e1.rightdot > e2.leftdot
                 or not self._nullable_gap(e1.production, e1.rightdot, e2.leftdot)):
             self.stats["stale_fusions"] += 1
@@ -608,25 +659,27 @@ class Chart:
         children = e1.children + gap + e2.children
         merged_key = (prod.id, e1.leftdot, e2.rightdot, e1.left, e2.right,
                       tuple(c.id for c in children))
-        self._trace(f"fuse e{e1.id} + e{e2.id} @ {cad_index}")
+        if self.tracing:
+            self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {cad_index}")
         if merged_key in self.event_index:
             # the merged form already exists; just consume the link
-            e1.right_links.pop(("ev", e2.id, K_FUSION), None)
-            e2.left_links.pop(("ev", e1.id, K_FUSION), None)
+            del e1.fusion[RIGHT][e2.id]
+            del e2.fusion[LEFT][e1.id]
             self._refresh_status(e1)
             self._refresh_status(e2)
             self.stats["stale_fusions"] += 1
             return
-        other_r1 = any(k != ("ev", e2.id, K_FUSION) for k in e1.right_links)
-        other_l2 = any(k != ("ev", e1.id, K_FUSION) for k in e2.left_links)
+        # does either extreme hold evidence besides this fusion link?
+        other_r1 = e1.witness[RIGHT] is not None or len(e1.fusion[RIGHT]) > 1
+        other_l2 = e2.witness[LEFT] is not None or len(e2.fusion[LEFT]) > 1
         self.stats["fusions"] += 1
         if other_r1 and other_l2:
             # both extremes carry further evidence: keep e1 and e2, create
             # the merged event alongside them
             self._new_event(prod, e1.leftdot, e2.rightdot, e1.left, e2.right, children)
             return
-        e1.right_links.pop(("ev", e2.id, K_FUSION), None)
-        e2.left_links.pop(("ev", e1.id, K_FUSION), None)
+        del e1.fusion[RIGHT][e2.id]
+        del e2.fusion[LEFT][e1.id]
         if other_r1:
             # only e1's right extreme has other evidence: absorb into e2
             self._refresh_status(e1)
@@ -639,10 +692,10 @@ class Chart:
             self._mutate(e1, RIGHT, e2.rightdot, e2.right, children)
             self._force_delete(e2, register_stats=True)
 
-    def _mutate(self, ev: Event, side: str, new_dot: int, new_cad: int, children):
+    def _mutate(self, ev: Event, side: int, new_dot: int, new_cad: int, children):
         """Rewire one extreme of a surviving event to its merged position.
-        The moved extreme carries no links besides the consumed fusion link,
-        so nothing needs tearing down."""
+        The moved extreme had no evidence besides the consumed fusion link,
+        so it witnesses nothing and nothing needs tearing down."""
         del self.event_index[ev.key()]
         self._unwire_extreme(ev, side)
         if side == LEFT:
@@ -660,7 +713,8 @@ class Chart:
         self._wire_extreme(ev, side)
         if self.debug:
             self._assert_event_tiling(ev)
-        self._trace(f"mutate e{ev.id} {ev.render()}")
+        if self.tracing:
+            self.trace_lines.append(f"mutate e{ev.id} {ev.render()}")
         self._analyze_extreme(ev, side)
         self._refresh_status(ev)
         self._spawn_epsilon_variants(ev)
@@ -700,7 +754,25 @@ class Chart:
                 continue
             break
         self.completed = True
+        if self.debug:
+            self.check_invariants()
         return self
+
+    def check_invariants(self):
+        """Debug check of the fixpoint: every live event's stored status is
+        current, every witness is the boundary, a node or a live event's
+        extreme compatible with the extreme it witnesses, and no extreme
+        without a witness has one available at its CaD."""
+        for ev in self.events.values():
+            assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"
+            for side in (LEFT, RIGHT):
+                witness = ev.witness[side]
+                found = list(self._witnesses(ev, side))
+                if witness is None:
+                    assert not found, f"e{ev.id}.{SIDE_NAMES[side]}: witness missed"
+                else:
+                    assert any(w is witness for w in found), \
+                        f"e{ev.id}.{SIDE_NAMES[side]}: witness is not compatible or gone"
 
     # -- results ---------------------------------------------------------------
 

@@ -105,3 +105,17 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_bad_lengths(capsys):
     assert main(["bench", "--suite", "recursive", "--lengths", "x"]) == 2
+
+
+@pytest.mark.parametrize("engine", ["scp", "earley"])
+def test_parse_unknown_preterminal(tmp_path, capsys, engine):
+    g = tmp_path / "g.g"
+    g.write_text("%root S\nS -> a ;")
+    assert main(["parse", "-g", str(g), "zz", "--engine", engine]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_bench_constant_events_per_word(capsys):
+    # the local suite makes exactly 3 events per word: E/W cannot be fitted
+    assert main(["bench", "--suite", "local", "--lengths", "8,16"]) == 0
+    assert "E / W   = degenerate fit" in capsys.readouterr().out

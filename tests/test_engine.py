@@ -1,9 +1,11 @@
 import pytest
 
 from scparse import compile_grammar, load_grammar, tokenize_plain
-from scparse.engine import DELETE, EngineError, RUN, init_session, parse
+from scparse.engine import (BOUNDARY, DELETE, LEFT, RUN, EngineError, Event, init_session,
+                            parse)
 from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
 from scparse.lattice import InputLattice, LexicalItem
+from scparse.oracle import CaseLimits, random_case
 
 
 def run(grammar_text, text, **kwargs):
@@ -214,3 +216,40 @@ def test_deep_recursion_linear_events(g2_compiled):
     chart.parse_cycle()
     assert chart.accept()
     assert chart.stats["events_created"] < 100 * 12
+
+
+# -- fixpoint and single-support invariants ------------------------------------------
+
+
+def parse_case(seed, limits=None, **kwargs):
+    grammar, lattice = random_case(seed, limits)
+    return parse(compile_grammar(grammar), lattice, **kwargs)
+
+
+@pytest.mark.parametrize("seed,limits", [(s, None) for s in range(200)]
+                         + [(474, None), (18, CaseLimits(max_input=24))])
+def test_invariants_hold_at_fixpoint(seed, limits):
+    # debug mode runs check_invariants when the cycle stops
+    chart = parse_case(seed, limits, debug=True)
+    # a fired event's key stays indexed, so no closed event fires twice:
+    # every run adds a new analysis
+    derived = [n for n in chart.node_list if n.origin == "derived"]
+    assert chart.stats["events_run"] == sum(len(n.analyses) for n in derived)
+
+
+def test_invariant_check_catches_a_false_witness():
+    chart = parse_case(474)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.left > 0 and e.witness[LEFT] is not None)
+    ev.witness[LEFT] = BOUNDARY  # the input boundary is not at ev's left CaD
+    with pytest.raises(AssertionError, match=f"e{ev.id}.L: witness is not compatible"):
+        chart.check_invariants()
+
+
+def test_untraced_parse_renders_nothing(monkeypatch):
+    def boom(self):
+        raise AssertionError("Event.render called with tracing off")
+
+    monkeypatch.setattr(Event, "render", boom)
+    chart = parse_case(474)
+    assert chart.stats["events_created"] > 0 and not chart.trace_lines
