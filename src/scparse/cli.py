@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench as benchmod
@@ -81,9 +80,8 @@ def cmd_parse(args) -> int:
     chart = init_session(compiled, lat, trace=args.trace)
     chart.parse_cycle()
     if args.trace:
-        color = os.environ.get("SCP_TRACE_COLOR", "0") == "1"
         for line in chart.trace_lines:
-            print(f"\x1b[36m{line}\x1b[0m" if color else line)
+            print(line)
     roots = chart.accept()
     forest = build_forest(chart)
     if args.forest:

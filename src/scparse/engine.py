@@ -9,8 +9,21 @@ analyses find, per extreme, evidence that its requirement can be met:
 another event's extreme at the same CaD, a node, or an input boundary.
 A status machine classifies every event as RUN / DERIVATION / EPSILON /
 DELETE from the closure state of its extremes and whether each has any
-evidence, and the parsing cycle drains the epsilon, delete and run queues
-plus the fusion agenda in that strict priority order.
+evidence.  The parsing cycle drains one deletion queue (DELETE and EPSILON
+events), the run queue and the fusion agenda, in that strict priority
+order.
+
+Nullable symbols are handled in one place.  An open extreme next to a
+nullable symbol has two outcomes: the symbol is realized empty, or real
+material arrives later.  Whenever an event is created or mutated,
+`_spawn_epsilon_variants` makes the first outcome a sibling event holding
+the symbol's zero-width node, and the event itself waits for the second
+(`fuse` fills the nullable gap between two events the same way).  An
+EPSILON event is one whose open extreme lacks evidence next to a nullable
+symbol: the material it waits for has no support, and its empty
+realization was spawned when it took its current form.  So it is deleted
+like a DELETE event; its sibling is live or has fired, or was deleted as
+unsupported itself, which is sound as below.
 
 Status asks only whether an extreme has evidence, so each extreme keeps a
 single support (AC-6 arc consistency; the watched literals of SAT
@@ -35,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .lattice import InputLattice
-from .relations import CC, CO, OC, OO, CompiledGrammar
+from .relations import CompiledGrammar
 from .grammar import Grammar, Production
 
 # Event statuses.  DERIVATION is a resting state: such events move only
@@ -69,10 +82,6 @@ class Node:
         self.analyses: list[Analysis] = []
         self.origin = origin        # lexical / derived / epsilon
         self._akeys: set = set()
-
-    @property
-    def width(self) -> int:
-        return 0 if self.fbp < 0 else self.lbp - self.fbp
 
     def add_analysis(self, analysis: "Analysis") -> bool:
         key = analysis.key()
@@ -169,10 +178,10 @@ def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
 
 
 class Chart:
-    """One parse session: mutable while parsing, immutable once completed."""
+    """One parse session: mutable while parsing, immutable once parsed."""
 
     def __init__(self, compiled: CompiledGrammar, lattice: InputLattice,
-                 trace: bool = False, debug: bool = False, step_limit: int | None = None):
+                 trace: bool = False, debug: bool = False):
         self.compiled = compiled
         self.lattice = lattice
         self.n = lattice.n
@@ -183,7 +192,9 @@ class Chart:
         # Keys of live events and of fired ones: a fired event's key stays,
         # so an identical closed event is never created and fired again.
         self.event_index: dict[tuple, Event] = {}
-        self.queues = {EPSILON: deque(), DELETE: deque(), RUN: deque()}
+        # One deletion queue: EPSILON events are deleted like DELETE ones.
+        self.delete_queue: deque[int] = deque()
+        self.run_queue: deque[int] = deque()
         self.fusion_agenda: deque[tuple[int, int, int]] = deque()
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
@@ -196,10 +207,8 @@ class Chart:
         self.trace_lines: list[str] = []
         self.debug = debug
         self.status_audit: list[tuple] = []
-        self.step_limit = step_limit
         self._next_node_id = 0
         self._next_event_id = 0
-        self.completed = False
 
         # Canonical zero-width nodes for the nullable symbols, with their
         # empty-derivation skeletons prebuilt (recursion stays cycle-shared).
@@ -242,7 +251,7 @@ class Chart:
                 if self.tracing:
                     self.trace_lines.append(f"pack {self._sym_name(symbol)} [{fbp},{lbp}] "
                                             f"analysis {analysis.production.id}")
-            return existing, False
+            return
 
         node = self._make_node(symbol, fbp, lbp, origin)
         if analysis is not None:
@@ -259,12 +268,11 @@ class Chart:
                                     f"[{fbp},{lbp}] {origin}")
         self._create_events(node)
         self._node_producer_links(node)
-        return node, True
 
     def _assert_tiling(self, fbp, lbp, children):
         pos = fbp
         for c in children:
-            if c.width:
+            if c.fbp >= 0:  # not a zero-width epsilon node
                 assert c.fbp == pos, "children spans must tile the parent span"
                 pos = c.lbp
         assert pos == lbp, "children spans must tile the parent span"
@@ -272,34 +280,19 @@ class Chart:
     # -- step 3: event creation from the coverage tables ------------------
 
     def _create_events(self, node: Node):
-        cov = self.compiled.coverage[node.symbol]
-        for entry in cov:
-            rhs = entry.production.rhs
-            pos = entry.position
-            # A nullable prefix/suffix can be realized empty (dot pushed to
-            # the extreme over epsilon children) or by real material arriving
-            # later (dot stays at the anchor); emit one event per choice so
-            # neither realization is lost.
-            left_opts = [(pos, [])]
-            if entry.klass in (CC, CO) and pos > 0:
-                left_opts.append((0, [self.eps_nodes[s.id] for s in rhs[:pos]]))
-            right_opts = [(pos + 1, [])]
-            if entry.klass in (CC, OC) and pos + 1 < len(rhs):
-                right_opts.append((len(rhs), [self.eps_nodes[s.id] for s in rhs[pos + 1:]]))
-            for leftdot, lkids in left_opts:
-                for rightdot, rkids in right_opts:
-                    self._new_event(entry.production, leftdot, rightdot,
-                                    node.fbp, node.lbp, lkids + [node] + rkids)
+        for entry in self.compiled.coverage[node.symbol]:
+            self._new_event(entry.production, entry.position, entry.position + 1,
+                            node.fbp, node.lbp, [node])
 
     def _new_event(self, production, leftdot, rightdot, left, right, children):
         ev = Event(self._next_event_id, production, leftdot, rightdot, left, right, children)
         if ev.key() in self.event_index:
-            return None  # an identical event is live or has fired
+            return  # an identical event is live or has fired
         self._next_event_id += 1
         self.events[ev.id] = ev
         self.event_index[ev.key()] = ev
-        self._wire_extreme(ev, LEFT)
-        self._wire_extreme(ev, RIGHT)
+        self._extremes(ev, LEFT)[ev.id] = ev
+        self._extremes(ev, RIGHT)[ev.id] = ev
         self.stats["events_created"] += 1
         if self.debug:
             self._assert_event_tiling(ev)
@@ -309,15 +302,15 @@ class Chart:
         self._analyze_extreme(ev, RIGHT)
         self._refresh_status(ev)
         self._spawn_epsilon_variants(ev)
-        return ev
 
     def _spawn_epsilon_variants(self, ev: Event):
-        """An open extreme abutting a nullable symbol admits two
-        realizations: real material arriving later, or the empty string.
-        The event keeps waiting for material; a sibling event takes the
-        zero-width child so neither hypothesis blocks the other."""
-        if not ev.alive:
-            return
+        """The engine's one nullable step.  For each open extreme of ev
+        next to a nullable symbol, create the sibling that realizes the
+        symbol empty: ev's dot moved over it, with the canonical zero-width
+        node as the child.  ev keeps waiting for material; if it never
+        gets evidence it turns EPSILON and is deleted, and the sibling
+        (spawned in turn, so a run of nullables is crossed one symbol per
+        sibling) carries the empty realization on."""
         rhs = ev.production.rhs
         if not ev.right_closed and rhs[ev.rightdot].id in self.compiled.nullable:
             eps = self.eps_nodes[rhs[ev.rightdot].id]
@@ -333,23 +326,13 @@ class Chart:
         assert len(ev.children) == ev.rightdot - ev.leftdot
         self._assert_tiling(ev.left, ev.right, ev.children)
 
-    def _wire_extreme(self, ev: Event, side: int):
+    def _extremes(self, ev: Event, side: int) -> dict[int, Event]:
+        """The CaD list that holds ev's extreme on side, as ev stands."""
         if side == LEFT:
             cad = self.cads[ev.left]
-            (cad.closed_left if ev.left_closed else cad.open_left)[ev.id] = ev
-        else:
-            cad = self.cads[ev.right]
-            (cad.closed_right if ev.right_closed else cad.open_right)[ev.id] = ev
-
-    def _unwire_extreme(self, ev: Event, side: int):
-        if side == LEFT:
-            cad = self.cads[ev.left]
-            cad.closed_left.pop(ev.id, None)
-            cad.open_left.pop(ev.id, None)
-        else:
-            cad = self.cads[ev.right]
-            cad.closed_right.pop(ev.id, None)
-            cad.open_right.pop(ev.id, None)
+            return cad.closed_left if ev.left_closed else cad.open_left
+        cad = self.cads[ev.right]
+        return cad.closed_right if ev.right_closed else cad.open_right
 
     # -- step 4: link analyses --------------------------------------------
 
@@ -556,66 +539,24 @@ class Chart:
             ev.status = status
             if self.tracing:
                 self.trace_lines.append(f"status e{ev.id} {status} {ev.render()}")
-            if status in self.queues:
-                self.queues[status].append(ev.id)
+            if status == RUN:
+                self.run_queue.append(ev.id)
+            elif status != DERIVATION:
+                self.delete_queue.append(ev.id)
 
     # -- step 6 actions -----------------------------------------------------
 
-    def epsilon_expand(self, ev: Event):
-        """Move a qualifying dot over one nullable symbol, appending the
-        canonical zero-width node, and re-analyze the moved extreme."""
-        rhs = ev.production.rhs
-        nullable = self.compiled.nullable
-        right_ok = (not ev.right_closed and not ev.supported(RIGHT)
-                    and rhs[ev.rightdot].id in nullable and ev.supported(LEFT))
-        left_ok = (not ev.left_closed and not ev.supported(LEFT)
-                   and rhs[ev.leftdot - 1].id in nullable and ev.supported(RIGHT))
-        if not (right_ok or left_ok):
-            self._refresh_status(ev)
-            return
-        self.stats["epsilon_expansions"] += 1
-        del self.event_index[ev.key()]
-        if right_ok:  # expand the right dot first when both could qualify
-            self._unwire_extreme(ev, RIGHT)
-            sym = rhs[ev.rightdot].id
-            ev.children = ev.children + (self.eps_nodes[sym],)
-            ev.rightdot += 1
-            side = RIGHT
-        else:
-            self._unwire_extreme(ev, LEFT)
-            sym = rhs[ev.leftdot - 1].id
-            ev.children = (self.eps_nodes[sym],) + ev.children
-            ev.leftdot -= 1
-            side = LEFT
-        if self.tracing:
-            self.trace_lines.append(f"expand e{ev.id} {ev.render()}")
-        if ev.key() in self.event_index:
-            # an identical event already covers the expanded form
-            self._wire_extreme(ev, side)
-            self._force_delete(ev, register_stats=True)
-            return
-        self.event_index[ev.key()] = ev
-        self._wire_extreme(ev, side)
-        self._analyze_extreme(ev, side)
-        self._refresh_status(ev)
-
     def delete_event(self, ev: Event):
-        self._force_delete(ev, register_stats=True)
-
-    def _force_delete(self, ev: Event, register_stats: bool):
         """Remove an event; the extremes it supported rescan for another
         witness and get their status recomputed (the constraint-propagation
         cascade)."""
-        if not ev.alive:
-            return
         ev.alive = False
-        self._unwire_extreme(ev, LEFT)
-        self._unwire_extreme(ev, RIGHT)
+        del self._extremes(ev, LEFT)[ev.id]
+        del self._extremes(ev, RIGHT)[ev.id]
         if self.event_index.get(ev.key()) is ev:
             del self.event_index[ev.key()]
         del self.events[ev.id]
-        if register_stats:
-            self.stats["events_deleted"] += 1
+        self.stats["events_deleted"] += 1
         if self.tracing:
             self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
         for partner in self._release(ev):
@@ -629,8 +570,8 @@ class Chart:
         its events have witnessed what they can."""
         analysis = Analysis(ev.production, ev.children)
         ev.alive = False
-        self._unwire_extreme(ev, LEFT)
-        self._unwire_extreme(ev, RIGHT)
+        del self._extremes(ev, LEFT)[ev.id]
+        del self._extremes(ev, RIGHT)[ev.id]
         del self.events[ev.id]
         self.stats["events_run"] += 1
         if self.tracing:
@@ -690,14 +631,14 @@ class Chart:
         else:
             # neither side has other evidence: e1 absorbs, e2 goes away
             self._mutate(e1, RIGHT, e2.rightdot, e2.right, children)
-            self._force_delete(e2, register_stats=True)
+            self.delete_event(e2)
 
     def _mutate(self, ev: Event, side: int, new_dot: int, new_cad: int, children):
         """Rewire one extreme of a surviving event to its merged position.
         The moved extreme had no evidence besides the consumed fusion link,
         so it witnesses nothing and nothing needs tearing down."""
         del self.event_index[ev.key()]
-        self._unwire_extreme(ev, side)
+        del self._extremes(ev, side)[ev.id]
         if side == LEFT:
             ev.leftdot = new_dot
             ev.left = new_cad
@@ -705,12 +646,12 @@ class Chart:
             ev.rightdot = new_dot
             ev.right = new_cad
         ev.children = tuple(children)
+        self._extremes(ev, side)[ev.id] = ev
         if ev.key() in self.event_index:
             # merged form exists after all (raced through another route)
-            self._force_delete(ev, register_stats=True)
+            self.delete_event(ev)
             return
         self.event_index[ev.key()] = ev
-        self._wire_extreme(ev, side)
         if self.debug:
             self._assert_event_tiling(ev)
         if self.tracing:
@@ -722,30 +663,19 @@ class Chart:
     # -- the parsing cycle ---------------------------------------------------
 
     def parse_cycle(self):
-        """Drain the queues with strict priority epsilon > delete > run >
-        fusion until nothing is pending."""
-        steps = 0
+        """Drain the deletion queue, the run queue and the fusion agenda,
+        in that strict priority order, until nothing is pending."""
         while True:
-            steps += 1
-            if self.step_limit is not None and steps > self.step_limit:
-                raise EngineError(f"step limit {self.step_limit} exceeded; "
-                                  f"stats: {self.stats}")
-            if self.queues[EPSILON]:
-                eid = self.queues[EPSILON].popleft()
-                ev = self.events.get(eid)
-                if ev is not None and ev.alive and ev.status == EPSILON:
-                    self.epsilon_expand(ev)
-                continue
-            if self.queues[DELETE]:
-                eid = self.queues[DELETE].popleft()
-                ev = self.events.get(eid)
-                if ev is not None and ev.alive and ev.status == DELETE:
+            if self.delete_queue:
+                ev = self.events.get(self.delete_queue.popleft())
+                if ev is not None and ev.status in (DELETE, EPSILON):
+                    if ev.status == EPSILON:
+                        self.stats["epsilon_expansions"] += 1
                     self.delete_event(ev)
                 continue
-            if self.queues[RUN]:
-                eid = self.queues[RUN].popleft()
-                ev = self.events.get(eid)
-                if ev is not None and ev.alive and ev.status == RUN:
+            if self.run_queue:
+                ev = self.events.get(self.run_queue.popleft())
+                if ev is not None and ev.status == RUN:
                     self.run_event(ev)
                 continue
             if self.fusion_agenda:
@@ -753,16 +683,35 @@ class Chart:
                 self.fuse(left_id, right_id, cad)
                 continue
             break
-        self.completed = True
         if self.debug:
             self.check_invariants()
         return self
 
     def check_invariants(self):
-        """Debug check of the fixpoint: every live event's stored status is
-        current, every witness is the boundary, a node or a live event's
-        extreme compatible with the extreme it witnesses, and no extreme
-        without a witness has one available at its CaD."""
+        """Debug check of the chart's bookkeeping, then of the fixpoint.
+        Bookkeeping: every live event's key indexes it, the CaD lists hold
+        exactly the live events' extremes, each on its open or closed side,
+        every event witness lists the extreme it witnesses on its watch
+        list, and fusion links are symmetric between live events.
+        Fixpoint: every live event's stored status is current, every
+        witness is the boundary, a node or a live event's extreme
+        compatible with the extreme it witnesses, and no extreme without a
+        witness has one available at its CaD."""
+        for ev in self.events.values():
+            assert self.event_index.get(ev.key()) is ev, f"e{ev.id}: key not indexed"
+            for side in (LEFT, RIGHT):
+                name = f"e{ev.id}.{SIDE_NAMES[side]}"
+                assert self._extremes(ev, side).get(ev.id) is ev, f"{name}: not in its CaD list"
+                witness = ev.witness[side]
+                if witness.__class__ is Event:
+                    assert (ev, side) in witness.watchers[1 - side], \
+                        f"{name}: missing from its witness's watch list"
+                for p in ev.fusion[side].values():
+                    assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
+                        f"{name}: fusion link with e{p.id} is one-sided"
+        held = sum(len(extremes) for cad in self.cads for extremes in
+                   (cad.open_left, cad.closed_left, cad.open_right, cad.closed_right))
+        assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
         for ev in self.events.values():
             assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"
             for side in (LEFT, RIGHT):

@@ -96,16 +96,23 @@ def tokenize_plain(text: str, lexicon: dict[str, set[str]] | None = None) -> Inp
     return InputLattice(len(tokens) + 1, items)
 
 
-_ITEM_RE = re.compile(r'^(\d+)\s+(\d+)\s+"([^"]*)"\s+(\S+)$')
+# A surface is quoted; a backslash escapes the next character (save_lattice
+# escapes only backslashes and double quotes).
+_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_ITEM_RE = re.compile(r'^(\d+)\s+(\d+)\s+' + _QUOTED + r'\s+(\S+)$')
+# A line up to its '#' comment, which cannot start inside a surface.
+_CODE_RE = re.compile(r'(?:[^"#]|' + _QUOTED + ')*')
+_ESCAPE_RE = re.compile(r'\\(.)')
 
 
 def load_lattice(text: str) -> InputLattice:
     """Parse the lattice file format: a '%points N' header, then one item
-    per line as: FBP LBP "surface" PRETERMINAL."""
+    per line as: FBP LBP "surface" PRETERMINAL.  '#' outside a surface
+    starts a comment."""
     points = None
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("%points"):
@@ -117,7 +124,8 @@ def load_lattice(text: str) -> InputLattice:
         m = _ITEM_RE.match(line)
         if not m:
             raise LatticeError(f"line {lineno}: malformed item line {line!r}")
-        fbp, lbp, unit, cat = int(m.group(1)), int(m.group(2)), m.group(3), m.group(4)
+        fbp, lbp, cat = int(m.group(1)), int(m.group(2)), m.group(4)
+        unit = _ESCAPE_RE.sub(r"\1", m.group(3))
         if fbp >= lbp:
             raise LatticeError(f"line {lineno}: item {unit!r} has fbp >= lbp")
         items.append(LexicalItem(unit, cat, fbp, lbp))
@@ -129,5 +137,6 @@ def load_lattice(text: str) -> InputLattice:
 def save_lattice(lat: InputLattice) -> str:
     out = [f"%points {lat.points}"]
     for it in lat.items:
-        out.append(f'{it.fbp} {it.lbp} "{it.unit}" {it.preterminal}')
+        unit = it.unit.replace("\\", "\\\\").replace('"', '\\"')
+        out.append(f'{it.fbp} {it.lbp} "{unit}" {it.preterminal}')
     return "\n".join(out) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import Grammar, GrammarError, Production, Symbol
+from .grammar import NONTERMINAL, TERMINAL, Grammar, GrammarError, Production, Symbol
 
 # Coverage occurrence classes: first letter = left context, second = right;
 # C(losed) means the context is empty-or-nullable, O(pen) means it contains
@@ -37,8 +37,6 @@ class CoverageEntry:
     production: Production
     position: int  # rhs index of the anchor occurrence
     klass: str     # CC / CO / OC / OO
-    pre_skip_left: int   # nullable prefix length when the left side is closed
-    pre_skip_right: int  # nullable suffix length when the right side is closed
 
 
 def compute_nullable(g: Grammar) -> frozenset[int]:
@@ -197,13 +195,7 @@ def build_coverage(g: Grammar, nullable: frozenset[int]) -> list[list[CoverageEn
             klass = (CC if left_nullable and right_nullable else
                      CO if left_nullable else
                      OC if right_nullable else OO)
-            coverage[sym.id].append(CoverageEntry(
-                production=p,
-                position=pos,
-                klass=klass,
-                pre_skip_left=pos if left_nullable else 0,
-                pre_skip_right=len(rhs) - pos - 1 if right_nullable else 0,
-            ))
+            coverage[sym.id].append(CoverageEntry(p, pos, klass))
     return coverage
 
 
@@ -255,9 +247,6 @@ class CompiledGrammar:
     def rm_names(self) -> frozenset[str]:
         return self._names(self.rm)
 
-    def is_nullable(self, sym_id: int) -> bool:
-        return sym_id in self.nullable
-
 
 def compile_grammar(g: Grammar) -> CompiledGrammar:
     """Run all relation fixpoints and table builds for a grammar."""
@@ -298,52 +287,89 @@ def save_compiled(cg: CompiledGrammar) -> str:
     out.append(f"coverage {entries}")
     for sym in g.symbols:
         for e in cg.coverage[sym.id]:
-            out.append(f"{sym.id} {e.production.id} {e.position} {e.klass} "
-                       f"{e.pre_skip_left} {e.pre_skip_right}")
+            out.append(f"{sym.id} {e.production.id} {e.position} {e.klass}")
     out.append("end")
     return "\n".join(out) + "\n"
 
 
 def load_compiled(text: str) -> CompiledGrammar:
-    """Inverse of save_compiled."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    it = iter(lines)
-
-    def expect(prefix: str) -> str:
-        ln = next(it, None)
-        if ln is None or not ln.startswith(prefix):
-            raise GrammarError(f"bad compiled-grammar file: expected {prefix!r}, got {ln!r}")
-        return ln
-
-    if next(it, None) != MAGIC:
+    """Inverse of save_compiled; GrammarError on malformed input."""
+    # Rows are split one at a time: a large table's masks are megabytes.
+    rows = ((n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    if next(rows, (0, None))[1] != [MAGIC]:
         raise GrammarError(f"bad compiled-grammar file: missing {MAGIC} header")
-    nsyms = int(expect("symbols").split()[1])
+
+    def bad(message: str, line: int | None = None) -> GrammarError:
+        return GrammarError(f"bad compiled-grammar file: {message}", line)
+
+    def row(keyword: str | None = None, width: int | None = None):
+        """The next row's line number and fields; keyword and width, when
+        given, are its first field and its number of fields."""
+        line, fields = next(rows, (None, None))
+        if fields is None:
+            raise bad(f"unexpected end of file, expected {keyword or 'a table row'!r}")
+        if keyword is not None and fields[0] != keyword:
+            raise bad(f"expected {keyword!r}, got {fields[0]!r}", line)
+        if width is not None and len(fields) != width:
+            raise bad(f"wrong number of fields ({len(fields)})", line)
+        return line, fields
+
+    def num(field: str, line: int, limit: int | None = None, hexa: bool = False) -> int:
+        """A non-negative decimal (hex) field, below limit when given."""
+        try:
+            value = int(field, 16 if hexa else 10)
+        except ValueError:
+            raise bad(f"{field!r} is not a {'hex ' if hexa else ''}number", line) from None
+        if value < 0 or limit is not None and value >= limit:
+            raise bad(f"{field} is out of range", line)
+        return value
+
+    line, fields = row("symbols", 2)
+    nsyms = num(fields[1], line)
     symbols = []
-    for _ in range(nsyms):
-        sid, name, kind = next(it).split()
-        symbols.append(Symbol(int(sid), name, kind))
-    root_ids = [int(x) for x in expect("roots").split()[1:]]
-    nprods = int(expect("productions").split()[1])
+    for i in range(nsyms):
+        line, (sid, name, kind) = row(width=3)
+        if num(sid, line) != i or kind not in (TERMINAL, NONTERMINAL):
+            raise bad(f"symbol {i} expected, got {sid} {name} {kind}", line)
+        symbols.append(Symbol(i, name, kind))
+    line, fields = row("roots")
+    roots = [symbols[num(f, line, nsyms)] for f in fields[1:]]
+    line, fields = row("productions", 2)
+    nprods = num(fields[1], line)
     productions = []
-    for _ in range(nprods):
-        parts = [int(x) for x in next(it).split()]
-        productions.append(Production(parts[0], symbols[parts[1]],
-                                      tuple(symbols[i] for i in parts[2:])))
-    grammar = Grammar(symbols, productions, [symbols[i] for i in root_ids])
-    nmask = int(expect("nullable").split()[1], 16)
+    for i in range(nprods):
+        line, fields = row()
+        ids = [num(f, line, nsyms) for f in fields[1:]]
+        if num(fields[0], line) != i or not ids:
+            raise bad(f"production {i} expected, got {fields[0]}", line)
+        productions.append(Production(i, symbols[ids[0]], tuple(symbols[j] for j in ids[1:])))
+    grammar = Grammar(symbols, productions, roots)
+    line, fields = row("nullable", 2)
+    nmask = num(fields[1], line, 1 << nsyms, hexa=True)
     nullable = frozenset(s.id for s in symbols if nmask >> s.id & 1)
     masks = {}
     for label in ("lpd", "rpd", "la", "ra"):
-        masks[label] = [int(x, 16) for x in expect(label).split()[1:]]
-    lm = int(expect("lm").split()[1], 16)
-    rm = int(expect("rm").split()[1], 16)
-    nentries = int(expect("coverage").split()[1])
+        line, fields = row(label, nsyms + 1)
+        masks[label] = [num(f, line, 1 << nsyms, hexa=True) for f in fields[1:]]
+    line, fields = row("lm", 2)
+    lm = num(fields[1], line, 1 << nsyms, hexa=True)
+    line, fields = row("rm", 2)
+    rm = num(fields[1], line, 1 << nsyms, hexa=True)
+    line, fields = row("coverage", 2)
+    nentries = num(fields[1], line)
     coverage: list[list[CoverageEntry]] = [[] for _ in symbols]
     for _ in range(nentries):
-        sid, pid, pos, klass, psl, psr = next(it).split()
-        coverage[int(sid)].append(CoverageEntry(productions[int(pid)], int(pos),
-                                                klass, int(psl), int(psr)))
-    expect("end")
+        line, (sid, pid, pos, klass) = row(width=4)
+        sym, prod = num(sid, line, nsyms), productions[num(pid, line, nprods)]
+        pos = num(pos, line, len(prod.rhs))
+        if prod.rhs[pos].id != sym or klass not in (CC, CO, OC, OO):
+            raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
+                      f"production {prod}", line)
+        coverage[sym].append(CoverageEntry(prod, pos, klass))
+    row("end", 1)
+    line, fields = next(rows, (None, None))
+    if fields is not None:
+        raise bad("text after 'end'", line)
     return CompiledGrammar(grammar, nullable, masks["lpd"], masks["rpd"],
                            masks["la"], masks["ra"], lm, rm, coverage)
 
@@ -368,6 +394,5 @@ def dump_relations(cg: CompiledGrammar) -> str:
     out.append(f"RM = {fmt(cg.rm_names())}")
     for s in g.symbols:
         for e in cg.coverage[s.id]:
-            out.append(f"coverage({s.name}): {e.klass} [{e.production}] pos {e.position} "
-                       f"skipL {e.pre_skip_left} skipR {e.pre_skip_right}")
+            out.append(f"coverage({s.name}): {e.klass} [{e.production}] pos {e.position}")
     return "\n".join(out) + "\n"

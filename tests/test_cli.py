@@ -49,6 +49,16 @@ def test_compile_round_trip(g2_file, tmp_path, capsys):
     assert main(["parse", "-g", out, "a a a b"]) == 0
 
 
+def test_parse_malformed_compiled_table(g2_file, tmp_path, capsys):
+    good = str(tmp_path / "g2.scp")
+    assert main(["compile", g2_file, "-o", good]) == 0
+    bad = tmp_path / "bad.scp"
+    bad.write_text(open(good).read().replace("productions 6", "productions x"))
+    assert main(["parse", "-g", str(bad), "a b"]) == 2
+    assert "error: line 10: bad compiled-grammar file: 'x' is not a number" \
+        in capsys.readouterr().err
+
+
 def test_compile_dump_relations(g2_file, capsys):
     assert main(["compile", g2_file, "--dump-relations"]) == 0
     assert "LA(b) = {A1, a}" in capsys.readouterr().out

