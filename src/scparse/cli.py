@@ -25,6 +25,16 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_any_grammar(path: str):
@@ -51,8 +61,7 @@ def _load_lexicon(path: str) -> dict[str, set[str]]:
 def cmd_compile(args) -> int:
     compiled = _load_any_grammar(args.grammar)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(save_compiled(compiled))
+        _write(args.output, save_compiled(compiled))
     if args.dump_relations:
         print(dump_relations(compiled))
     elif not args.output:
@@ -85,8 +94,7 @@ def cmd_parse(args) -> int:
     roots = chart.accept()
     forest = build_forest(chart)
     if args.forest:
-        with open(args.forest, "w", encoding="utf-8") as f:
-            f.write(dump_forest(forest))
+        _write(args.forest, dump_forest(forest))
     if args.count_trees:
         print(f"trees: {_render_count(count_trees(forest))}")
     if args.stats:
@@ -119,8 +127,7 @@ def cmd_bench(args) -> int:
         raise UsageError(str(exc)) from None
     csv = benchmod.to_csv(records)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(csv)
+        _write(args.csv, csv)
     else:
         print(csv, end="")
     print(benchmod.fit_report(records))

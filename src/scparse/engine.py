@@ -40,6 +40,17 @@ partner id, on both events.
 Nodes are never deleted, so early deletions stay sound: lexical nodes,
 through the transitively closed relation tables, witness everything the
 input can ever provide.
+
+The two directions mirror each other, so every per-side fact is a pair
+indexed by LEFT (0) or RIGHT (1) and each step is written once for a
+`side`, with `other = 1 - side` the side facing it across a CaD: an
+event's dots, CaD indices and the symbols its open extremes wait for
+(`need`, None on a closed side), its witnesses, fusion links and watch
+lists; a CaD's open and closed extremes and node ends; the chart's
+partial-derivability, adjacency and boundary tables.  Where the order of
+the two sides matters to the queues (and so to the event counts), it is
+fixed in place: nodes witness and spawned siblings are made RIGHT first,
+extremes are analyzed LEFT first.
 """
 
 from __future__ import annotations
@@ -84,7 +95,7 @@ class Node:
         self._akeys: set = set()
 
     def add_analysis(self, analysis: "Analysis") -> bool:
-        key = analysis.key()
+        key = (analysis.production.id, tuple(c.id for c in analysis.children))
         if key in self._akeys:
             return False
         self._akeys.add(key)
@@ -97,22 +108,20 @@ class Analysis:
     production: Production
     children: tuple[Node, ...]
 
-    def key(self):
-        return (self.production.id, tuple(c.id for c in self.children))
+
+def event_key(production: Production, dot: tuple, cad: tuple, children: tuple) -> tuple:
+    """What makes two events the same: production, dots, CaDs and children."""
+    return (production.id, dot, cad, tuple(c.id for c in children))
 
 
 class Event:
-    __slots__ = ("id", "production", "leftdot", "rightdot", "left", "right",
-                 "children", "witness", "fusion", "watchers", "status", "alive")
+    __slots__ = ("id", "production", "dot", "cad", "need", "children", "key",
+                 "witness", "fusion", "watchers", "status", "alive")
 
-    def __init__(self, eid, production, leftdot, rightdot, left, right, children):
+    def __init__(self, eid, production, dot, cad, children, key):
         self.id = eid
         self.production = production
-        self.leftdot = leftdot
-        self.rightdot = rightdot
-        self.left = left            # left CaD index
-        self.right = right          # right CaD index
-        self.children = tuple(children)
+        self.place(dot, cad, children, key)
         # Per side: the extreme's one witness (an Event, a Node, BOUNDARY or
         # None), its fusion links (partner id -> Event), and the (event,
         # side) extremes this extreme witnesses.  Watch list entries go
@@ -123,45 +132,46 @@ class Event:
         self.status = None
         self.alive = True
 
+    def place(self, dot, cad, children, key):
+        """Give the event its form: the (LEFT, RIGHT) dots and CaD indices,
+        the children between the dots and the key they make.  need[side] is
+        the symbol id the extreme on side waits for, None when it is closed
+        (its dot at the rhs boundary)."""
+        rhs = self.production.rhs
+        self.dot = dot
+        self.cad = cad
+        self.need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
+                     rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
+        self.children = children
+        self.key = key
+
     def supported(self, side: int) -> bool:
         """Whether the extreme on `side` has any evidence."""
         return self.witness[side] is not None or bool(self.fusion[side])
 
-    @property
-    def left_closed(self):
-        return self.leftdot == 0
-
-    @property
-    def right_closed(self):
-        return self.rightdot == len(self.production.rhs)
-
-    def key(self):
-        return (self.production.id, self.leftdot, self.rightdot,
-                self.left, self.right, tuple(c.id for c in self.children))
-
     def render(self):
         rhs = self.production.rhs
-        pre = " ".join(s.name for s in rhs[:self.leftdot])
-        mid = " ".join(s.name for s in rhs[self.leftdot:self.rightdot])
-        post = " ".join(s.name for s in rhs[self.rightdot:])
+        ldot, rdot = self.dot
+        pre = " ".join(s.name for s in rhs[:ldot])
+        mid = " ".join(s.name for s in rhs[ldot:rdot])
+        post = " ".join(s.name for s in rhs[rdot:])
         body = " ".join(x for x in (pre, ".", mid, ".", post) if x)
-        return f"{self.production.lhs.name} -> {body} @ [{self.left},{self.right}]"
+        return f"{self.production.lhs.name} -> {body} @ [{self.cad[LEFT]},{self.cad[RIGHT]}]"
 
 
 class CaD:
-    """Per-breaking-point lists of event extremes and node endpoints."""
+    """Per-breaking-point lists of event extremes and node endpoints, each
+    a (LEFT, RIGHT) pair: open[side] and closed[side] hold the events
+    whose extreme on side is here, open or closed, and nodes[side] the
+    nodes whose end on side is here (LEFT: nodes starting here)."""
 
-    __slots__ = ("index", "open_right", "closed_right", "open_left", "closed_left",
-                 "ndle", "ndri")
+    __slots__ = ("index", "open", "closed", "nodes")
 
     def __init__(self, index: int):
         self.index = index
-        self.open_right: dict[int, Event] = {}    # right extreme open here (body leftward)
-        self.closed_right: dict[int, Event] = {}  # right extreme closed here
-        self.open_left: dict[int, Event] = {}     # left extreme open here (body rightward)
-        self.closed_left: dict[int, Event] = {}   # left extreme closed here
-        self.ndle: list[Node] = []                # nodes ending here
-        self.ndri: list[Node] = []                # nodes starting here
+        self.open: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
+        self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
+        self.nodes: tuple[list[Node], list[Node]] = ([], [])
 
 
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
@@ -185,6 +195,12 @@ class Chart:
         self.compiled = compiled
         self.lattice = lattice
         self.n = lattice.n
+        # The relation tables as (LEFT, RIGHT) pairs, and the CaD of the
+        # input boundary on each side.
+        self.pd = (compiled.lpd, compiled.rpd)
+        self.adj = (compiled.la, compiled.ra)
+        self.bound = (compiled.lm, compiled.rm)
+        self.edge = (0, self.n)
         self.cads = [CaD(i) for i in range(lattice.points)]
         self.nodes: dict[tuple[int, int, int], Node] = {}
         self.node_list: list[Node] = []
@@ -236,13 +252,14 @@ class Chart:
     def _nullable_gap(self, prod: Production, a: int, b: int) -> bool:
         return all(s.id in self.compiled.nullable for s in prod.rhs[a:b])
 
-    # -- step 2: node creation with packing -------------------------------
+    # -- steps 2 and 3: node creation with packing, events from coverage ---
 
     def add_node(self, symbol: int, fbp: int, lbp: int,
                  analysis: Analysis | None = None, origin: str = "derived"):
         """Admit a (symbol, span) node; pack the analysis onto an existing
-        node, or create the node, its events, and make it the witness of
-        the extremes waiting for it."""
+        node, or create the node and its events from the coverage tables,
+        and make it the witness of the closed extremes without one that
+        wait for it at its ends."""
         key = (symbol, fbp, lbp)
         existing = self.nodes.get(key)
         if existing is not None:
@@ -260,14 +277,23 @@ class Chart:
             self._assert_tiling(fbp, lbp, analysis.children)
         self.nodes[key] = node
         self.node_list.append(node)
-        self.cads[fbp].ndri.append(node)
-        self.cads[lbp].ndle.append(node)
+        ends = (fbp, lbp)
+        for side in (LEFT, RIGHT):
+            self.cads[ends[side]].nodes[side].append(node)
         self.stats["nodes"] += 1
         if self.tracing:
             self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
                                     f"[{fbp},{lbp}] {origin}")
-        self._create_events(node)
-        self._node_producer_links(node)
+        for entry in self.compiled.coverage[symbol]:
+            self._new_event(entry.production, (entry.position, entry.position + 1),
+                            ends, (node,))
+        # the extremes closed on side at the node's other end
+        for side in (RIGHT, LEFT):
+            adj = self.adj[side]
+            for ev in self.cads[ends[1 - side]].closed[side].values():
+                if ev.witness[side] is None and adj[ev.production.lhs.id] >> symbol & 1:
+                    self._set_witness(ev, side, node)
+                    self._refresh_status(ev)
 
     def _assert_tiling(self, fbp, lbp, children):
         pos = fbp
@@ -277,29 +303,23 @@ class Chart:
                 pos = c.lbp
         assert pos == lbp, "children spans must tile the parent span"
 
-    # -- step 3: event creation from the coverage tables ------------------
-
-    def _create_events(self, node: Node):
-        for entry in self.compiled.coverage[node.symbol]:
-            self._new_event(entry.production, entry.position, entry.position + 1,
-                            node.fbp, node.lbp, [node])
-
-    def _new_event(self, production, leftdot, rightdot, left, right, children):
-        ev = Event(self._next_event_id, production, leftdot, rightdot, left, right, children)
-        if ev.key() in self.event_index:
+    def _new_event(self, production, dot, cad, children):
+        key = event_key(production, dot, cad, children)
+        if key in self.event_index:
             return  # an identical event is live or has fired
+        ev = Event(self._next_event_id, production, dot, cad, children, key)
         self._next_event_id += 1
         self.events[ev.id] = ev
-        self.event_index[ev.key()] = ev
-        self._extremes(ev, LEFT)[ev.id] = ev
-        self._extremes(ev, RIGHT)[ev.id] = ev
+        self.event_index[key] = ev
+        for side in (LEFT, RIGHT):
+            self._extremes(ev, side)[ev.id] = ev
         self.stats["events_created"] += 1
         if self.debug:
             self._assert_event_tiling(ev)
         if self.tracing:
             self.trace_lines.append(f"create e{ev.id} {ev.render()}")
-        self._analyze_extreme(ev, LEFT)
-        self._analyze_extreme(ev, RIGHT)
+        for side in (LEFT, RIGHT):
+            self._analyze_extreme(ev, side)
         self._refresh_status(ev)
         self._spawn_epsilon_variants(ev)
 
@@ -311,95 +331,69 @@ class Chart:
         gets evidence it turns EPSILON and is deleted, and the sibling
         (spawned in turn, so a run of nullables is crossed one symbol per
         sibling) carries the empty realization on."""
-        rhs = ev.production.rhs
-        if not ev.right_closed and rhs[ev.rightdot].id in self.compiled.nullable:
-            eps = self.eps_nodes[rhs[ev.rightdot].id]
-            self._new_event(ev.production, ev.leftdot, ev.rightdot + 1,
-                            ev.left, ev.right, list(ev.children) + [eps])
-        if not ev.left_closed and rhs[ev.leftdot - 1].id in self.compiled.nullable:
-            eps = self.eps_nodes[rhs[ev.leftdot - 1].id]
-            self._new_event(ev.production, ev.leftdot - 1, ev.rightdot,
-                            ev.left, ev.right, [eps] + list(ev.children))
+        ldot, rdot = ev.dot
+        for side in (RIGHT, LEFT):
+            eps = self.eps_nodes.get(ev.need[side])
+            if eps is None:
+                continue
+            if side == RIGHT:
+                dot, children = (ldot, rdot + 1), ev.children + (eps,)
+            else:
+                dot, children = (ldot - 1, rdot), (eps,) + ev.children
+            self._new_event(ev.production, dot, ev.cad, children)
 
     def _assert_event_tiling(self, ev: Event):
-        assert 0 <= ev.leftdot < ev.rightdot <= len(ev.production.rhs)
-        assert len(ev.children) == ev.rightdot - ev.leftdot
-        self._assert_tiling(ev.left, ev.right, ev.children)
+        ldot, rdot = ev.dot
+        assert 0 <= ldot < rdot <= len(ev.production.rhs)
+        assert len(ev.children) == rdot - ldot
+        self._assert_tiling(*ev.cad, ev.children)
 
     def _extremes(self, ev: Event, side: int) -> dict[int, Event]:
         """The CaD list that holds ev's extreme on side, as ev stands."""
-        if side == LEFT:
-            cad = self.cads[ev.left]
-            return cad.closed_left if ev.left_closed else cad.open_left
-        cad = self.cads[ev.right]
-        return cad.closed_right if ev.right_closed else cad.open_right
+        cad = self.cads[ev.cad[side]]
+        return (cad.open if ev.need[side] is not None else cad.closed)[side]
 
     # -- step 4: link analyses --------------------------------------------
 
     def _witnesses(self, ev: Event, side: int):
         """Yield everything at this extreme's CaD that can witness it: the
         input boundary and nodes first (they never die), then the
-        compatible extremes of live events.  The relation is symmetric: a
-        yielded event's extreme here can be witnessed by this one.
+        compatible extremes of live events, which face it from the other
+        side.  The relation is symmetric: a yielded event's extreme here
+        can be witnessed by this one.
 
         A closed extreme needs a neighbor: the boundary, an adjacent node
         or closed extreme, or an open extreme whose required symbol this
-        extreme's constituent can begin (end).  An open extreme needs a
-        closed extreme whose constituent can end (begin) with its required
-        symbol; a bare node is no promise that such a constituent will ever
-        close here, and terminal expectations are met by fusion with the
-        terminal's own anchored events."""
-        comp = self.compiled
-        if side == LEFT:
-            cad = self.cads[ev.left]
-            if ev.left_closed:
-                delta = ev.production.lhs.id
-                if cad.index == 0:
-                    if comp.lm >> delta & 1:
-                        yield BOUNDARY
-                    return
-                la = comp.la[delta]
-                for nd in cad.ndle:
-                    if la >> nd.symbol & 1:
-                        yield nd
-                for p in cad.closed_right.values():
-                    if la >> p.production.lhs.id & 1:
-                        yield p
-                lpd = comp.lpd[delta]
-                for q in cad.open_right.values():
-                    if lpd >> q.production.rhs[q.rightdot].id & 1:
-                        yield q
-            else:
-                rho = ev.production.rhs[ev.leftdot - 1].id
-                rpd = comp.rpd
-                for p in cad.closed_right.values():
-                    if rpd[p.production.lhs.id] >> rho & 1:
-                        yield p
+        extreme's constituent can begin (end) on its side.  An open
+        extreme needs a closed extreme whose constituent can end (begin)
+        with its required symbol; a bare node is no promise that such a
+        constituent will ever close here, and terminal expectations are met
+        by fusion with the terminal's own anchored events."""
+        other = 1 - side
+        cad = self.cads[ev.cad[side]]
+        need = ev.need[side]
+        if need is None:
+            delta = ev.production.lhs.id
+            if cad.index == self.edge[side]:
+                if self.bound[side] >> delta & 1:
+                    yield BOUNDARY
+                return
+            adj = self.adj[side][delta]
+            for nd in cad.nodes[other]:
+                if adj >> nd.symbol & 1:
+                    yield nd
+            for p in cad.closed[other].values():
+                if adj >> p.production.lhs.id & 1:
+                    yield p
+            pd = self.pd[side][delta]
+            for q in cad.open[other].values():
+                if pd >> q.need[other] & 1:
+                    yield q
         else:
-            cad = self.cads[ev.right]
-            if ev.right_closed:
-                delta = ev.production.lhs.id
-                if cad.index == self.n:
-                    if comp.rm >> delta & 1:
-                        yield BOUNDARY
-                    return
-                ra = comp.ra[delta]
-                for nd in cad.ndri:
-                    if ra >> nd.symbol & 1:
-                        yield nd
-                for p in cad.closed_left.values():
-                    if ra >> p.production.lhs.id & 1:
-                        yield p
-                rpd = comp.rpd[delta]
-                for q in cad.open_left.values():
-                    if rpd >> q.production.rhs[q.leftdot - 1].id & 1:
-                        yield q
-            else:
-                rho = ev.production.rhs[ev.rightdot].id
-                lpd = comp.lpd
-                for p in cad.closed_left.values():
-                    if lpd[p.production.lhs.id] >> rho & 1:
-                        yield p
+            pd = self.pd[other]
+            for p in cad.closed[other].values():
+                if pd[p.production.lhs.id] >> need & 1:
+                    yield p
 
     def _set_witness(self, ev: Event, side: int, witness):
         ev.witness[side] = witness
@@ -426,27 +420,25 @@ class Chart:
             if w.__class__ is Event and w.witness[other] is None:
                 self._set_witness(w, other, ev)
                 self._refresh_status(w)
+        if ev.need[side] is None:
+            return
         # fusion partners: same production, open extremes meeting here with
         # a dot gap covered by nullable symbols only.  p gains support and
-        # is refreshed (without that on the right side, random_case(396)
-        # counts 10 trees instead of 12); ev's refresh in mid-analysis on
-        # the left side sets where it enters the queues, which the event
-        # counts depend on.
-        if side == LEFT and not ev.left_closed:
-            cad = self.cads[ev.left]
-            for p in cad.open_right.values():
-                if (p.production is ev.production and p.rightdot <= ev.leftdot
-                        and self._nullable_gap(ev.production, p.rightdot, ev.leftdot)):
-                    self._add_fusion(p, ev, cad.index)
+        # is refreshed (without that when ev's right extreme is analyzed,
+        # random_case(396) counts 10 trees instead of 12); ev's refresh in
+        # mid-analysis on the left side only sets where it enters the
+        # queues, which the event counts depend on.
+        cad = self.cads[ev.cad[side]]
+        for p in cad.open[other].values():
+            if p.production is not ev.production:
+                continue
+            e1, e2 = (p, ev) if side == LEFT else (ev, p)
+            if (e1.dot[RIGHT] <= e2.dot[LEFT]
+                    and self._nullable_gap(ev.production, e1.dot[RIGHT], e2.dot[LEFT])):
+                self._add_fusion(e1, e2, cad.index)
+                if side == LEFT:
                     self._refresh_status(ev)
-                    self._refresh_status(p)
-        elif side == RIGHT and not ev.right_closed:
-            cad = self.cads[ev.right]
-            for p in cad.open_left.values():
-                if (p.production is ev.production and ev.rightdot <= p.leftdot
-                        and self._nullable_gap(ev.production, ev.rightdot, p.leftdot)):
-                    self._add_fusion(ev, p, cad.index)
-                    self._refresh_status(p)
+                self._refresh_status(p)
 
     def _add_fusion(self, e1: Event, e2: Event, cad_index: int):
         """Link e1's open right extreme with e2's open left one and put the
@@ -458,23 +450,14 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
-    def _node_producer_links(self, node: Node):
-        """A freshly created node witnesses the closed extremes without a
-        witness that wait for it at its boundary CaDs."""
-        comp = self.compiled
-        for ev in self.cads[node.fbp].closed_right.values():
-            if ev.witness[RIGHT] is None and comp.ra[ev.production.lhs.id] >> node.symbol & 1:
-                self._set_witness(ev, RIGHT, node)
-                self._refresh_status(ev)
-        for ev in self.cads[node.lbp].closed_left.values():
-            if ev.witness[LEFT] is None and comp.la[ev.production.lhs.id] >> node.symbol & 1:
-                self._set_witness(ev, LEFT, node)
-                self._refresh_status(ev)
-
     def _release(self, ev: Event) -> list[Event]:
-        """ev has left its CaDs: every extreme it witnessed rescans its CaD,
-        and its fusion partners drop their links with it.  Returns those
-        partners, whose status may have changed."""
+        """Take ev out of the live events and its CaDs: every extreme it
+        witnessed rescans its CaD, and its fusion partners drop their links
+        with it.  Returns those partners, whose status may have changed."""
+        ev.alive = False
+        del self.events[ev.id]
+        for side in (LEFT, RIGHT):
+            del self._extremes(ev, side)[ev.id]
         partners = []
         for side in (LEFT, RIGHT):
             for p, s in ev.watchers[side]:
@@ -492,43 +475,23 @@ class Chart:
     # -- step 5: the logical status machine --------------------------------
 
     def compute_status(self, ev: Event) -> str:
-        rhs = ev.production.rhs
-        lc, rc = ev.left_closed, ev.right_closed
-        ll, rl = ev.supported(LEFT), ev.supported(RIGHT)
+        """RUN when both extremes are closed and supported, DERIVATION when
+        both are supported and one is open.  With one extreme supported,
+        EPSILON when the other waits next to a nullable symbol.  Anything
+        else is DELETE."""
+        need = ev.need
+        supported = (ev.supported(LEFT), ev.supported(RIGHT))
         nullable = self.compiled.nullable
-        if lc and rc:
-            status = RUN if (ll and rl) else DELETE
-        elif lc:
-            if not ll:
-                status = DELETE
-            elif rl:
-                status = DERIVATION
-            elif rhs[ev.rightdot].id in nullable:
-                status = EPSILON
-            else:
-                status = DELETE
-        elif rc:
-            if not rl:
-                status = DELETE
-            elif ll:
-                status = DERIVATION
-            elif rhs[ev.leftdot - 1].id in nullable:
-                status = EPSILON
-            else:
-                status = DELETE
+        if supported[LEFT] and supported[RIGHT]:
+            status = RUN if need == (None, None) else DERIVATION
+        elif supported[LEFT] or supported[RIGHT]:
+            unsupported = RIGHT if supported[LEFT] else LEFT
+            status = EPSILON if need[unsupported] in nullable else DELETE
         else:
-            if ll and rl:
-                status = DERIVATION
-            elif ll and rhs[ev.rightdot].id in nullable:
-                status = EPSILON
-            elif rl and rhs[ev.leftdot - 1].id in nullable:
-                status = EPSILON
-            else:
-                status = DELETE
+            status = DELETE
         if self.debug:
-            next_null = (not rc) and rhs[ev.rightdot].id in nullable
-            prev_null = (not lc) and rhs[ev.leftdot - 1].id in nullable
-            self.status_audit.append((lc, rc, ll, rl, next_null, prev_null, status))
+            self.status_audit.append((need[LEFT] is None, need[RIGHT] is None, *supported,
+                                      need[RIGHT] in nullable, need[LEFT] in nullable, status))
         return status
 
     def _refresh_status(self, ev: Event):
@@ -550,12 +513,8 @@ class Chart:
         """Remove an event; the extremes it supported rescan for another
         witness and get their status recomputed (the constraint-propagation
         cascade)."""
-        ev.alive = False
-        del self._extremes(ev, LEFT)[ev.id]
-        del self._extremes(ev, RIGHT)[ev.id]
-        if self.event_index.get(ev.key()) is ev:
-            del self.event_index[ev.key()]
-        del self.events[ev.id]
+        if self.event_index.get(ev.key) is ev:
+            del self.event_index[ev.key]
         self.stats["events_deleted"] += 1
         if self.tracing:
             self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
@@ -568,16 +527,11 @@ class Chart:
         indexed.  The extremes it supported rescan before the node is
         admitted, and their status is refreshed after, once the node and
         its events have witnessed what they can."""
-        analysis = Analysis(ev.production, ev.children)
-        ev.alive = False
-        del self._extremes(ev, LEFT)[ev.id]
-        del self._extremes(ev, RIGHT)[ev.id]
-        del self.events[ev.id]
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
         partners = self._release(ev)
-        self.add_node(ev.production.lhs.id, ev.left, ev.right, analysis)
+        self.add_node(ev.production.lhs.id, *ev.cad, Analysis(ev.production, ev.children))
         for partner in partners:
             self._refresh_status(partner)
 
@@ -587,22 +541,23 @@ class Chart:
         with zero-width children)."""
         e1 = self.events.get(left_id)
         e2 = self.events.get(right_id)
-        if (e1 is None or e2 is None or not e1.alive or not e2.alive
-                or e1.right != cad_index or e2.left != cad_index
-                or e1.right_closed or e2.left_closed
+        if (e1 is None or e2 is None
+                or e1.cad[RIGHT] != cad_index or e2.cad[LEFT] != cad_index
+                or e1.need[RIGHT] is None or e2.need[LEFT] is None
                 or e2.id not in e1.fusion[RIGHT]
-                or e1.rightdot > e2.leftdot
-                or not self._nullable_gap(e1.production, e1.rightdot, e2.leftdot)):
+                or e1.dot[RIGHT] > e2.dot[LEFT]
+                or not self._nullable_gap(e1.production, e1.dot[RIGHT], e2.dot[LEFT])):
             self.stats["stale_fusions"] += 1
             return
         prod = e1.production
-        gap = tuple(self.eps_nodes[s.id] for s in prod.rhs[e1.rightdot:e2.leftdot])
+        gap = tuple(self.eps_nodes[s.id] for s in prod.rhs[e1.dot[RIGHT]:e2.dot[LEFT]])
         children = e1.children + gap + e2.children
-        merged_key = (prod.id, e1.leftdot, e2.rightdot, e1.left, e2.right,
-                      tuple(c.id for c in children))
+        dot = (e1.dot[LEFT], e2.dot[RIGHT])
+        cad = (e1.cad[LEFT], e2.cad[RIGHT])
+        key = event_key(prod, dot, cad, children)
         if self.tracing:
             self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {cad_index}")
-        if merged_key in self.event_index:
+        if key in self.event_index:
             # the merged form already exists; just consume the link
             del e1.fusion[RIGHT][e2.id]
             del e2.fusion[LEFT][e1.id]
@@ -610,48 +565,39 @@ class Chart:
             self._refresh_status(e2)
             self.stats["stale_fusions"] += 1
             return
-        # does either extreme hold evidence besides this fusion link?
-        other_r1 = e1.witness[RIGHT] is not None or len(e1.fusion[RIGHT]) > 1
-        other_l2 = e2.witness[LEFT] is not None or len(e2.fusion[LEFT]) > 1
+        # does either extreme meeting here hold evidence besides this link?
+        pair = (e1, e2)
+        held = [e.witness[1 - s] is not None or len(e.fusion[1 - s]) > 1
+                for s, e in enumerate(pair)]
         self.stats["fusions"] += 1
-        if other_r1 and other_l2:
+        if held[LEFT] and held[RIGHT]:
             # both extremes carry further evidence: keep e1 and e2, create
             # the merged event alongside them
-            self._new_event(prod, e1.leftdot, e2.rightdot, e1.left, e2.right, children)
+            self._new_event(prod, dot, cad, children)
             return
         del e1.fusion[RIGHT][e2.id]
         del e2.fusion[LEFT][e1.id]
-        if other_r1:
-            # only e1's right extreme has other evidence: absorb into e2
-            self._refresh_status(e1)
-            self._mutate(e2, LEFT, e1.leftdot, e1.left, children)
-        elif other_l2:
-            self._refresh_status(e2)
-            self._mutate(e1, RIGHT, e2.rightdot, e2.right, children)
+        if held[LEFT] or held[RIGHT]:
+            # the event whose extreme has other evidence stays as it is; the
+            # other absorbs the merge, moving its extreme on the stayer's side
+            stay = LEFT if held[LEFT] else RIGHT
+            self._refresh_status(pair[stay])
+            self._mutate(pair[1 - stay], stay, dot, cad, children, key)
         else:
-            # neither side has other evidence: e1 absorbs, e2 goes away
-            self._mutate(e1, RIGHT, e2.rightdot, e2.right, children)
+            # neither has other evidence: e1 absorbs, e2 goes away
+            self._mutate(e1, RIGHT, dot, cad, children, key)
             self.delete_event(e2)
 
-    def _mutate(self, ev: Event, side: int, new_dot: int, new_cad: int, children):
-        """Rewire one extreme of a surviving event to its merged position.
-        The moved extreme had no evidence besides the consumed fusion link,
-        so it witnesses nothing and nothing needs tearing down."""
-        del self.event_index[ev.key()]
+    def _mutate(self, ev: Event, side: int, dot, cad, children, key):
+        """Give a surviving event the merged form, which moves its extreme
+        on side.  The moved extreme had no evidence besides the consumed
+        fusion link, so it witnesses nothing and nothing needs tearing
+        down.  fuse found the merged key unindexed."""
+        del self.event_index[ev.key]
         del self._extremes(ev, side)[ev.id]
-        if side == LEFT:
-            ev.leftdot = new_dot
-            ev.left = new_cad
-        else:
-            ev.rightdot = new_dot
-            ev.right = new_cad
-        ev.children = tuple(children)
+        ev.place(dot, cad, children, key)
         self._extremes(ev, side)[ev.id] = ev
-        if ev.key() in self.event_index:
-            # merged form exists after all (raced through another route)
-            self.delete_event(ev)
-            return
-        self.event_index[ev.key()] = ev
+        self.event_index[key] = ev
         if self.debug:
             self._assert_event_tiling(ev)
         if self.tracing:
@@ -698,7 +644,7 @@ class Chart:
         compatible with the extreme it witnesses, and no extreme without a
         witness has one available at its CaD."""
         for ev in self.events.values():
-            assert self.event_index.get(ev.key()) is ev, f"e{ev.id}: key not indexed"
+            assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
                 name = f"e{ev.id}.{SIDE_NAMES[side]}"
                 assert self._extremes(ev, side).get(ev.id) is ev, f"{name}: not in its CaD list"
@@ -709,8 +655,7 @@ class Chart:
                 for p in ev.fusion[side].values():
                     assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
                         f"{name}: fusion link with e{p.id} is one-sided"
-        held = sum(len(extremes) for cad in self.cads for extremes in
-                   (cad.open_left, cad.closed_left, cad.open_right, cad.closed_right))
+        held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
         for ev in self.events.values():
             assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"

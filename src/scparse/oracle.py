@@ -21,8 +21,11 @@ from .lattice import InputLattice, LexicalItem
 def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
     """Classic Earley over a lattice: the scanner consumes any lexical item
     leaving the current breaking point; epsilon productions complete in
-    place via the per-position worklist."""
+    place via the per-position worklist, and a prediction of a nullable
+    nonterminal also moves the dot over it (Aycock & Horspool 2002), so no
+    completion over [k, k] is missed."""
     n = lat.n
+    nullable = _nullable_set(g)
     prods_by_lhs: dict[int, list[Production]] = {}
     for p in g.productions:
         prods_by_lhs.setdefault(p.lhs.id, []).append(p)
@@ -58,11 +61,8 @@ def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
             if nxt.kind == NONTERMINAL:
                 for p2 in prods_by_lhs.get(nxt.id, ()):
                     add(k, (p2.id, 0, k), todo)
-                # the predicted nonterminal may already be complete over [k, k]
-                for (cpid, cdot, corigin) in list(charts[k]):
-                    cprod = g.productions[cpid]
-                    if corigin == k and cdot == len(cprod.rhs) and cprod.lhs.id == nxt.id:
-                        add(k, (pid, dot + 1, origin), todo)
+                if nxt.id in nullable:
+                    add(k, (pid, dot + 1, origin), todo)
             else:
                 for it in items_from.get(k, ()):
                     cat = by_name.get(it.preterminal)
@@ -72,7 +72,7 @@ def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
         prod = g.productions[pid]
         if origin == 0 and dot == len(prod.rhs) and prod.lhs in g.roots:
             return True
-    return n == 0 and any(_nullable_set(g) & {r.id for r in g.roots})
+    return n == 0 and any(nullable & {r.id for r in g.roots})
 
 
 def _nullable_set(g: Grammar) -> set[int]:

@@ -19,6 +19,7 @@ the runtime membership tests are single mask operations.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .grammar import NONTERMINAL, TERMINAL, Grammar, GrammarError, Production, Symbol
@@ -264,8 +265,18 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
 MAGIC = "SCPC1"
 
 
+def _digest(text: str, end: int) -> str:
+    """SHA-256 of text[:end], encoded a megabyte at a time (tables are
+    megabytes)."""
+    h = hashlib.sha256()
+    for i in range(0, end, 1 << 20):
+        h.update(text[i:min(i + (1 << 20), end)].encode())
+    return h.hexdigest()
+
+
 def save_compiled(cg: CompiledGrammar) -> str:
-    """Deterministic textual dump of the compiled tables."""
+    """Deterministic textual dump of the compiled tables; the last line is
+    `end` and the digest of the text before it."""
     g = cg.grammar
     out = [MAGIC]
     out.append(f"symbols {len(g.symbols)}")
@@ -288,12 +299,14 @@ def save_compiled(cg: CompiledGrammar) -> str:
     for sym in g.symbols:
         for e in cg.coverage[sym.id]:
             out.append(f"{sym.id} {e.production.id} {e.position} {e.klass}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    return f"{text}end {_digest(text, len(text))}\n"
 
 
 def load_compiled(text: str) -> CompiledGrammar:
-    """Inverse of save_compiled; GrammarError on malformed input."""
+    """Inverse of save_compiled; GrammarError on malformed input, and on a
+    table whose text does not match its digest (a well-formed table can
+    still be wrong)."""
     # Rows are split one at a time: a large table's masks are megabytes.
     rows = ((n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     if next(rows, (0, None))[1] != [MAGIC]:
@@ -366,10 +379,13 @@ def load_compiled(text: str) -> CompiledGrammar:
             raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
                       f"production {prod}", line)
         coverage[sym].append(CoverageEntry(prod, pos, klass))
-    row("end", 1)
+    end_line, _ = row("end", 2)
     line, fields = next(rows, (None, None))
     if fields is not None:
         raise bad("text after 'end'", line)
+    cut = text.rfind("\nend ") + 1
+    if text[cut:] != f"end {_digest(text, cut)}\n":
+        raise bad("the table does not match its digest", end_line)
     return CompiledGrammar(grammar, nullable, masks["lpd"], masks["rpd"],
                            masks["la"], masks["ra"], lm, rm, coverage)
 

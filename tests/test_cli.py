@@ -129,3 +129,22 @@ def test_bench_constant_events_per_word(capsys):
     # the local suite makes exactly 3 events per word: E/W cannot be fitted
     assert main(["bench", "--suite", "local", "--lengths", "8,16"]) == 0
     assert "E / W   = degenerate fit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{g}", "-o", "{missing}/g.scp"],
+    ["parse", "-g", "{g}", "a b", "--forest", "{missing}/forest.txt"],
+    ["bench", "--suite", "local", "--lengths", "8,16", "--csv", "{missing}/bench.csv"],
+], ids=["compile-output", "parse-forest", "bench-csv"])
+def test_unwritable_output_is_a_usage_error(g2_file, tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    assert main([a.format(g=g2_file, missing=missing) for a in argv]) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_grammar_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    g = tmp_path / "latin1.g"
+    g.write_bytes("%root S\nS -> caf\xe9 ;".encode("latin-1"))
+    assert main(["compile", str(g)]) == 2
+    assert f"error: cannot read {g}: not UTF-8" in capsys.readouterr().err

@@ -20,6 +20,10 @@ def test_epsilon_productions():
     assert earley_recognize(gr, tokenize_plain("a"))
     assert earley_recognize(gr, tokenize_plain("a a"))
     assert not earley_recognize(gr, tokenize_plain("a a a"))
+    # the first A completes over [0, 0] before the second is predicted there
+    gr = g("%root S\nS -> A A x ;\nA -> | B ;\nB -> A ;")
+    assert earley_recognize(gr, tokenize_plain("x"))
+    assert not earley_recognize(gr, tokenize_plain("x x"))
 
 
 def test_empty_input():
@@ -61,6 +65,18 @@ def test_agrees_with_exhaustive_search():
     for tokens in ([], ["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b"], ["b"]):
         lat = tokenize_plain(" ".join(tokens))
         assert earley_recognize(gr, lat) == derives_exhaustive(gr, tokens)
+
+
+def test_recognition_agrees_with_the_tree_count():
+    # seeds beyond the acceptance gate's random_case(0..499), and longer inputs
+    cases = [(seed, None) for seed in range(500, 1500)]
+    cases += [(seed, CaseLimits(max_input=24)) for seed in range(140)]
+    wrong = []
+    for seed, limits in cases:
+        gr, lat = random_case(seed, limits)
+        if earley_recognize(gr, lat) != (earley_count_trees(gr, lat, cap=10000).value != 0):
+            wrong.append((seed, limits))
+    assert not wrong
 
 
 def test_random_cases_are_reproducible():
