@@ -110,7 +110,7 @@ def _render_count(tc: TreeCount) -> str:
     if tc.kind == "infinite":
         return "infinite"
     if tc.kind == "capped":
-        return f">={tc.value}"
+        return f">{tc.value}"
     return str(tc.value)
 
 

@@ -211,7 +211,7 @@ class Chart:
         # One deletion queue: EPSILON events are deleted like DELETE ones.
         self.delete_queue: deque[int] = deque()
         self.run_queue: deque[int] = deque()
-        self.fusion_agenda: deque[tuple[int, int, int]] = deque()
+        self.fusion_agenda: deque[tuple[int, int]] = deque()
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
             "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
@@ -435,18 +435,18 @@ class Chart:
             e1, e2 = (p, ev) if side == LEFT else (ev, p)
             if (e1.dot[RIGHT] <= e2.dot[LEFT]
                     and self._nullable_gap(ev.production, e1.dot[RIGHT], e2.dot[LEFT])):
-                self._add_fusion(e1, e2, cad.index)
+                self._add_fusion(e1, e2)
                 if side == LEFT:
                     self._refresh_status(ev)
                 self._refresh_status(p)
 
-    def _add_fusion(self, e1: Event, e2: Event, cad_index: int):
+    def _add_fusion(self, e1: Event, e2: Event):
         """Link e1's open right extreme with e2's open left one and put the
         pair on the fusion agenda."""
         e1.fusion[RIGHT][e2.id] = e2
         e2.fusion[LEFT][e1.id] = e1
         self.stats["links"] += 1
-        self.fusion_agenda.append((e1.id, e2.id, cad_index))
+        self.fusion_agenda.append((e1.id, e2.id))
         if self.tracing:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
@@ -535,20 +535,17 @@ class Chart:
         for partner in partners:
             self._refresh_status(partner)
 
-    def fuse(self, left_id: int, right_id: int, cad_index: int):
+    def fuse(self, left_id: int, right_id: int):
         """Merge two same-production events whose dot ranges meet at a CaD
         (possibly across a run of nullable rhs symbols, which are filled
-        with zero-width children)."""
+        with zero-width children).  The pair is stale unless e1 is live and
+        still holds the link: a link only joins open extremes meeting
+        across a nullable gap, and only extremes without links move."""
         e1 = self.events.get(left_id)
-        e2 = self.events.get(right_id)
-        if (e1 is None or e2 is None
-                or e1.cad[RIGHT] != cad_index or e2.cad[LEFT] != cad_index
-                or e1.need[RIGHT] is None or e2.need[LEFT] is None
-                or e2.id not in e1.fusion[RIGHT]
-                or e1.dot[RIGHT] > e2.dot[LEFT]
-                or not self._nullable_gap(e1.production, e1.dot[RIGHT], e2.dot[LEFT])):
+        if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
             return
+        e2 = e1.fusion[RIGHT][right_id]
         prod = e1.production
         gap = tuple(self.eps_nodes[s.id] for s in prod.rhs[e1.dot[RIGHT]:e2.dot[LEFT]])
         children = e1.children + gap + e2.children
@@ -556,7 +553,7 @@ class Chart:
         cad = (e1.cad[LEFT], e2.cad[RIGHT])
         key = event_key(prod, dot, cad, children)
         if self.tracing:
-            self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {cad_index}")
+            self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {e1.cad[RIGHT]}")
         if key in self.event_index:
             # the merged form already exists; just consume the link
             del e1.fusion[RIGHT][e2.id]
@@ -625,8 +622,7 @@ class Chart:
                     self.run_event(ev)
                 continue
             if self.fusion_agenda:
-                left_id, right_id, cad = self.fusion_agenda.popleft()
-                self.fuse(left_id, right_id, cad)
+                self.fuse(*self.fusion_agenda.popleft())
                 continue
             break
         if self.debug:
@@ -638,7 +634,9 @@ class Chart:
         Bookkeeping: every live event's key indexes it, the CaD lists hold
         exactly the live events' extremes, each on its open or closed side,
         every event witness lists the extreme it witnesses on its watch
-        list, and fusion links are symmetric between live events.
+        list, and fusion links are symmetric between live events and join
+        open extremes of one production that meet at one CaD across a
+        nullable gap.
         Fixpoint: every live event's stored status is current, every
         witness is the boundary, a node or a live event's extreme
         compatible with the extreme it witnesses, and no extreme without a
@@ -655,6 +653,12 @@ class Chart:
                 for p in ev.fusion[side].values():
                     assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
                         f"{name}: fusion link with e{p.id} is one-sided"
+            for p in ev.fusion[RIGHT].values():
+                assert (p.production is ev.production and p.cad[LEFT] == ev.cad[RIGHT]
+                        and None not in (ev.need[RIGHT], p.need[LEFT])
+                        and ev.dot[RIGHT] <= p.dot[LEFT]
+                        and self._nullable_gap(ev.production, ev.dot[RIGHT], p.dot[LEFT])), \
+                    f"e{ev.id}.R: fusion link with e{p.id} is not across a nullable gap"
         held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
         for ev in self.events.values():

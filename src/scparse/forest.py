@@ -24,7 +24,7 @@ class TreeCount:
 
     @staticmethod
     def of(n: int, cap: int) -> "TreeCount":
-        return TreeCount(FINITE, n) if n <= cap else TreeCount(CAPPED)
+        return TreeCount(FINITE, n) if n <= cap else TreeCount(CAPPED, cap)
 
     def __repr__(self):
         return f"TreeCount({self.kind}{'' if self.value is None else ', ' + str(self.value)})"

@@ -141,26 +141,18 @@ def load_grammar(text: str) -> Grammar:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if line.startswith("%root"):
-            names = line[len("%root"):].split()
-            if not names:
-                raise GrammarError("%root requires at least one symbol", lineno)
-            for n in names:
-                note(n)
-                if n not in root_names:
-                    root_names.append(n)
-            continue
-        if line.startswith("%terminal"):
-            names = line[len("%terminal"):].split()
-            if not names:
-                raise GrammarError("%terminal requires at least one symbol", lineno)
-            for n in names:
-                note(n)
-                if n not in terminal_names:
-                    terminal_names.append(n)
-            continue
         if line.startswith("%"):
-            raise GrammarError(f"unknown directive {line.split()[0]!r}", lineno)
+            directive, *names = line.split()
+            if directive not in ("%root", "%terminal"):
+                raise GrammarError(f"unknown directive {directive!r}", lineno)
+            if not names:
+                raise GrammarError(f"{directive} requires at least one symbol", lineno)
+            declared = root_names if directive == "%root" else terminal_names
+            for n in names:
+                note(n)
+                if n not in declared:
+                    declared.append(n)
+            continue
         if "->" not in line:
             raise GrammarError("expected 'LHS -> ... ;'", lineno, raw.find(line) + 1)
         if not line.endswith(";"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .forest import CAPPED, FINITE, INFINITE, TreeCount
+from .forest import FINITE, INFINITE, TreeCount
 from .grammar import Grammar, NONTERMINAL, Production, Symbol, TERMINAL
 from .lattice import InputLattice, LexicalItem
 

@@ -14,7 +14,9 @@ Everything the parser needs to prune work is precompiled here:
                suffix around the occurrence (CC / CO / OC / OO)
 
 Relation tables are dense bitsets (Python ints) indexed by symbol id, so
-the runtime membership tests are single mask operations.
+the runtime membership tests are single mask operations.  Every relation
+table is a least fixpoint over the corner edges, computed by the one
+round-robin sweep of _closure (Kam & Ullman 1976).
 """
 
 from __future__ import annotations
@@ -56,78 +58,45 @@ def compute_nullable(g: Grammar) -> frozenset[int]:
     return frozenset(nullable)
 
 
-def _corner_edges(g: Grammar, nullable: frozenset[int], reverse: bool):
-    """Edges x -> lhs for every occurrence of x reachable from the rhs
+def _corner_edges(g: Grammar, nullable: frozenset[int], reverse: bool) -> list[tuple[int, int]]:
+    """(corner, lhs) pairs for every occurrence reachable from the rhs
     boundary across nullable symbols only.  reverse=True walks from the
-    right end.  Edge labels carry the witnessing (production, position)."""
-    edges: dict[int, list[tuple[int, Production, int]]] = {s.id: [] for s in g.symbols}
+    right end."""
+    edges = []
     for p in g.productions:
         rhs = p.rhs
         positions = range(len(rhs) - 1, -1, -1) if reverse else range(len(rhs))
         for pos in positions:
             sym = rhs[pos]
-            edges[sym.id].append((p.lhs.id, p, pos))
+            edges.append((sym.id, p.lhs.id))
             if sym.id not in nullable:
                 break
     return edges
 
 
-def _closure_masks(g: Grammar, edges) -> list[int]:
-    masks = []
-    for s in g.symbols:
-        reach = {s.id}
-        todo = [s.id]
-        while todo:
-            x = todo.pop()
-            for y, _, _ in edges[x]:
-                if y not in reach:
-                    reach.add(y)
-                    todo.append(y)
-        mask = 0
-        for i in reach:
-            mask |= 1 << i
-        masks.append(mask)
-    return masks
+def _closure(seeds: list[int], edges: list[tuple[int, int]]) -> list[int]:
+    """Least fixpoint of reach[x] >= seeds[x] | reach[y] over the (x, y)
+    edges: sweep them in order until a sweep changes nothing."""
+    reach = list(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in edges:
+            joined = reach[x] | reach[y]
+            if joined != reach[x]:
+                reach[x] = joined
+                changed = True
+    return reach
 
 
 def compute_lpd(g: Grammar, nullable: frozenset[int]) -> list[int]:
     """Per-symbol bitset of left partial derivations (includes the symbol)."""
-    return _closure_masks(g, _corner_edges(g, nullable, reverse=False))
+    return _closure([1 << s.id for s in g.symbols], _corner_edges(g, nullable, reverse=False))
 
 
 def compute_rpd(g: Grammar, nullable: frozenset[int]) -> list[int]:
     """Per-symbol bitset of right partial derivations (includes the symbol)."""
-    return _closure_masks(g, _corner_edges(g, nullable, reverse=True))
-
-
-def corner_witness(g: Grammar, nullable: frozenset[int], alpha: Symbol, beta: Symbol,
-                   reverse: bool = False) -> list[tuple[Production, int]] | None:
-    """Chain of (production, occurrence position) steps showing that beta is
-    in lpd (rpd when reverse) of alpha.  None when unrelated; [] when equal."""
-    if alpha.id == beta.id:
-        return []
-    edges = _corner_edges(g, nullable, reverse)
-    parent: dict[int, tuple[int, Production, int]] = {}
-    todo = [alpha.id]
-    seen = {alpha.id}
-    while todo:
-        x = todo.pop(0)
-        for y, prod, pos in edges[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = (x, prod, pos)
-                todo.append(y)
-            if y == beta.id:
-                chain = []
-                cur = beta.id
-                # walk the parent pointers from the ancestor back down to
-                # the corner symbol
-                while cur != alpha.id:
-                    prev, prod, pos = parent[cur]
-                    chain.append((prod, pos))
-                    cur = prev
-                return chain
-    return None
+    return _closure([1 << s.id for s in g.symbols], _corner_edges(g, nullable, reverse=True))
 
 
 def primary_pairs(g: Grammar, nullable: frozenset[int]) -> set[tuple[int, int]]:
@@ -143,31 +112,23 @@ def primary_pairs(g: Grammar, nullable: frozenset[int]) -> set[tuple[int, int]]:
     return pairs
 
 
-def compute_adjacency(g: Grammar, nullable: frozenset[int],
-                      lpd: list[int], rpd: list[int]) -> tuple[list[int], list[int]]:
+def compute_adjacency(g: Grammar, nullable: frozenset[int]) -> tuple[list[int], list[int]]:
     """la[a] = symbols that may stand immediately left of a;
-    ra[a] = symbols that may stand immediately right of a."""
-    pairs = primary_pairs(g, nullable)
-    succ = [0] * len(g.symbols)  # succ[d]: g with d^g
-    for d, gg in pairs:
-        succ[d] |= 1 << gg
-    # succ_of_rpd[b] = union of succ over rpd[b]
-    succ_of_rpd = []
-    for s in g.symbols:
-        m = 0
-        r = rpd[s.id]
-        for t in g.symbols:
-            if r >> t.id & 1:
-                m |= succ[t.id]
-        succ_of_rpd.append(m)
-    la = [0] * len(g.symbols)
-    ra = [0] * len(g.symbols)
-    for a in g.symbols:
-        for b in g.symbols:
-            if lpd[a.id] & succ_of_rpd[b.id]:
-                la[a.id] |= 1 << b.id
-                ra[b.id] |= 1 << a.id
-    return la, ra
+    ra[a] = symbols that may stand immediately right of a.
+    b is in la[a] iff some primary pair (d, c) has d ending b and c
+    beginning a: seed la0[c] with what d ends, then close over left
+    corners; ra is the mirror image."""
+    left = _corner_edges(g, nullable, reverse=False)
+    right = _corner_edges(g, nullable, reverse=True)
+    units = [1 << s.id for s in g.symbols]
+    begun_by = _closure(units, [(y, x) for x, y in left])  # [c]: {a | c in lpd[a]}
+    ended_by = _closure(units, [(y, x) for x, y in right])  # [d]: {b | d in rpd[b]}
+    la0 = [0] * len(g.symbols)
+    ra0 = [0] * len(g.symbols)
+    for d, c in primary_pairs(g, nullable):
+        la0[c] |= ended_by[d]
+        ra0[d] |= begun_by[c]
+    return _closure(la0, left), _closure(ra0, right)
 
 
 def compute_boundaries(g: Grammar, lpd: list[int], rpd: list[int]) -> tuple[int, int]:
@@ -254,7 +215,7 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
     nullable = compute_nullable(g)
     lpd = compute_lpd(g, nullable)
     rpd = compute_rpd(g, nullable)
-    la, ra = compute_adjacency(g, nullable, lpd, rpd)
+    la, ra = compute_adjacency(g, nullable)
     lm, rm = compute_boundaries(g, lpd, rpd)
     coverage = build_coverage(g, nullable)
     return CompiledGrammar(g, nullable, lpd, rpd, la, ra, lm, rm, coverage)

@@ -148,3 +148,13 @@ def test_grammar_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     g.write_bytes("%root S\nS -> caf\xe9 ;".encode("latin-1"))
     assert main(["compile", str(g)]) == 2
     assert f"error: cannot read {g}: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["scp", "earley"])
+def test_count_past_the_cap_prints_the_cap(tmp_path, capsys, engine):
+    g = tmp_path / "catalan.g"
+    g.write_text("%root S\nS -> S S | a ;")
+    # Catalan(11) = 58,786 trees, past the default cap of 10,000
+    assert main(["parse", "-g", str(g), " ".join(["a"] * 12), "--count-trees",
+                 "--engine", engine]) == 0
+    assert capsys.readouterr().out.strip() == "trees: >10000"

@@ -295,6 +295,17 @@ def test_invariant_check_catches_a_one_sided_fusion_link():
         chart.check_invariants()
 
 
+def test_invariant_check_catches_a_fusion_link_out_of_order():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    partner = next(iter(ev.fusion[RIGHT].values()))
+    ev.dot = (ev.dot[LEFT], partner.dot[LEFT] + 1)  # ev's right dot past partner's left one
+    with pytest.raises(AssertionError,
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} is not across a nullable gap"):
+        chart.check_invariants()
+
+
 @pytest.mark.parametrize("seeds,limits", [(range(500, 800), None),
                                           (range(40, 140), CaseLimits(max_input=24))],
                          ids=["500-799", "long-40-139"])
@@ -308,6 +319,27 @@ def test_tree_counts_match_earley_beyond_the_gate(seeds, limits):
         theirs = earley_count_trees(grammar, lattice, cap=10000)
         if (mine.kind, mine.value) != (theirs.kind, theirs.value):
             wrong.append(seed)
+    assert not wrong
+
+
+@pytest.mark.parametrize("limits", [
+    CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240, max_input=3),
+    CaseLimits(max_nonterminals=80, max_terminals=4, max_productions=480, max_input=2),
+], ids=["40-nonterminals", "80-nonterminals"])
+def test_tree_counts_match_earley_on_dense_nullable_grammars(limits):
+    # many productions over few terminals make most nonterminals nullable,
+    # a regime the acceptance gate's small grammars never reach
+    wrong, nullable, nonterminals = [], 0, 0
+    for seed in range(30):
+        grammar, lattice = random_case(seed, limits)
+        compiled = compile_grammar(grammar)
+        nullable += sum(s.id in compiled.nullable for s in grammar.nonterminals)
+        nonterminals += len(grammar.nonterminals)
+        mine = count_trees(build_forest(parse(compiled, lattice)), cap=10000)
+        theirs = earley_count_trees(grammar, lattice, cap=10000)
+        if (mine.kind, mine.value) != (theirs.kind, theirs.value):
+            wrong.append(seed)
+    assert nullable > 0.7 * nonterminals
     assert not wrong
 
 

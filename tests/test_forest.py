@@ -18,7 +18,7 @@ CATALAN = "%root S\nS -> S S | a ;"
 def test_tree_count_classification():
     assert TreeCount.of(3, 10).kind == "finite"
     assert TreeCount.of(3, 10).value == 3
-    assert TreeCount.of(11, 10).kind == "capped"
+    assert TreeCount.of(11, 10) == TreeCount("capped", 10)
 
 
 def test_count_catalan():

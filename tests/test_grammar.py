@@ -37,6 +37,21 @@ def test_explicit_terminal_declaration():
     assert g.symbol("y").kind == TERMINAL
 
 
+@pytest.mark.parametrize("text,line,directive", [
+    ("%root S\n%terminals a b\nS -> a ;", 2, "%terminals"),  # once declared a terminal 's'
+    ("%roots S\nS -> a ;", 1, "%roots"),                      # once failed on a root 's'
+    ("%rootS\nS -> a ;", 1, "%rootS"),                        # once read as '%root S'
+], ids=["terminals", "roots", "rootS"])
+def test_directive_names_match_exactly(text, line, directive):
+    with pytest.raises(GrammarError, match=f"line {line}: unknown directive '{directive}'"):
+        load_grammar(text)
+
+
+def test_directive_without_symbols_rejected():
+    with pytest.raises(GrammarError, match="line 1: %terminal requires at least one symbol"):
+        load_grammar("%terminal\n%root S\nS -> a ;")
+
+
 def test_comments_and_blank_lines():
     g = load_grammar("# header comment\n\n%root S\nS -> a ; # trailing\n")
     assert len(g.productions) == 1

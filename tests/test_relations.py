@@ -7,7 +7,7 @@ from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
 from scparse import compile_grammar, load_grammar
 from scparse.grammar import GrammarError
 from scparse.oracle import random_case
-from scparse.relations import (CC, CO, OC, OO, compute_nullable, corner_witness,
+from scparse.relations import (CC, CO, OC, OO, compute_nullable,
                                dump_relations, load_compiled, primary_pairs,
                                save_compiled)
 
@@ -102,23 +102,42 @@ def test_unit_cycle_terminates():
     assert cg.lpd_names("x") == {"x", "A", "B"}
 
 
-def test_corner_witness_chain(g2):
-    nullable = compute_nullable(g2)
-    chain = corner_witness(g2, nullable, g2.symbol("a"), g2.symbol("S"), reverse=False)
-    assert chain is not None
-    # chain walks from the ancestor down to the corner symbol
-    top = chain[0][0].lhs
-    assert top.name == "S"
-    for (prod, pos), nxt in zip(chain, chain[1:]):
-        assert prod.rhs[pos] is nxt[0].lhs
-        assert all(s.id in nullable for s in prod.rhs[:pos])
-    last_prod, last_pos = chain[-1]
-    assert last_prod.rhs[last_pos].name == "a"
+# -- the sweep fixpoint is independent of edge order ---------------------------
+
+def name_tables(cg):
+    """Every relation table, keyed by symbol names rather than ids."""
+    g = cg.grammar
+    rows = {s.name: (cg.lpd_names(s.name), cg.rpd_names(s.name),
+                     cg.la_names(s.name), cg.ra_names(s.name)) for s in g.symbols}
+    return rows, cg.nullable_names(), cg.lm_names(), cg.rm_names()
 
 
-def test_corner_witness_absent(g2):
-    nullable = compute_nullable(g2)
-    assert corner_witness(g2, nullable, g2.symbol("b"), g2.symbol("A1"), reverse=False) is None
+@pytest.mark.parametrize("seed", range(100))
+def test_tables_do_not_depend_on_production_order(seed):
+    grammar, _ = random_case(seed)
+    lines = [f"{p.lhs.name} -> {' '.join(s.name for s in p.rhs)} ;" for p in grammar.productions]
+    random.Random(seed).shuffle(lines)
+    header = ["%root " + " ".join(r.name for r in grammar.roots),
+              "%terminal " + " ".join(t.name for t in grammar.terminals)]
+    shuffled = load_grammar("\n".join(header + lines))
+    assert name_tables(compile_grammar(shuffled)) == name_tables(compile_grammar(grammar))
+
+
+@pytest.mark.parametrize("order", ["top-down", "bottom-up"])
+def test_long_chain_closes_in_either_order(order):
+    # N0 -> N1 b, ..., N198 -> N199 b, N199 -> a: a is the left corner of
+    # every N, and only the chain's full length carries S's pair (b, N0)
+    # down to a
+    lines = ["S -> b N0 ;"] + [f"N{i} -> N{i + 1} b ;" for i in range(199)] + ["N199 -> a ;"]
+    if order == "bottom-up":
+        lines.reverse()
+    cg = compile_grammar(load_grammar("%root S\n" + "\n".join(lines)))
+    chain = {f"N{i}" for i in range(200)}
+    assert cg.lpd_names("a") == chain | {"a"}
+    assert cg.lpd_names("N100") == {f"N{i}" for i in range(101)}
+    assert cg.la_names("a") == {"b"}
+    assert cg.la_names("b") == chain - {"N0"} | {"a", "b"}
+    assert cg.ra_names("b") == chain | {"a", "b"}
 
 
 # -- serialization -------------------------------------------------------------
