@@ -25,32 +25,38 @@ realization was spawned when it took its current form.  So it is deleted
 like a DELETE event; its sibling is live or has fired, or was deleted as
 unsupported itself, which is sound as below.
 
-Status asks only whether an extreme has evidence, so each extreme keeps a
-single support (AC-6 arc consistency; the watched literals of SAT
-solvers): one witness, preferably a node or the boundary since those never
-die.  An event keeps a watch list of the extremes its own extremes
-witness.  A new extreme takes the first witness at its CaD and becomes the
-witness of every compatible partner there that has none.  Constraint
-propagation is the delete cascade: when an event leaves its CaDs, every
-extreme it witnessed rescans that CaD for another witness, and one that
-finds none may starve in turn.  Fusion links, which `fuse` looks up and
-counts, are the exception: they are kept explicitly, per side and keyed by
-partner id, on both events.
+Status asks only whether an extreme has evidence, and what an extreme is
+compatible with at its CaD depends only on its side, whether it is open or
+closed, and one symbol: its lhs if closed, the symbol it waits for if
+open.  Extremes alike in these are a class, and support is kept per class
+(AC-4 support counting, Mohr & Henderson 1986, lifted from values to
+classes).  Each CaD counts its extremes per side and class and keeps the
+mask of the node symbols ending there; the masks of the classes present
+and `reach`, the union of the closed classes' partial-derivability rows,
+are derived from the counts when read.  Each extreme keeps one support
+bit, set by mask tests of its relation rows against the facing side and
+the input boundary.
+When a class appears at a CaD, the facing classes it is compatible with
+that had no support gain it; when a class vanishes, the facing classes it
+was compatible with are tested again, and the extremes of those left
+without support may starve in turn: that is the delete cascade.  Fusion
+links, which `fuse` looks up and counts, are the exception: they are kept
+explicitly, per side and keyed by partner id, on both events.
 
 Nodes are never deleted, so early deletions stay sound: lexical nodes,
-through the transitively closed relation tables, witness everything the
+through the transitively closed relation tables, support everything the
 input can ever provide.
 
 The two directions mirror each other, so every per-side fact is a pair
 indexed by LEFT (0) or RIGHT (1) and each step is written once for a
 `side`, with `other = 1 - side` the side facing it across a CaD: an
 event's dots, CaD indices and the symbols its open extremes wait for
-(`need`, None on a closed side), its witnesses, fusion links and watch
-lists; a CaD's open and closed extremes and node ends; the chart's
-partial-derivability, adjacency and boundary tables.  Where the order of
-the two sides matters to the queues (and so to the event counts), it is
-fixed in place: nodes witness and spawned siblings are made RIGHT first,
-extremes are analyzed LEFT first.
+(`need`, None on a closed side), its support bits and fusion links; a
+CaD's open and closed extremes, class counts and masks and node symbols;
+the chart's partial-derivability, adjacency and boundary tables.  Where
+the order of the two sides matters to the queues (and so to the event
+counts), it is fixed in place: nodes give support and spawned siblings are
+made RIGHT first, extremes are analyzed LEFT first.
 """
 
 from __future__ import annotations
@@ -73,9 +79,6 @@ DERIVATION = "DERIVATION"
 LEFT = 0
 RIGHT = 1
 SIDE_NAMES = "LR"
-
-# The witness of a closed extreme at the input boundary it may touch.
-BOUNDARY = "boundary"
 
 
 class EngineError(ValueError):
@@ -116,19 +119,16 @@ def event_key(production: Production, dot: tuple, cad: tuple, children: tuple) -
 
 class Event:
     __slots__ = ("id", "production", "dot", "cad", "need", "children", "key",
-                 "witness", "fusion", "watchers", "status", "alive")
+                 "support", "fusion", "status", "alive")
 
     def __init__(self, eid, production, dot, cad, children, key):
         self.id = eid
         self.production = production
         self.place(dot, cad, children, key)
-        # Per side: the extreme's one witness (an Event, a Node, BOUNDARY or
-        # None), its fusion links (partner id -> Event), and the (event,
-        # side) extremes this extreme witnesses.  Watch list entries go
-        # stale when the watcher dies; readers check them.
-        self.witness: list = [None, None]
+        # Per side: whether some class at the extreme's CaD supports it (the
+        # Chart keeps this bit), and its fusion links (partner id -> Event).
+        self.support = [False, False]
         self.fusion: tuple[dict, dict] = ({}, {})
-        self.watchers: tuple[list, list] = ([], [])
         self.status = None
         self.alive = True
 
@@ -145,10 +145,6 @@ class Event:
         self.children = children
         self.key = key
 
-    def supported(self, side: int) -> bool:
-        """Whether the extreme on `side` has any evidence."""
-        return self.witness[side] is not None or bool(self.fusion[side])
-
     def render(self):
         rhs = self.production.rhs
         ldot, rdot = self.dot
@@ -160,18 +156,42 @@ class Event:
 
 
 class CaD:
-    """Per-breaking-point lists of event extremes and node endpoints, each
-    a (LEFT, RIGHT) pair: open[side] and closed[side] hold the events
-    whose extreme on side is here, open or closed, and nodes[side] the
-    nodes whose end on side is here (LEFT: nodes starting here)."""
+    """Per-breaking-point lists of event extremes and their classes, each a
+    (LEFT, RIGHT) pair.  open[side] and closed[side] hold the events whose
+    extreme on side is here, open or closed; n_open[side] counts the open
+    ones by the symbol they wait for and n_closed[side] the closed ones by
+    lhs (a class is present while its count is).  nodes[side] is the mask
+    of the symbols of the nodes whose end on side is here (LEFT: nodes
+    starting here).  open_mask[side] and closed_mask[side], the masks of
+    the classes present, and reach[side], the union of the closed
+    classes' partial-derivability rows, are derived from the counts when
+    read (`class_mask`, `Chart._reach`); None marks them stale."""
 
-    __slots__ = ("index", "open", "closed", "nodes")
+    __slots__ = ("index", "open", "closed", "n_open", "n_closed", "nodes",
+                 "open_mask", "closed_mask", "reach")
 
     def __init__(self, index: int):
         self.index = index
         self.open: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
-        self.nodes: tuple[list[Node], list[Node]] = ([], [])
+        self.n_open: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.n_closed: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.nodes = [0, 0]
+        self.open_mask = [0, 0]
+        self.closed_mask = [0, 0]
+        self.reach = [0, 0]
+
+
+def class_mask(masks: list, counts: tuple[dict[int, int], dict[int, int]], side: int) -> int:
+    """masks[side], the mask of the classes in counts[side], rebuilt if
+    stale."""
+    mask = masks[side]
+    if mask is None:
+        mask = 0
+        for sym in counts[side]:
+            mask |= 1 << sym
+        masks[side] = mask
+    return mask
 
 
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
@@ -258,8 +278,8 @@ class Chart:
                  analysis: Analysis | None = None, origin: str = "derived"):
         """Admit a (symbol, span) node; pack the analysis onto an existing
         node, or create the node and its events from the coverage tables,
-        and make it the witness of the closed extremes without one that
-        wait for it at its ends."""
+        and give support to the unsupported closed extremes its symbol is
+        new to at its ends."""
         key = (symbol, fbp, lbp)
         existing = self.nodes.get(key)
         if existing is not None:
@@ -278,8 +298,6 @@ class Chart:
         self.nodes[key] = node
         self.node_list.append(node)
         ends = (fbp, lbp)
-        for side in (LEFT, RIGHT):
-            self.cads[ends[side]].nodes[side].append(node)
         self.stats["nodes"] += 1
         if self.tracing:
             self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
@@ -287,12 +305,20 @@ class Chart:
         for entry in self.compiled.coverage[symbol]:
             self._new_event(entry.production, (entry.position, entry.position + 1),
                             ends, (node,))
-        # the extremes closed on side at the node's other end
+        # the node's ends join their CaDs' node masks only now, after its
+        # events have been analyzed, so that every support test agrees with
+        # the support bits.  A symbol new at an end supports the closed
+        # extremes on side facing it there.
+        bit = 1 << symbol
         for side in (RIGHT, LEFT):
+            cad = self.cads[ends[1 - side]]
+            if cad.nodes[1 - side] & bit:
+                continue
+            cad.nodes[1 - side] |= bit
             adj = self.adj[side]
-            for ev in self.cads[ends[1 - side]].closed[side].values():
-                if ev.witness[side] is None and adj[ev.production.lhs.id] >> symbol & 1:
-                    self._set_witness(ev, side, node)
+            for ev in cad.closed[side].values():
+                if not ev.support[side] and adj[ev.production.lhs.id] >> symbol & 1:
+                    self._support_on(ev, side)
                     self._refresh_status(ev)
 
     def _assert_tiling(self, fbp, lbp, children):
@@ -311,8 +337,6 @@ class Chart:
         self._next_event_id += 1
         self.events[ev.id] = ev
         self.event_index[key] = ev
-        for side in (LEFT, RIGHT):
-            self._extremes(ev, side)[ev.id] = ev
         self.stats["events_created"] += 1
         if self.debug:
             self._assert_event_tiling(ev)
@@ -355,72 +379,103 @@ class Chart:
 
     # -- step 4: link analyses --------------------------------------------
 
-    def _witnesses(self, ev: Event, side: int):
-        """Yield everything at this extreme's CaD that can witness it: the
-        input boundary and nodes first (they never die), then the
-        compatible extremes of live events, which face it from the other
-        side.  The relation is symmetric: a yielded event's extreme here
-        can be witnessed by this one.
+    def _reach(self, cad: CaD, side: int) -> int:
+        """The union of the pd rows of the closed classes on side at cad."""
+        reach = cad.reach[side]
+        if reach is None:
+            reach = 0
+            pd = self.pd[side]
+            for lhs in cad.n_closed[side]:
+                reach |= pd[lhs]
+            cad.reach[side] = reach
+        return reach
 
-        A closed extreme needs a neighbor: the boundary, an adjacent node
-        or closed extreme, or an open extreme whose required symbol this
-        extreme's constituent can begin (end) on its side.  An open
-        extreme needs a closed extreme whose constituent can end (begin)
-        with its required symbol; a bare node is no promise that such a
-        constituent will ever close here, and terminal expectations are met
-        by fusion with the terminal's own anchored events."""
+    def _starved(self, cad: CaD, side: int, need, sym: int) -> tuple[int, int] | None:
+        """The masks of the closed and of the open classes at cad facing
+        side that class sym (its lhs if need is None, else need) is
+        compatible with and that lack support as the CaD stands (the tests
+        of `_analyze_extreme`); None if there are none.  Facing a class
+        here, they are not at the input boundary."""
+        other = 1 - side
+        pd_o = self.pd[other]
+        if need is None:
+            adj = self.adj[side][sym]
+            compatible = ([lhs for lhs in cad.n_closed[other] if adj >> lhs & 1]
+                          if adj & class_mask(cad.closed_mask, cad.n_closed, other) else ())
+            opened = self.pd[side][sym] & class_mask(cad.open_mask, cad.n_open, other)
+            if opened:
+                opened &= ~self._reach(cad, side)
+        else:
+            compatible = ([lhs for lhs in cad.n_closed[other] if pd_o[lhs] >> sym & 1]
+                          if self._reach(cad, other) >> sym & 1 else ())
+            opened = 0
+        closed = 0
+        if compatible:
+            adj_o = self.adj[other]
+            near = class_mask(cad.closed_mask, cad.n_closed, side) | cad.nodes[side]
+            opened_here = class_mask(cad.open_mask, cad.n_open, side)
+            for lhs in compatible:
+                if not (adj_o[lhs] & near or pd_o[lhs] & opened_here):
+                    closed |= 1 << lhs
+        return (closed, opened) if closed or opened else None
+
+    def _support_on(self, ev: Event, side: int):
+        ev.support[side] = True
+        self.stats["links"] += 1
+        if self.tracing:
+            self.trace_lines.append(f"support e{ev.id}.{SIDE_NAMES[side]} on")
+
+    def _support_off(self, ev: Event, side: int):
+        ev.support[side] = False
+        if self.tracing:
+            self.trace_lines.append(f"support e{ev.id}.{SIDE_NAMES[side]} off")
+
+    def _analyze_extreme(self, ev: Event, side: int):
+        """Link analysis of an extreme as it arrives at its CaD: wire it into
+        the CaD list and class count and set its support bit.  A class new
+        at the CaD gives support to the unsupported facing extremes it is
+        compatible with; the relation is symmetric, so there are some only
+        if it has support itself.  Then link up with fusion partners.
+
+        A closed extreme needs a neighbor: the input boundary, an adjacent
+        node or closed extreme, or an open extreme whose required symbol
+        its constituent can begin (end) on its side.  An open extreme needs
+        a closed extreme whose constituent can end (begin) with its
+        required symbol; a bare node is no promise that such a constituent
+        will ever close here, and terminal expectations are met by fusion
+        with the terminal's own anchored events."""
         other = 1 - side
         cad = self.cads[ev.cad[side]]
         need = ev.need[side]
         if need is None:
-            delta = ev.production.lhs.id
+            sym = ev.production.lhs.id
+            cad.closed[side][ev.id] = ev
+            counts = cad.n_closed[side]
+            n = counts.get(sym, 0)
+            if not n:
+                cad.closed_mask[side] = cad.reach[side] = None
             if cad.index == self.edge[side]:
-                if self.bound[side] >> delta & 1:
-                    yield BOUNDARY
-                return
-            adj = self.adj[side][delta]
-            for nd in cad.nodes[other]:
-                if adj >> nd.symbol & 1:
-                    yield nd
-            for p in cad.closed[other].values():
-                if adj >> p.production.lhs.id & 1:
-                    yield p
-            pd = self.pd[side][delta]
-            for q in cad.open[other].values():
-                if pd >> q.need[other] & 1:
-                    yield q
-        else:
-            pd = self.pd[other]
-            for p in cad.closed[other].values():
-                if pd[p.production.lhs.id] >> need & 1:
-                    yield p
-
-    def _set_witness(self, ev: Event, side: int, witness):
-        ev.witness[side] = witness
-        if witness.__class__ is Event:
-            witness.watchers[1 - side].append((ev, side))
-        self.stats["links"] += 1
-        if self.tracing:
-            if witness.__class__ is Event:
-                by = f"e{witness.id}.{SIDE_NAMES[1 - side]}"
-            elif witness is BOUNDARY:
-                by = BOUNDARY
+                supported = self.bound[side] >> sym & 1
             else:
-                by = f"n{witness.id}"
-            self.trace_lines.append(f"link e{ev.id}.{SIDE_NAMES[side]} <- {by}")
-
-    def _analyze_extreme(self, ev: Event, side: int):
-        """Link analysis of a freshly wired extreme: take the first witness
-        at its CaD, become the witness of every partner there that has
-        none, and link up with fusion partners."""
-        other = 1 - side
-        for w in self._witnesses(ev, side):
-            if ev.witness[side] is None:
-                self._set_witness(ev, side, w)
-            if w.__class__ is Event and w.witness[other] is None:
-                self._set_witness(w, other, ev)
-                self._refresh_status(w)
-        if ev.need[side] is None:
+                supported = (self.adj[side][sym]
+                             & (class_mask(cad.closed_mask, cad.n_closed, other) | cad.nodes[other])
+                             or self.pd[side][sym] & class_mask(cad.open_mask, cad.n_open, other))
+        else:
+            sym = need
+            cad.open[side][ev.id] = ev
+            counts = cad.n_open[side]
+            n = counts.get(sym, 0)
+            if not n:
+                cad.open_mask[side] = None
+            supported = self._reach(cad, other) >> need & 1
+        counts[sym] = n + 1
+        if supported:
+            self._support_on(ev, side)
+            if n == 0 and (cad.closed[other] or need is None and cad.open[other]):
+                for p in self._facing(cad, side, need, sym):
+                    self._support_on(p, other)
+                    self._refresh_status(p)
+        if need is None:
             return
         # fusion partners: same production, open extremes meeting here with
         # a dot gap covered by nullable symbols only.  p gains support and
@@ -428,7 +483,6 @@ class Chart:
         # random_case(396) counts 10 trees instead of 12); ev's refresh in
         # mid-analysis on the left side only sets where it enters the
         # queues, which the event counts depend on.
-        cad = self.cads[ev.cad[side]]
         for p in cad.open[other].values():
             if p.production is not ev.production:
                 continue
@@ -439,6 +493,66 @@ class Chart:
                 if side == LEFT:
                     self._refresh_status(ev)
                 self._refresh_status(p)
+
+    def _facing(self, cad: CaD, side: int, need, sym: int):
+        """The unsupported extremes at cad facing side that class sym (as in
+        `_starved`) is compatible with: those whose relation row holds it."""
+        other = 1 - side
+        if need is None:
+            adj = self.adj[side][sym]
+            for p in cad.closed[other].values():
+                if not p.support[other] and adj >> p.production.lhs.id & 1:
+                    yield p
+            pd = self.pd[side][sym]
+            for q in cad.open[other].values():
+                if not q.support[other] and pd >> q.need[other] & 1:
+                    yield q
+        else:
+            pd = self.pd[other]
+            for p in cad.closed[other].values():
+                if not p.support[other] and pd[p.production.lhs.id] >> sym & 1:
+                    yield p
+
+    def _detach(self, ev: Event, side: int, lost: list[Event]):
+        """Unwire ev's extreme on side from its CaD list and class count.
+        When its class vanishes there, the facing classes it was compatible
+        with (there are some only if it had support) are tested again; the
+        extremes of those left without support lose their bit and go on
+        `lost`."""
+        other = 1 - side
+        cad = self.cads[ev.cad[side]]
+        need = ev.need[side]
+        if need is None:
+            sym = ev.production.lhs.id
+            del cad.closed[side][ev.id]
+            counts = cad.n_closed[side]
+        else:
+            sym = need
+            del cad.open[side][ev.id]
+            counts = cad.n_open[side]
+        n = counts.pop(sym) - 1
+        if n:
+            counts[sym] = n
+            return
+        if need is None:
+            cad.closed_mask[side] = cad.reach[side] = None
+        else:
+            cad.open_mask[side] = None
+        starved = (ev.support[side] and (cad.closed[other] or need is None and cad.open[other])
+                   and self._starved(cad, side, need, sym))
+        if not starved:
+            return
+        closed, opened = starved
+        if closed:
+            for p in cad.closed[other].values():
+                if closed >> p.production.lhs.id & 1:
+                    self._support_off(p, other)
+                    lost.append(p)
+        if opened:
+            for q in cad.open[other].values():
+                if opened >> q.need[other] & 1:
+                    self._support_off(q, other)
+                    lost.append(q)
 
     def _add_fusion(self, e1: Event, e2: Event):
         """Link e1's open right extreme with e2's open left one and put the
@@ -451,22 +565,15 @@ class Chart:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
     def _release(self, ev: Event) -> list[Event]:
-        """Take ev out of the live events and its CaDs: every extreme it
-        witnessed rescans its CaD, and its fusion partners drop their links
-        with it.  Returns those partners, whose status may have changed."""
+        """Take ev out of the live events and its CaDs: the facing extremes
+        left without class support lose their bit, and its fusion partners
+        drop their links with it.  Returns those extremes' events and the
+        partners, whose status may have changed."""
         ev.alive = False
         del self.events[ev.id]
-        for side in (LEFT, RIGHT):
-            del self._extremes(ev, side)[ev.id]
         partners = []
         for side in (LEFT, RIGHT):
-            for p, s in ev.watchers[side]:
-                if p.alive and p.witness[s] is ev:
-                    p.witness[s] = None
-                    witness = next(self._witnesses(p, s), None)
-                    if witness is not None:
-                        self._set_witness(p, s, witness)
-                    partners.append(p)
+            self._detach(ev, side, partners)
             for p in ev.fusion[side].values():
                 del p.fusion[1 - side][ev.id]
                 partners.append(p)
@@ -479,8 +586,10 @@ class Chart:
         both are supported and one is open.  With one extreme supported,
         EPSILON when the other waits next to a nullable symbol.  Anything
         else is DELETE."""
-        need = ev.need
-        supported = (ev.supported(LEFT), ev.supported(RIGHT))
+        need, support, fusion = ev.need, ev.support, ev.fusion
+        # an extreme has evidence when a class supports it or it holds a
+        # fusion link
+        supported = (support[LEFT] or bool(fusion[LEFT]), support[RIGHT] or bool(fusion[RIGHT]))
         nullable = self.compiled.nullable
         if supported[LEFT] and supported[RIGHT]:
             status = RUN if need == (None, None) else DERIVATION
@@ -510,9 +619,8 @@ class Chart:
     # -- step 6 actions -----------------------------------------------------
 
     def delete_event(self, ev: Event):
-        """Remove an event; the extremes it supported rescan for another
-        witness and get their status recomputed (the constraint-propagation
-        cascade)."""
+        """Remove an event; the extremes left without support get their
+        status recomputed (the constraint-propagation cascade)."""
         if self.event_index.get(ev.key) is ev:
             del self.event_index[ev.key]
         self.stats["events_deleted"] += 1
@@ -524,9 +632,9 @@ class Chart:
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
         resulting node.  The event leaves its CaDs but its key stays
-        indexed.  The extremes it supported rescan before the node is
-        admitted, and their status is refreshed after, once the node and
-        its events have witnessed what they can."""
+        indexed.  The extremes it leaves without support lose their bit
+        before the node is admitted, and their status is refreshed after,
+        once the node and its events have given what support they can."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
@@ -564,7 +672,7 @@ class Chart:
             return
         # does either extreme meeting here hold evidence besides this link?
         pair = (e1, e2)
-        held = [e.witness[1 - s] is not None or len(e.fusion[1 - s]) > 1
+        held = [e.support[1 - s] or len(e.fusion[1 - s]) > 1
                 for s, e in enumerate(pair)]
         self.stats["fusions"] += 1
         if held[LEFT] and held[RIGHT]:
@@ -588,12 +696,12 @@ class Chart:
     def _mutate(self, ev: Event, side: int, dot, cad, children, key):
         """Give a surviving event the merged form, which moves its extreme
         on side.  The moved extreme had no evidence besides the consumed
-        fusion link, so it witnesses nothing and nothing needs tearing
-        down.  fuse found the merged key unindexed."""
+        fusion link, so no class support, and by symmetry it supports
+        nothing: leaving its CaD takes no support away.  fuse found the
+        merged key unindexed."""
         del self.event_index[ev.key]
-        del self._extremes(ev, side)[ev.id]
+        self._detach(ev, side, [])
         ev.place(dot, cad, children, key)
-        self._extremes(ev, side)[ev.id] = ev
         self.event_index[key] = ev
         if self.debug:
             self._assert_event_tiling(ev)
@@ -633,23 +741,19 @@ class Chart:
         """Debug check of the chart's bookkeeping, then of the fixpoint.
         Bookkeeping: every live event's key indexes it, the CaD lists hold
         exactly the live events' extremes, each on its open or closed side,
-        every event witness lists the extreme it witnesses on its watch
-        list, and fusion links are symmetric between live events and join
-        open extremes of one production that meet at one CaD across a
-        nullable gap.
-        Fixpoint: every live event's stored status is current, every
-        witness is the boundary, a node or a live event's extreme
-        compatible with the extreme it witnesses, and no extreme without a
-        witness has one available at its CaD."""
+        fusion links are symmetric between live events and join open
+        extremes of one production that meet at one CaD across a nullable
+        gap, and every CaD's class counts, node mask and (where not stale)
+        class masks and reach agree with a recount from its lists and the
+        nodes.
+        Fixpoint: every extreme's support bit equals a scan of its CaD for
+        anything compatible, and every live event's stored status is
+        current."""
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
                 name = f"e{ev.id}.{SIDE_NAMES[side]}"
                 assert self._extremes(ev, side).get(ev.id) is ev, f"{name}: not in its CaD list"
-                witness = ev.witness[side]
-                if witness.__class__ is Event:
-                    assert (ev, side) in witness.watchers[1 - side], \
-                        f"{name}: missing from its witness's watch list"
                 for p in ev.fusion[side].values():
                     assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
                         f"{name}: fusion link with e{p.id} is one-sided"
@@ -661,16 +765,54 @@ class Chart:
                     f"e{ev.id}.R: fusion link with e{p.id} is not across a nullable gap"
         held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
-        for ev in self.events.values():
-            assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"
+
+        node_syms = {}  # (CaD index, side) -> symbols of the nodes ending there
+        for nd in self.node_list:
+            for side, end in enumerate((nd.fbp, nd.lbp)):
+                node_syms.setdefault((end, side), []).append(nd.symbol)
+        for cad in self.cads:
             for side in (LEFT, RIGHT):
-                witness = ev.witness[side]
-                found = list(self._witnesses(ev, side))
-                if witness is None:
-                    assert not found, f"e{ev.id}.{SIDE_NAMES[side]}: witness missed"
-                else:
-                    assert any(w is witness for w in found), \
-                        f"e{ev.id}.{SIDE_NAMES[side]}: witness is not compatible or gone"
+                name = f"CaD {cad.index}.{SIDE_NAMES[side]}"
+                closed, opened = {}, {}
+                for ev in cad.closed[side].values():
+                    closed[ev.production.lhs.id] = closed.get(ev.production.lhs.id, 0) + 1
+                for ev in cad.open[side].values():
+                    opened[ev.need[side]] = opened.get(ev.need[side], 0) + 1
+                assert cad.n_closed[side] == closed and cad.n_open[side] == opened, \
+                    f"{name}: class counts differ from its lists"
+                nodes = sum(1 << sym for sym in set(node_syms.get((cad.index, side), ())))
+                assert cad.nodes[side] == nodes, f"{name}: node mask differs from the nodes"
+                reach = 0
+                for lhs in closed:
+                    reach |= self.pd[side][lhs]
+                assert (cad.closed_mask[side] in (None, sum(1 << lhs for lhs in closed))
+                        and cad.open_mask[side] in (None, sum(1 << x for x in opened))
+                        and cad.reach[side] in (None, reach)), \
+                    f"{name}: class masks differ from its counts"
+
+        def compatible(ev: Event, side: int) -> bool:
+            """Whether anything at ev's CaD on side supports that extreme,
+            found by walking the CaD's lists and nodes."""
+            other = 1 - side
+            cad = self.cads[ev.cad[side]]
+            need = ev.need[side]
+            if need is not None:
+                pd = self.pd[other]
+                return any(pd[p.production.lhs.id] >> need & 1
+                           for p in cad.closed[other].values())
+            delta = ev.production.lhs.id
+            if cad.index == self.edge[side]:
+                return self.bound[side] >> delta & 1 == 1
+            adj, pd = self.adj[side][delta], self.pd[side][delta]
+            return (any(adj >> sym & 1 for sym in node_syms.get((cad.index, other), ()))
+                    or any(adj >> p.production.lhs.id & 1 for p in cad.closed[other].values())
+                    or any(pd >> q.need[other] & 1 for q in cad.open[other].values()))
+
+        for ev in self.events.values():
+            for side in (LEFT, RIGHT):
+                assert ev.support[side] == compatible(ev, side), \
+                    f"e{ev.id}.{SIDE_NAMES[side]}: support bit is stale"
+            assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"
 
     # -- results ---------------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 These recompute nullability, partial derivability, adjacency and boundary
 sets by enumerating sentential forms, sharing no code with the fixpoint
-implementations they check.  Only usable on very small grammars.
+implementations they check.  Only usable on very small grammars.  Each
+symbol's sentential forms are enumerated once per grammar and shared by
+all the oracles.
 """
 
 import random
+import weakref
 
 from scparse.grammar import Grammar, NONTERMINAL, Production, Symbol, TERMINAL
 
@@ -34,26 +37,39 @@ def reachable_forms(g: Grammar, start: tuple) -> set:
     return seen
 
 
+_FORMS = weakref.WeakKeyDictionary()
+
+
+def symbol_forms(g: Grammar) -> dict:
+    """reachable_forms of every symbol alone, by symbol id, enumerated once
+    per grammar."""
+    forms = _FORMS.get(g)
+    if forms is None:
+        forms = _FORMS[g] = {s.id: reachable_forms(g, (s.id,)) for s in g.symbols}
+    return forms
+
+
 def oracle_nullable(g: Grammar) -> set:
-    return {s.id for s in g.nonterminals if () in reachable_forms(g, (s.id,))}
+    forms = symbol_forms(g)
+    return {s.id for s in g.nonterminals if () in forms[s.id]}
 
 
 def oracle_lpd(g: Grammar) -> dict:
     """lpd[alpha] = symbols that can derive something starting with alpha."""
     out = {s.id: {s.id} for s in g.symbols}
-    for beta in g.symbols:
-        for form in reachable_forms(g, (beta.id,)):
+    for beta, forms in symbol_forms(g).items():
+        for form in forms:
             if form:
-                out[form[0]].add(beta.id)
+                out[form[0]].add(beta)
     return out
 
 
 def oracle_rpd(g: Grammar) -> dict:
     out = {s.id: {s.id} for s in g.symbols}
-    for beta in g.symbols:
-        for form in reachable_forms(g, (beta.id,)):
+    for beta, forms in symbol_forms(g).items():
+        for form in forms:
             if form:
-                out[form[-1]].add(beta.id)
+                out[form[-1]].add(beta)
     return out
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
-from scparse.engine import (BOUNDARY, DELETE, LEFT, RIGHT, RUN, EngineError, Event,
+from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
 from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
 from scparse.lattice import InputLattice, LexicalItem
@@ -218,7 +218,7 @@ def test_deep_recursion_linear_events(g2_compiled):
     assert chart.stats["events_created"] < 100 * 12
 
 
-# -- fixpoint and single-support invariants ------------------------------------------
+# -- fixpoint and class-support invariants ------------------------------------------
 
 
 def parse_case(seed, limits=None, **kwargs):
@@ -237,12 +237,12 @@ def test_invariants_hold_at_fixpoint(seed, limits):
     assert chart.stats["events_run"] == sum(len(n.analyses) for n in derived)
 
 
-def test_invariant_check_catches_a_false_witness():
+def test_invariant_check_catches_a_flipped_support_bit():
     chart = parse_case(474)
     chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.cad[LEFT] > 0 and e.witness[LEFT] is not None)
-    ev.witness[LEFT] = BOUNDARY  # the input boundary is not at ev's left CaD
-    with pytest.raises(AssertionError, match=f"e{ev.id}.L: witness is not compatible"):
+    ev = next(e for e in chart.events.values() if e.cad[LEFT] > 0 and e.support[LEFT])
+    ev.support[LEFT] = False
+    with pytest.raises(AssertionError, match=f"e{ev.id}.L: support bit is stale"):
         chart.check_invariants()
 
 
@@ -274,13 +274,13 @@ def test_invariant_check_catches_a_dead_event_in_a_cad_list():
         chart.check_invariants()
 
 
-def test_invariant_check_catches_a_missing_watcher():
+def test_invariant_check_catches_a_dropped_class_count():
     chart = parse_case(2)
     chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.witness[RIGHT].__class__ is Event)
-    watchers = ev.witness[RIGHT].watchers[LEFT]
-    watchers[:] = [w for w in watchers if w != (ev, RIGHT)]
-    with pytest.raises(AssertionError, match=f"e{ev.id}.R: missing from its witness's watch"):
+    ev = next(e for e in chart.events.values() if e.need[RIGHT] is None)
+    cad = chart.cads[ev.cad[RIGHT]]
+    del cad.n_closed[RIGHT][ev.production.lhs.id]
+    with pytest.raises(AssertionError, match=f"CaD {cad.index}.R: class counts differ"):
         chart.check_invariants()
 
 
@@ -325,7 +325,8 @@ def test_tree_counts_match_earley_beyond_the_gate(seeds, limits):
 @pytest.mark.parametrize("limits", [
     CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240, max_input=3),
     CaseLimits(max_nonterminals=80, max_terminals=4, max_productions=480, max_input=2),
-], ids=["40-nonterminals", "80-nonterminals"])
+    CaseLimits(max_nonterminals=200, max_terminals=10, max_productions=1200, max_input=3),
+], ids=["40-nonterminals", "80-nonterminals", "200-nonterminals"])
 def test_tree_counts_match_earley_on_dense_nullable_grammars(limits):
     # many productions over few terminals make most nonterminals nullable,
     # a regime the acceptance gate's small grammars never reach
