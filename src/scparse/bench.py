@@ -147,9 +147,9 @@ def pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def fit_report(records: list[BenchRecord]) -> str:
-    """One line per fitted series; a series that admits no fit (too few
-    lengths, or constant, such as exactly 3 events per word on the local
-    suite) is reported as a degenerate fit."""
+    """One line per fitted series; a series that admits no fit (fewer
+    than two lengths, or a constant series) is reported as a degenerate
+    fit."""
     xs = [r.W * math.log(r.W) for r in records]
     series = (("E      ", [float(r.events_created) for r in records]),
               ("E / W  ", [r.events_created / r.W for r in records]))

@@ -47,6 +47,20 @@ Nodes are never deleted, so early deletions stay sound: lexical nodes,
 through the transitively closed relation tables, support everything the
 input can ever provide.
 
+Once the cycle has started, an event is not built when it would be born
+DELETE or EPSILON: its status is decided from the class masks and a scan
+for fusion partners before anything is allocated (left-corner filtering
+before an item is built, as in Moore 2000).  Such a stillborn form gets
+no event, index entry, CaD wiring or queue entry, and no deletion later;
+its epsilon siblings are still spawned, and its key blocks a duplicate
+until the next run or fusion action, as the built event's key would have
+until the deletion drain.  It is sound because nothing but deletions runs
+between an action and that drain, and within the action nothing can give
+the form evidence (see `_new_event`).  During `Chart.__init__` later
+lexical nodes still support earlier events, so every event is built
+there.  `events_created`, `events_deleted` and `epsilon_expansions` count
+built events only; `stillborn` counts the forms not built.
+
 The two directions mirror each other, so every per-side fact is a pair
 indexed by LEFT (0) or RIGHT (1) and each step is written once for a
 `side`, with `other = 1 - side` the side facing it across a CaD: an
@@ -112,19 +126,62 @@ class Analysis:
     children: tuple[Node, ...]
 
 
+def epsilon_nodes(compiled: CompiledGrammar) -> dict[int, Node]:
+    """The canonical zero-width nodes of the nullable symbols, ids 0..k-1
+    in symbol order, with their empty-derivation skeletons prebuilt
+    (recursion stays cycle-shared).  Built by the first chart on a compiled
+    grammar, kept on it and shared by its later charts, which never change
+    them: they are in no chart's node store, so nothing packs onto them."""
+    nodes = compiled.eps_nodes
+    if nodes is None:
+        nodes = {sid: Node(i, sid, -1, -1, "epsilon")
+                 for i, sid in enumerate(sorted(compiled.nullable))}
+        for sid, prods in sorted(compiled.epsilon_analyses.items()):
+            for p in prods:
+                nodes[sid].add_analysis(Analysis(p, tuple(nodes[s.id] for s in p.rhs)))
+        compiled.eps_nodes = nodes
+    return nodes
+
+
 def event_key(production: Production, dot: tuple, cad: tuple, children: tuple) -> tuple:
     """What makes two events the same: production, dots, CaDs and children."""
     return (production.id, dot, cad, tuple(c.id for c in children))
+
+
+def needs(production: Production, dot: tuple) -> tuple:
+    """Per side, the symbol id an extreme with these dots waits for, None
+    when it is closed (its dot at the rhs boundary)."""
+    rhs = production.rhs
+    return (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
+            rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
+
+
+def render(production: Production, dot: tuple, cad: tuple) -> str:
+    """A dotted production over its CaDs, such as `S -> A . b . c @ [0,1]`."""
+    rhs = production.rhs
+    ldot, rdot = dot
+    pre = " ".join(s.name for s in rhs[:ldot])
+    mid = " ".join(s.name for s in rhs[ldot:rdot])
+    post = " ".join(s.name for s in rhs[rdot:])
+    body = " ".join(x for x in (pre, ".", mid, ".", post) if x)
+    return f"{production.lhs.name} -> {body} @ [{cad[LEFT]},{cad[RIGHT]}]"
 
 
 class Event:
     __slots__ = ("id", "production", "dot", "cad", "need", "children", "key",
                  "support", "fusion", "status", "alive")
 
-    def __init__(self, eid, production, dot, cad, children, key):
+    def __init__(self, eid, production, dot, cad, children, key, need=None):
         self.id = eid
         self.production = production
-        self.place(dot, cad, children, key)
+        # Its form, which a fusion may give it anew: the (LEFT, RIGHT) dots
+        # and CaD indices, the `needs` of the dots, the children between
+        # them and the key they make.
+        self.dot = dot
+        self.cad = cad
+        self.need = needs(production, dot) if need is None else need
+        self.children = children
+        self.key = key
         # Per side: whether some class at the extreme's CaD supports it (the
         # Chart keeps this bit), and its fusion links (partner id -> Event).
         self.support = [False, False]
@@ -132,27 +189,8 @@ class Event:
         self.status = None
         self.alive = True
 
-    def place(self, dot, cad, children, key):
-        """Give the event its form: the (LEFT, RIGHT) dots and CaD indices,
-        the children between the dots and the key they make.  need[side] is
-        the symbol id the extreme on side waits for, None when it is closed
-        (its dot at the rhs boundary)."""
-        rhs = self.production.rhs
-        self.dot = dot
-        self.cad = cad
-        self.need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
-                     rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
-        self.children = children
-        self.key = key
-
     def render(self):
-        rhs = self.production.rhs
-        ldot, rdot = self.dot
-        pre = " ".join(s.name for s in rhs[:ldot])
-        mid = " ".join(s.name for s in rhs[ldot:rdot])
-        post = " ".join(s.name for s in rhs[rdot:])
-        body = " ".join(x for x in (pre, ".", mid, ".", post) if x)
-        return f"{self.production.lhs.name} -> {body} @ [{self.cad[LEFT]},{self.cad[RIGHT]}]"
+        return render(self.production, self.dot, self.cad)
 
 
 class CaD:
@@ -232,10 +270,13 @@ class Chart:
         self.delete_queue: deque[int] = deque()
         self.run_queue: deque[int] = deque()
         self.fusion_agenda: deque[tuple[int, int]] = deque()
+        # Keys of the forms found stillborn (see `_new_event`) in the
+        # current action; None until the cycle starts.
+        self.stillborn: set[tuple] | None = None
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
             "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
-            "links": 0, "nodes": 0, "packed": 0,
+            "links": 0, "nodes": 0, "packed": 0, "stillborn": 0,
         }
         # Every trace line is built behind `if self.tracing`, so an
         # untraced parse formats nothing.
@@ -243,18 +284,9 @@ class Chart:
         self.trace_lines: list[str] = []
         self.debug = debug
         self.status_audit: list[tuple] = []
-        self._next_node_id = 0
+        self.eps_nodes = epsilon_nodes(compiled)
+        self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
-
-        # Canonical zero-width nodes for the nullable symbols, with their
-        # empty-derivation skeletons prebuilt (recursion stays cycle-shared).
-        self.eps_nodes: dict[int, Node] = {}
-        for sid in sorted(compiled.nullable):
-            self.eps_nodes[sid] = self._make_node(sid, -1, -1, "epsilon")
-        for sid, prods in sorted(compiled.epsilon_analyses.items()):
-            node = self.eps_nodes[sid]
-            for p in prods:
-                node.add_analysis(Analysis(p, tuple(self.eps_nodes[s.id] for s in p.rhs)))
 
         for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
             self.add_node(sid, it.fbp, it.lbp, origin="lexical")
@@ -263,11 +295,6 @@ class Chart:
 
     def _sym_name(self, sid: int) -> str:
         return self.compiled.grammar.symbols[sid].name
-
-    def _make_node(self, symbol, fbp, lbp, origin) -> Node:
-        node = Node(self._next_node_id, symbol, fbp, lbp, origin)
-        self._next_node_id += 1
-        return node
 
     def _nullable_gap(self, prod: Production, a: int, b: int) -> bool:
         return all(s.id in self.compiled.nullable for s in prod.rhs[a:b])
@@ -290,7 +317,8 @@ class Chart:
                                             f"analysis {analysis.production.id}")
             return
 
-        node = self._make_node(symbol, fbp, lbp, origin)
+        node = Node(self._next_node_id, symbol, fbp, lbp, origin)
+        self._next_node_id += 1
         if analysis is not None:
             node.add_analysis(analysis)
         if self.debug and analysis is not None:
@@ -330,41 +358,76 @@ class Chart:
         assert pos == lbp, "children spans must tile the parent span"
 
     def _new_event(self, production, dot, cad, children):
+        """Create the event of this form unless one is live, has fired or
+        was found stillborn in this action.  Once the cycle has started, a
+        form with an extreme lacking evidence (no class support, and no
+        fusion partner if open) is stillborn: its status would be DELETE or
+        EPSILON, and until the deletion drain after this action nothing can
+        give it evidence.  The other events of the action share its CaD
+        pair, so they face the way it does; the node of a run publishes its
+        mask only at its outer ends; deletions only take support away.  A
+        stillborn form is not built, and its epsilon siblings are spawned
+        all the same."""
         key = event_key(production, dot, cad, children)
-        if key in self.event_index:
-            return  # an identical event is live or has fired
-        ev = Event(self._next_event_id, production, dot, cad, children, key)
-        self._next_event_id += 1
-        self.events[ev.id] = ev
-        self.event_index[key] = ev
-        self.stats["events_created"] += 1
-        if self.debug:
-            self._assert_event_tiling(ev)
-        if self.tracing:
-            self.trace_lines.append(f"create e{ev.id} {ev.render()}")
-        for side in (LEFT, RIGHT):
-            self._analyze_extreme(ev, side)
-        self._refresh_status(ev)
-        self._spawn_epsilon_variants(ev)
+        stillborn = self.stillborn
+        if key in self.event_index or stillborn and key in stillborn:
+            return  # an identical event is live or has fired, or was stillborn
+        rhs = production.rhs  # `needs`, inline: this runs for every form
+        need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
+                rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
+        supported = self._supports(cad, need, production.lhs.id)
+        partners = (None, None)
+        born = True
+        if stillborn is not None and not (supported[LEFT] and supported[RIGHT]):
+            partners = [None, None]
+            for side in (LEFT, RIGHT):
+                if supported[side]:
+                    continue
+                if need[side] is not None:
+                    partners[side] = self._partners(production, dot, cad[side], side)
+                if not partners[side]:
+                    born = False
+                    break
+        if born:
+            ev = Event(self._next_event_id, production, dot, cad, children, key, need)
+            self._next_event_id += 1
+            self.events[ev.id] = ev
+            self.event_index[key] = ev
+            self.stats["events_created"] += 1
+            if self.debug:
+                self._assert_event_tiling(ev)
+            if self.tracing:
+                self.trace_lines.append(f"create e{ev.id} {ev.render()}")
+            for side in (LEFT, RIGHT):
+                self._analyze_extreme(ev, side, supported[side], partners[side])
+            self._refresh_status(ev)
+        else:
+            stillborn.add(key)
+            self.stats["stillborn"] += 1
+            if self.tracing:
+                self.trace_lines.append(f"stillborn {render(production, dot, cad)}")
+        if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
+            self._spawn_epsilon_variants(production, dot, cad, children, need)
 
-    def _spawn_epsilon_variants(self, ev: Event):
-        """The engine's one nullable step.  For each open extreme of ev
-        next to a nullable symbol, create the sibling that realizes the
-        symbol empty: ev's dot moved over it, with the canonical zero-width
-        node as the child.  ev keeps waiting for material; if it never
-        gets evidence it turns EPSILON and is deleted, and the sibling
-        (spawned in turn, so a run of nullables is crossed one symbol per
-        sibling) carries the empty realization on."""
-        ldot, rdot = ev.dot
+    def _spawn_epsilon_variants(self, production, dot, cad, children, need):
+        """The engine's one nullable step.  For each open extreme of the
+        event of this form next to a nullable symbol, create the sibling
+        that realizes the symbol empty: the dot moved over it, with the
+        canonical zero-width node as the child.  The event keeps waiting
+        for material; if it never gets evidence it turns EPSILON and is
+        deleted (or is stillborn), and the sibling (spawned in turn, so a
+        run of nullables is crossed one symbol per sibling) carries the
+        empty realization on."""
+        ldot, rdot = dot
         for side in (RIGHT, LEFT):
-            eps = self.eps_nodes.get(ev.need[side])
+            eps = self.eps_nodes.get(need[side])
             if eps is None:
                 continue
             if side == RIGHT:
-                dot, children = (ldot, rdot + 1), ev.children + (eps,)
+                sibling, kids = (ldot, rdot + 1), children + (eps,)
             else:
-                dot, children = (ldot - 1, rdot), (eps,) + ev.children
-            self._new_event(ev.production, dot, ev.cad, children)
+                sibling, kids = (ldot - 1, rdot), (eps,) + children
+            self._new_event(production, sibling, cad, kids)
 
     def _assert_event_tiling(self, ev: Event):
         ldot, rdot = ev.dot
@@ -430,12 +493,11 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"support e{ev.id}.{SIDE_NAMES[side]} off")
 
-    def _analyze_extreme(self, ev: Event, side: int):
-        """Link analysis of an extreme as it arrives at its CaD: wire it into
-        the CaD list and class count and set its support bit.  A class new
-        at the CaD gives support to the unsupported facing extremes it is
-        compatible with; the relation is symmetric, so there are some only
-        if it has support itself.  Then link up with fusion partners.
+    def _supports(self, cad: tuple, need: tuple, lhs: int) -> list:
+        """Per side, whether the extreme of a form of an lhs event over
+        these CaD indices, waiting for need[side] (None if closed), has
+        class support at its CaD: mask tests of its relation rows against
+        the facing side and the input boundary.
 
         A closed extreme needs a neighbor: the input boundary, an adjacent
         node or closed extreme, or an open extreme whose required symbol
@@ -444,6 +506,53 @@ class Chart:
         required symbol; a bare node is no promise that such a constituent
         will ever close here, and terminal expectations are met by fusion
         with the terminal's own anchored events."""
+        bits = []  # fresh masks are read in place: this runs for every form
+        for side in (LEFT, RIGHT):
+            other = 1 - side
+            index = cad[side]
+            at = self.cads[index]
+            if need[side] is not None:
+                reach = at.reach[other]
+                if reach is None:
+                    reach = self._reach(at, other)
+                bits.append(reach >> need[side] & 1)
+            elif index == self.edge[side]:
+                bits.append(self.bound[side] >> lhs & 1)
+            else:
+                closed = at.closed_mask[other]
+                if closed is None:
+                    closed = class_mask(at.closed_mask, at.n_closed, other)
+                if self.adj[side][lhs] & (closed | at.nodes[other]):
+                    bits.append(True)
+                    continue
+                opened = at.open_mask[other]
+                if opened is None:
+                    opened = class_mask(at.open_mask, at.n_open, other)
+                bits.append(self.pd[side][lhs] & opened)
+        return bits
+
+    def _partners(self, production, dot, index: int, side: int) -> list[Event]:
+        """The fusion partners of an open extreme on side at CaD index of a
+        production's event with these dots: the open extremes of the same
+        production facing it there across a dot gap of nullable symbols."""
+        found = []
+        for p in self.cads[index].open[1 - side].values():
+            if p.production is not production:
+                continue
+            left, right = (p.dot, dot) if side == LEFT else (dot, p.dot)
+            if (left[RIGHT] <= right[LEFT]
+                    and self._nullable_gap(production, left[RIGHT], right[LEFT])):
+                found.append(p)
+        return found
+
+    def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
+        """Link analysis of an extreme as it arrives at its CaD, given its
+        class support (`_supports`) and, if it is open, its fusion partners
+        (`_partners`, found here when None): wire it into the CaD list and
+        class count and set its support bit.  A class new at the CaD gives
+        support to the unsupported facing extremes it is compatible with;
+        the relation is symmetric, so there are some only if it has support
+        itself.  Then link up with the fusion partners."""
         other = 1 - side
         cad = self.cads[ev.cad[side]]
         need = ev.need[side]
@@ -454,12 +563,6 @@ class Chart:
             n = counts.get(sym, 0)
             if not n:
                 cad.closed_mask[side] = cad.reach[side] = None
-            if cad.index == self.edge[side]:
-                supported = self.bound[side] >> sym & 1
-            else:
-                supported = (self.adj[side][sym]
-                             & (class_mask(cad.closed_mask, cad.n_closed, other) | cad.nodes[other])
-                             or self.pd[side][sym] & class_mask(cad.open_mask, cad.n_open, other))
         else:
             sym = need
             cad.open[side][ev.id] = ev
@@ -467,7 +570,6 @@ class Chart:
             n = counts.get(sym, 0)
             if not n:
                 cad.open_mask[side] = None
-            supported = self._reach(cad, other) >> need & 1
         counts[sym] = n + 1
         if supported:
             self._support_on(ev, side)
@@ -477,22 +579,20 @@ class Chart:
                     self._refresh_status(p)
         if need is None:
             return
-        # fusion partners: same production, open extremes meeting here with
-        # a dot gap covered by nullable symbols only.  p gains support and
-        # is refreshed (without that when ev's right extreme is analyzed,
-        # random_case(396) counts 10 trees instead of 12); ev's refresh in
-        # mid-analysis on the left side only sets where it enters the
-        # queues, which the event counts depend on.
-        for p in cad.open[other].values():
-            if p.production is not ev.production:
-                continue
+        if partners is None:
+            if not cad.open[other]:
+                return
+            partners = self._partners(ev.production, ev.dot, cad.index, side)
+        # each partner gains support and is refreshed (without that when
+        # ev's right extreme is analyzed, random_case(396) counts 10 trees
+        # instead of 12); ev's refresh in mid-analysis on the left side only
+        # sets where it enters the queues, which the event counts depend on.
+        for p in partners:
             e1, e2 = (p, ev) if side == LEFT else (ev, p)
-            if (e1.dot[RIGHT] <= e2.dot[LEFT]
-                    and self._nullable_gap(ev.production, e1.dot[RIGHT], e2.dot[LEFT])):
-                self._add_fusion(e1, e2)
-                if side == LEFT:
-                    self._refresh_status(ev)
-                self._refresh_status(p)
+            self._add_fusion(e1, e2)
+            if side == LEFT:
+                self._refresh_status(ev)
+            self._refresh_status(p)
 
     def _facing(self, cad: CaD, side: int, need, sym: int):
         """The unsupported extremes at cad facing side that class sym (as in
@@ -701,21 +801,26 @@ class Chart:
         merged key unindexed."""
         del self.event_index[ev.key]
         self._detach(ev, side, [])
-        ev.place(dot, cad, children, key)
+        need = needs(ev.production, dot)
+        ev.dot, ev.cad, ev.need, ev.children, ev.key = dot, cad, need, children, key
         self.event_index[key] = ev
         if self.debug:
             self._assert_event_tiling(ev)
         if self.tracing:
             self.trace_lines.append(f"mutate e{ev.id} {ev.render()}")
-        self._analyze_extreme(ev, side)
+        self._analyze_extreme(ev, side, self._supports(cad, need, ev.production.lhs.id)[side])
         self._refresh_status(ev)
-        self._spawn_epsilon_variants(ev)
+        if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
+            self._spawn_epsilon_variants(ev.production, dot, cad, children, need)
 
     # -- the parsing cycle ---------------------------------------------------
 
     def parse_cycle(self):
         """Drain the deletion queue, the run queue and the fusion agenda,
-        in that strict priority order, until nothing is pending."""
+        in that strict priority order, until nothing is pending.  Each run
+        or fusion action starts with no stillborn keys: the drain after an
+        action would have deleted its stillborn events, keys and all."""
+        stillborn = self.stillborn = set()
         while True:
             if self.delete_queue:
                 ev = self.events.get(self.delete_queue.popleft())
@@ -727,9 +832,11 @@ class Chart:
             if self.run_queue:
                 ev = self.events.get(self.run_queue.popleft())
                 if ev is not None and ev.status == RUN:
+                    stillborn.clear()
                     self.run_event(ev)
                 continue
             if self.fusion_agenda:
+                stillborn.clear()
                 self.fuse(*self.fusion_agenda.popleft())
                 continue
             break

@@ -41,32 +41,30 @@ class InputLattice:
         self._validate()
 
     def _validate(self):
+        starts: list[list[int]] = [[] for _ in range(self.points)]  # lbps by fbp
         for it in self.items:
             if it.lbp > self.n:
                 raise LatticeError(f"item {it.unit!r} ends at {it.lbp}, beyond last point {self.n}")
+            starts[it.fbp].append(it.lbp)
         if self.n > 0 and not self.items:
             raise LatticeError("non-trivial lattice has no items")
-        # Every interior breaking point must sit on some 0 -> n path.
-        fwd = {0}
-        changed = True
-        while changed:
-            changed = False
-            for it in self.items:
-                if it.fbp in fwd and it.lbp not in fwd:
-                    fwd.add(it.lbp)
-                    changed = True
-        bwd = {self.n}
-        changed = True
-        while changed:
-            changed = False
-            for it in self.items:
-                if it.lbp in bwd and it.fbp not in bwd:
-                    bwd.add(it.fbp)
-                    changed = True
-        if self.n > 0 and self.n not in fwd:
+        # Every interior breaking point must sit on some 0 -> n path.  Items
+        # go forward (fbp < lbp), so one pass in point order finds the
+        # points reachable from 0, and one in reverse order those reaching n.
+        fwd = [False] * self.points
+        fwd[0] = True
+        for k in range(self.points):
+            if fwd[k]:
+                for lbp in starts[k]:
+                    fwd[lbp] = True
+        bwd = [False] * self.points
+        bwd[self.n] = True
+        for k in range(self.n - 1, -1, -1):
+            bwd[k] = any(bwd[lbp] for lbp in starts[k])
+        if self.n > 0 and not fwd[self.n]:
             raise LatticeError("disconnected lattice: no item path from 0 to the last point")
         for k in range(1, self.n):
-            if k not in fwd or k not in bwd:
+            if not (fwd[k] and bwd[k]):
                 raise LatticeError(f"disconnected lattice: breaking point {k} is on no 0->{self.n} path")
 
     def items_from(self, point: int) -> list[LexicalItem]:

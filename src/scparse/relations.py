@@ -182,6 +182,9 @@ class CompiledGrammar:
         for p in grammar.productions:
             if p.lhs.id in nullable and all(s.id in nullable for s in p.rhs):
                 self.epsilon_analyses.setdefault(p.lhs.id, []).append(p)
+        # The engine's zero-width nodes of the nullable symbols, built from
+        # epsilon_analyses by the first chart (engine.epsilon_nodes).
+        self.eps_nodes = None
 
     # -- name-based views, mainly for tests and the relation dump ---------
 

@@ -1,6 +1,7 @@
 import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
+from scparse import engine
 from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
 from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
@@ -344,6 +345,28 @@ def test_tree_counts_match_earley_on_dense_nullable_grammars(limits):
     assert not wrong
 
 
+# About 400 symbols, at most 5% of them terminals, up to 6 productions per
+# nonterminal; the seeds are those of range(700) whose grammar comes near
+# these limits and whose input has 2 or 3 words.
+LARGE_DENSE = CaseLimits(max_nonterminals=380, max_terminals=20, max_productions=380 * 6,
+                         max_input=3)
+
+
+def test_tree_counts_match_earley_on_large_dense_grammars():
+    wrong = []
+    for seed in (106, 118, 225, 318, 481, 523, 573, 639):
+        grammar, lattice = random_case(seed, LARGE_DENSE)
+        compiled = compile_grammar(grammar)
+        assert len(grammar.symbols) >= 360 and lattice.n in (2, 3)
+        assert len(grammar.productions) >= 4.5 * len(grammar.nonterminals)
+        assert len(compiled.nullable) > 0.75 * len(grammar.nonterminals)
+        mine = count_trees(build_forest(parse(compiled, lattice)), cap=10000)
+        theirs = earley_count_trees(grammar, lattice, cap=10000)
+        if (mine.kind, mine.value) != (theirs.kind, theirs.value):
+            wrong.append(seed)
+    assert not wrong
+
+
 def mirrored(grammar, lattice):
     """The grammar with every rhs reversed, and the lattice read right to left."""
     n = lattice.n
@@ -382,3 +405,41 @@ def test_untraced_parse_renders_nothing(monkeypatch):
     monkeypatch.setattr(Event, "render", boom)
     chart = parse_case(474)
     assert chart.stats["events_created"] > 0 and not chart.trace_lines
+
+
+OPTIONAL_ENDS = """
+    %root S
+    S -> A b C ;
+    A -> a | ;
+    C -> c | ;
+"""
+
+
+def test_stillborn_form_is_traced_and_counted():
+    # fusing A with b makes S -> . A b . C @ [0,2]; its sibling with C
+    # empty would close S at 2, where nothing may follow S, so it is not built
+    chart = run(OPTIONAL_ENDS, "a b c", trace=True)
+    assert chart.stats["stillborn"] == 1
+    assert "stillborn S -> . A b C . @ [0,2]" in chart.trace_lines
+    assert count_trees(build_forest(chart)).value == 1
+
+
+def test_untraced_stillborn_form_renders_nothing(monkeypatch):
+    def boom(*args):
+        raise AssertionError("render called with tracing off")
+
+    monkeypatch.setattr(engine, "render", boom)
+    chart = run(OPTIONAL_ENDS, "a b c")
+    assert chart.stats["stillborn"] == 1 and not chart.trace_lines
+
+
+def test_epsilon_nodes_are_shared_by_the_sessions_of_a_grammar():
+    cg = compile_grammar(load_grammar(OPTIONAL_ENDS))
+    first, second = (parse(cg, tokenize_plain(text)) for text in ("a b c", "b"))
+    assert first.eps_nodes is second.eps_nodes
+    skeleton = {sid: (nd.id, len(nd.analyses)) for sid, nd in first.eps_nodes.items()}
+    assert sorted(i for i, _ in skeleton.values()) == list(range(len(skeleton)))
+    for chart in (first, second):
+        assert chart.node_list[0].id == len(skeleton)
+    parse(cg, tokenize_plain("a b"))
+    assert {sid: (nd.id, len(nd.analyses)) for sid, nd in first.eps_nodes.items()} == skeleton

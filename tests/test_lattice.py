@@ -47,6 +47,22 @@ def test_disconnected_lattice_rejected():
                          LexicalItem("v", "t", 1, 2)])
 
 
+def test_connectivity_does_not_depend_on_item_order():
+    backbone = [LexicalItem(f"w{i}", "t", i, i + 1) for i in range(3)]
+    assert InputLattice(4, backbone[::-1]).n == 3
+    # breaking point 1 is unreachable from 0, whatever the order
+    with pytest.raises(LatticeError, match="breaking point 1"):
+        InputLattice(4, [LexicalItem("c", "t", 2, 3), LexicalItem("b", "t", 1, 2),
+                         LexicalItem("a", "t", 0, 2)])
+
+
+def test_dead_end_interior_point_rejected():
+    # point 2 is reachable from 0 through the branch at 1 but leads nowhere
+    with pytest.raises(LatticeError, match="breaking point 2"):
+        InputLattice(4, [LexicalItem("a", "t", 0, 1), LexicalItem("b", "t", 1, 3),
+                         LexicalItem("c", "t", 1, 2)])
+
+
 def test_multiword_item_alongside_backbone():
     lat = InputLattice(3, [LexicalItem("w0", "t", 0, 1),
                            LexicalItem("w1", "t", 1, 2),
