@@ -56,7 +56,12 @@ its epsilon siblings are still spawned, and its key blocks a duplicate
 until the next run or fusion action, as the built event's key would have
 until the deletion drain.  It is sound because nothing but deletions runs
 between an action and that drain, and within the action nothing can give
-the form evidence (see `_new_event`).  During `Chart.__init__` later
+the form evidence (see `_new_event`).  A new node's coverage entry is
+tested whole first: its forms are its nullable expansion, every left dot
+with every right dot, and a form's evidence on a side depends only on its
+dot there, so an entry with a side where no dot has class support and
+none can meet a fusion partner is stillborn in every form, and none of
+them is keyed or spawned (`add_node`).  During `Chart.__init__` later
 lexical nodes still support earlier events, so every event is built
 there.  `events_created`, `events_deleted` and `epsilon_expansions` count
 built events only; `stillborn` counts the forms not built.
@@ -112,7 +117,7 @@ class Node:
         self._akeys: set = set()
 
     def add_analysis(self, analysis: "Analysis") -> bool:
-        key = (analysis.production.id, tuple(c.id for c in analysis.children))
+        key = (analysis.production.id, analysis.children)
         if key in self._akeys:
             return False
         self._akeys.add(key)
@@ -144,8 +149,9 @@ def epsilon_nodes(compiled: CompiledGrammar) -> dict[int, Node]:
 
 
 def event_key(production: Production, dot: tuple, cad: tuple, children: tuple) -> tuple:
-    """What makes two events the same: production, dots, CaDs and children."""
-    return (production.id, dot, cad, tuple(c.id for c in children))
+    """What makes two events the same: production, dots, CaDs and children
+    (Node objects, which are unique per chart and canonical for epsilon)."""
+    return (production.id, dot, cad, children)
 
 
 def needs(production: Production, dot: tuple) -> tuple:
@@ -154,6 +160,37 @@ def needs(production: Production, dot: tuple) -> tuple:
     rhs = production.rhs
     return (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
             rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
+
+
+def coverage_needs(compiled: CompiledGrammar) -> list[list[tuple]]:
+    """Per symbol, per coverage entry, a (LEFT, RIGHT) pair of tuples: what
+    the extremes of the entry's forms wait for on that side (None when
+    closed), one per dot, nearest first.  The forms are the node's event
+    and its epsilon siblings: every pair of a left dot (the anchor's, then
+    moved left over nullable symbols) and a right dot (likewise, moving
+    right), so an entry has len(LEFT tuple) * len(RIGHT tuple) forms; None
+    can only come last.  Built by the first chart on a compiled grammar and
+    kept on it; equal tuples are shared."""
+    table = compiled.entry_needs
+    if table is None:
+        shared: dict[tuple, tuple] = {}
+        table = []
+        for entries in compiled.coverage:
+            row = []
+            for entry in entries:
+                pair = []
+                for side, step in ((LEFT, -1), (RIGHT, 1)):
+                    dot = [entry.position, entry.position + 1]
+                    found = [needs(entry.production, dot)[side]]
+                    while found[-1] in compiled.nullable:
+                        dot[side] += step
+                        found.append(needs(entry.production, dot)[side])
+                    pair.append(shared.setdefault(tuple(found), tuple(found)))
+                pair = tuple(pair)
+                row.append(shared.setdefault(pair, pair))
+            table.append(row)
+        compiled.entry_needs = table
+    return table
 
 
 def render(production: Production, dot: tuple, cad: tuple) -> str:
@@ -251,7 +288,6 @@ class Chart:
     def __init__(self, compiled: CompiledGrammar, lattice: InputLattice,
                  trace: bool = False, debug: bool = False):
         self.compiled = compiled
-        self.lattice = lattice
         self.n = lattice.n
         # The relation tables as (LEFT, RIGHT) pairs, and the CaD of the
         # input boundary on each side.
@@ -285,6 +321,7 @@ class Chart:
         self.debug = debug
         self.status_audit: list[tuple] = []
         self.eps_nodes = epsilon_nodes(compiled)
+        self.entry_needs = coverage_needs(compiled)
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
 
@@ -330,9 +367,49 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
                                     f"[{fbp},{lbp}] {origin}")
-        for entry in self.compiled.coverage[symbol]:
-            self._new_event(entry.production, (entry.position, entry.position + 1),
-                            ends, (node,))
+        # An entry's forms (`coverage_needs`) share the node's CaDs, so a
+        # form's evidence on a side depends only on its dot there.  Once the
+        # cycle has started, an entry with a side where no dot has class
+        # support and none can have a fusion partner (it has no open dot, or
+        # no open extreme faces it) has no form that would be born: all are
+        # counted stillborn, none is keyed or spawned.  Each form holds the
+        # new node, so no key of theirs is known yet, nor met again in this
+        # action.  A one-form entry passes its support bits on.  During
+        # `Chart.__init__` every form is built, so no entry is tested.
+        stillborn = self.stillborn
+        facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
+        for entry, waits in zip(self.compiled.coverage[symbol], self.entry_needs[symbol]):
+            production, position = entry.production, entry.position
+            if stillborn is None:
+                self._new_event(production, (position, position + 1), ends, (node,))
+                continue
+            lhs = production.lhs.id
+            supported = []
+            for side in (LEFT, RIGHT):
+                for need in waits[side]:
+                    held = self._support(ends[side], side, need, lhs)
+                    if held:
+                        break
+                if not (held or waits[side][0] is not None and facing[side]):
+                    break
+                supported.append(held)
+            else:
+                one_form = len(waits[LEFT]) == len(waits[RIGHT]) == 1
+                self._new_event(production, (position, position + 1), ends, (node,),
+                                supported if one_form else None)
+                continue
+            nleft, nright = len(waits[LEFT]), len(waits[RIGHT])
+            self.stats["stillborn"] += nleft * nright
+            if self.tracing:
+                # in spawn order (`_spawn_epsilon_variants`): the right dot
+                # outward, then for each right dot from the outermost in,
+                # the left dot outward
+                rdots = range(position + 1, position + 1 + nright)
+                dots = [(position, r) for r in rdots] + [
+                    (ldot, r) for r in reversed(rdots)
+                    for ldot in range(position - 1, position - nleft, -1)]
+                for dot in dots:
+                    self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
         # the node's ends join their CaDs' node masks only now, after its
         # events have been analyzed, so that every support test agrees with
         # the support bits.  A symbol new at an end supports the closed
@@ -357,7 +434,7 @@ class Chart:
                 pos = c.lbp
         assert pos == lbp, "children spans must tile the parent span"
 
-    def _new_event(self, production, dot, cad, children):
+    def _new_event(self, production, dot, cad, children, supported=None):
         """Create the event of this form unless one is live, has fired or
         was found stillborn in this action.  Once the cycle has started, a
         form with an extreme lacking evidence (no class support, and no
@@ -367,7 +444,8 @@ class Chart:
         pair, so they face the way it does; the node of a run publishes its
         mask only at its outer ends; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
-        all the same."""
+        all the same.  supported, when given, holds the form's class support
+        per side (`_support`)."""
         key = event_key(production, dot, cad, children)
         stillborn = self.stillborn
         if key in self.event_index or stillborn and key in stillborn:
@@ -375,7 +453,10 @@ class Chart:
         rhs = production.rhs  # `needs`, inline: this runs for every form
         need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
                 rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
-        supported = self._supports(cad, need, production.lhs.id)
+        if supported is None:
+            lhs = production.lhs.id
+            supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
+                         self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
         partners = (None, None)
         born = True
         if stillborn is not None and not (supported[LEFT] and supported[RIGHT]):
@@ -493,11 +574,10 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"support e{ev.id}.{SIDE_NAMES[side]} off")
 
-    def _supports(self, cad: tuple, need: tuple, lhs: int) -> list:
-        """Per side, whether the extreme of a form of an lhs event over
-        these CaD indices, waiting for need[side] (None if closed), has
-        class support at its CaD: mask tests of its relation rows against
-        the facing side and the input boundary.
+    def _support(self, index: int, side: int, need, lhs: int):
+        """Whether the extreme on side at CaD index of an lhs event, waiting
+        for need (None if closed), has class support there: mask tests of
+        its relation rows against the facing side and the input boundary.
 
         A closed extreme needs a neighbor: the input boundary, an adjacent
         node or closed extreme, or an open extreme whose required symbol
@@ -506,30 +586,25 @@ class Chart:
         required symbol; a bare node is no promise that such a constituent
         will ever close here, and terminal expectations are met by fusion
         with the terminal's own anchored events."""
-        bits = []  # fresh masks are read in place: this runs for every form
-        for side in (LEFT, RIGHT):
-            other = 1 - side
-            index = cad[side]
-            at = self.cads[index]
-            if need[side] is not None:
-                reach = at.reach[other]
-                if reach is None:
-                    reach = self._reach(at, other)
-                bits.append(reach >> need[side] & 1)
-            elif index == self.edge[side]:
-                bits.append(self.bound[side] >> lhs & 1)
-            else:
-                closed = at.closed_mask[other]
-                if closed is None:
-                    closed = class_mask(at.closed_mask, at.n_closed, other)
-                if self.adj[side][lhs] & (closed | at.nodes[other]):
-                    bits.append(True)
-                    continue
-                opened = at.open_mask[other]
-                if opened is None:
-                    opened = class_mask(at.open_mask, at.n_open, other)
-                bits.append(self.pd[side][lhs] & opened)
-        return bits
+        # fresh masks are read in place: this runs for every form and entry
+        other = 1 - side
+        at = self.cads[index]
+        if need is not None:
+            reach = at.reach[other]
+            if reach is None:
+                reach = self._reach(at, other)
+            return reach >> need & 1
+        if index == self.edge[side]:
+            return self.bound[side] >> lhs & 1
+        closed = at.closed_mask[other]
+        if closed is None:
+            closed = class_mask(at.closed_mask, at.n_closed, other)
+        if self.adj[side][lhs] & (closed | at.nodes[other]):
+            return True
+        opened = at.open_mask[other]
+        if opened is None:
+            opened = class_mask(at.open_mask, at.n_open, other)
+        return self.pd[side][lhs] & opened
 
     def _partners(self, production, dot, index: int, side: int) -> list[Event]:
         """The fusion partners of an open extreme on side at CaD index of a
@@ -547,7 +622,7 @@ class Chart:
 
     def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
         """Link analysis of an extreme as it arrives at its CaD, given its
-        class support (`_supports`) and, if it is open, its fusion partners
+        class support (`_support`) and, if it is open, its fusion partners
         (`_partners`, found here when None): wire it into the CaD list and
         class count and set its support bit.  A class new at the CaD gives
         support to the unsupported facing extremes it is compatible with;
@@ -808,7 +883,8 @@ class Chart:
             self._assert_event_tiling(ev)
         if self.tracing:
             self.trace_lines.append(f"mutate e{ev.id} {ev.render()}")
-        self._analyze_extreme(ev, side, self._supports(cad, need, ev.production.lhs.id)[side])
+        self._analyze_extreme(ev, side, self._support(cad[side], side, need[side],
+                                                      ev.production.lhs.id))
         self._refresh_status(ev)
         if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
             self._spawn_epsilon_variants(ev.production, dot, cad, children, need)

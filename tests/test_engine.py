@@ -433,6 +433,61 @@ def test_untraced_stillborn_form_renders_nothing(monkeypatch):
     assert chart.stats["stillborn"] == 1 and not chart.trace_lines
 
 
+DEAD_EXPANSION = """
+    %root S
+    %terminal n
+    S -> X ;
+    X -> x ;
+    T -> N N X N N ;
+    N -> n | ;
+"""
+
+# The node X [0,1] made in the cycle anchors T -> N N . X . N N and its
+# epsilon siblings: 3 left dots times 3 right dots.  No T can begin the
+# input, and nothing ends at 0, so no left dot has evidence.
+DEAD_FORMS = [
+    "T -> N N . X . N N @ [0,1]", "T -> N N . X N . N @ [0,1]", "T -> N N . X N N . @ [0,1]",
+    "T -> N . N X N N . @ [0,1]", "T -> . N N X N N . @ [0,1]", "T -> N . N X N . N @ [0,1]",
+    "T -> . N N X N . N @ [0,1]", "T -> N . N X . N N @ [0,1]", "T -> . N N X . N N @ [0,1]",
+]
+
+
+def test_dead_coverage_expansion_is_stillborn_without_keys(monkeypatch):
+    keyed = []
+    event_key = engine.event_key
+
+    def spy(production, *args):
+        keyed.append(production.lhs.name)
+        return event_key(production, *args)
+
+    monkeypatch.setattr(engine, "event_key", spy)
+    chart = run(DEAD_EXPANSION, "x", trace=True)
+    assert chart.stats["stillborn"] == 9 and "T" not in keyed
+    assert [line for line in chart.trace_lines if line.startswith("stillborn")] == \
+        [f"stillborn {form}" for form in DEAD_FORMS]
+    assert chart.accept()
+
+
+def test_untraced_dead_coverage_expansion_renders_nothing(monkeypatch):
+    def boom(*args):
+        raise AssertionError("render called with tracing off")
+
+    monkeypatch.setattr(engine, "render", boom)
+    chart = run(DEAD_EXPANSION, "x")
+    assert chart.stats["stillborn"] == 9 and not chart.trace_lines
+
+
+def test_side_with_only_a_fusion_partner_is_not_stillborn():
+    # when Y [1,2] is made, S -> X . Y . @ [1,2] waits for X at 1, where no
+    # closed extreme is left (X's event has run); its only evidence is the
+    # fusion partner S -> . X . Y @ [0,1]
+    chart = run("%root S\nS -> X Y ;\nX -> x ;\nY -> y ;", "x y", trace=True)
+    assert "create e3 S -> X . Y . @ [1,2]" in chart.trace_lines
+    assert "link fusion e2.R <-> e3.L" in chart.trace_lines
+    assert chart.stats["stillborn"] == 0 and chart.stats["fusions"] == 1
+    assert count_trees(build_forest(chart)).value == 1
+
+
 def test_epsilon_nodes_are_shared_by_the_sessions_of_a_grammar():
     cg = compile_grammar(load_grammar(OPTIONAL_ENDS))
     first, second = (parse(cg, tokenize_plain(text)) for text in ("a b c", "b"))
