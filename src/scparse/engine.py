@@ -47,16 +47,34 @@ Nodes are never deleted, so early deletions stay sound: lexical nodes,
 through the transitively closed relation tables, support everything the
 input can ever provide.
 
+An event is its form: production, dots and CaDs (`event_key`).  Status,
+link analysis and fusion read only the form, never the children between
+the dots, so one event stands for every child tuple of its form (local
+ambiguity packing, Tomita 1986; Billot & Lang 1989): its first in
+`children`, the others in `alts`, None on unambiguous input.  A fusion
+merges every derivation of one event with every derivation of the other;
+a run gives the node one analysis per derivation.  A derivation arriving
+for a form that is live or has fired is packed into its event and
+replayed for itself alone, doing what an event of its own would have done
+(`_pack`): a fired event's node takes the analysis at once; a live one
+spawns its epsilon siblings with these children and merges it with every
+derivation of every fusion partner facing it now, linked or not, since
+the pairs fused before it arrived never met it.  When a fusion's merged
+form exists with other derivations, the new ones are packed into it, and
+an event that would have moved to that form is deleted instead (moving
+would have taken its old form away).  So ambiguity costs one tuple per
+derivation, not one event life.
+
 Once the cycle has started, an event is not built when it would be born
 DELETE or EPSILON: its status is decided from the class masks and a scan
 for fusion partners before anything is allocated (left-corner filtering
 before an item is built, as in Moore 2000).  Such a stillborn form gets
 no event, index entry, CaD wiring or queue entry, and no deletion later;
-its epsilon siblings are still spawned, and its key blocks a duplicate
-until the next run or fusion action, as the built event's key would have
-until the deletion drain.  It is sound because nothing but deletions runs
-between an action and that drain, and within the action nothing can give
-the form evidence (see `_new_event`).  A new node's coverage entry is
+its epsilon siblings are still spawned, and the derivation (key and
+children) blocks a duplicate until the next run or fusion action, as the
+built event would have until the deletion drain.  It is sound because
+nothing but deletions runs between an action and that drain, and within
+the action nothing can give the form evidence (see `_new_event`).  A new node's coverage entry is
 tested whole first: its forms are its nullable expansion, every left dot
 with every right dot, and a form's evidence on a side depends only on its
 dot there, so an entry with a side where no dot has class support and
@@ -148,10 +166,10 @@ def epsilon_nodes(compiled: CompiledGrammar) -> dict[int, Node]:
     return nodes
 
 
-def event_key(production: Production, dot: tuple, cad: tuple, children: tuple) -> tuple:
-    """What makes two events the same: production, dots, CaDs and children
-    (Node objects, which are unique per chart and canonical for epsilon)."""
-    return (production.id, dot, cad, children)
+def event_key(production: Production, dot: tuple, cad: tuple) -> tuple:
+    """What makes two events the same, their form: production, dots and
+    CaDs.  One event stands for every child tuple of its form."""
+    return (production.id, dot, cad)
 
 
 def needs(production: Production, dot: tuple) -> tuple:
@@ -193,6 +211,23 @@ def coverage_needs(compiled: CompiledGrammar) -> list[list[tuple]]:
     return table
 
 
+def nullable_runs(compiled: CompiledGrammar) -> list[tuple]:
+    """Per production id, run[a] for every rhs index a (0..len(rhs)): the
+    first index at or after a whose symbol is not nullable, len(rhs) if
+    none, so rhs[a:b] is all nullable iff a <= b <= run[a].  Built by the
+    first chart on a compiled grammar and kept on it."""
+    table = compiled.nullable_runs
+    if table is None:
+        table = [None] * len(compiled.grammar.productions)
+        for p in compiled.grammar.productions:
+            run = [len(p.rhs)]
+            for i in range(len(p.rhs) - 1, -1, -1):
+                run.append(run[-1] if p.rhs[i].id in compiled.nullable else i)
+            table[p.id] = tuple(reversed(run))
+        compiled.nullable_runs = table
+    return table
+
+
 def render(production: Production, dot: tuple, cad: tuple) -> str:
     """A dotted production over its CaDs, such as `S -> A . b . c @ [0,1]`."""
     rhs = production.rhs
@@ -205,20 +240,23 @@ def render(production: Production, dot: tuple, cad: tuple) -> str:
 
 
 class Event:
-    __slots__ = ("id", "production", "dot", "cad", "need", "children", "key",
+    __slots__ = ("id", "production", "dot", "cad", "need", "children", "alts", "key",
                  "support", "fusion", "status", "alive")
 
-    def __init__(self, eid, production, dot, cad, children, key, need=None):
+    def __init__(self, eid, production, dot, cad, children, key, need=None, alts=None):
         self.id = eid
         self.production = production
         # Its form, which a fusion may give it anew: the (LEFT, RIGHT) dots
-        # and CaD indices, the `needs` of the dots, the children between
-        # them and the key they make.
+        # and CaD indices, the `needs` of the dots and the key they make.
         self.dot = dot
         self.cad = cad
         self.need = needs(production, dot) if need is None else need
-        self.children = children
         self.key = key
+        # The children between the dots: its first child tuple, and the
+        # other derivations of its form packed into it (a dict used as an
+        # ordered set), None while it has only the one.
+        self.children = children
+        self.alts = alts
         # Per side: whether some class at the extreme's CaD supports it (the
         # Chart keeps this bit), and its fusion links (partner id -> Event).
         self.support = [False, False]
@@ -228,6 +266,13 @@ class Event:
 
     def render(self):
         return render(self.production, self.dot, self.cad)
+
+    def derivations(self) -> tuple:
+        """Every child tuple it holds, the first one first."""
+        return (self.children, *self.alts) if self.alts else (self.children,)
+
+    def holds(self, children: tuple) -> bool:
+        return children == self.children or self.alts is not None and children in self.alts
 
 
 class CaD:
@@ -300,19 +345,21 @@ class Chart:
         self.node_list: list[Node] = []
         self.events: dict[int, Event] = {}
         # Keys of live events and of fired ones: a fired event's key stays,
-        # so an identical closed event is never created and fired again.
+        # so a closed form is never created and fired again (a later
+        # derivation of it goes straight to its node, see `_pack`).
         self.event_index: dict[tuple, Event] = {}
         # One deletion queue: EPSILON events are deleted like DELETE ones.
         self.delete_queue: deque[int] = deque()
         self.run_queue: deque[int] = deque()
         self.fusion_agenda: deque[tuple[int, int]] = deque()
-        # Keys of the forms found stillborn (see `_new_event`) in the
-        # current action; None until the cycle starts.
+        # (key, children) of the derivations found stillborn (see
+        # `_new_event`) in the current action; None until the cycle starts.
         self.stillborn: set[tuple] | None = None
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
             "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
-            "links": 0, "nodes": 0, "packed": 0, "stillborn": 0,
+            "links": 0, "nodes": 0, "packed": 0, "packed_derivations": 0,
+            "stillborn": 0,
         }
         # Every trace line is built behind `if self.tracing`, so an
         # untraced parse formats nothing.
@@ -322,6 +369,7 @@ class Chart:
         self.status_audit: list[tuple] = []
         self.eps_nodes = epsilon_nodes(compiled)
         self.entry_needs = coverage_needs(compiled)
+        self.runs = nullable_runs(compiled)
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
 
@@ -332,9 +380,6 @@ class Chart:
 
     def _sym_name(self, sid: int) -> str:
         return self.compiled.grammar.symbols[sid].name
-
-    def _nullable_gap(self, prod: Production, a: int, b: int) -> bool:
-        return all(s.id in self.compiled.nullable for s in prod.rhs[a:b])
 
     # -- steps 2 and 3: node creation with packing, events from coverage ---
 
@@ -372,10 +417,13 @@ class Chart:
         # cycle has started, an entry with a side where no dot has class
         # support and none can have a fusion partner (it has no open dot, or
         # no open extreme faces it) has no form that would be born: all are
-        # counted stillborn, none is keyed or spawned.  Each form holds the
-        # new node, so no key of theirs is known yet, nor met again in this
-        # action.  A one-form entry passes its support bits on.  During
-        # `Chart.__init__` every form is built, so no entry is tested.
+        # counted stillborn, none is keyed or spawned.  Each derivation holds
+        # the new node, so none was met before in this action; a form that
+        # is live already lacks evidence on that side too (a support bit or
+        # fusion link there passes the test), so the drain deletes it with
+        # whatever is packed into it.  A one-form entry passes its support
+        # bits on.  During `Chart.__init__` every form is built, so no entry
+        # is tested.
         stillborn = self.stillborn
         facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
         for entry, waits in zip(self.compiled.coverage[symbol], self.entry_needs[symbol]):
@@ -434,9 +482,11 @@ class Chart:
                 pos = c.lbp
         assert pos == lbp, "children spans must tile the parent span"
 
-    def _new_event(self, production, dot, cad, children, supported=None):
-        """Create the event of this form unless one is live, has fired or
-        was found stillborn in this action.  Once the cycle has started, a
+    def _new_event(self, production, dot, cad, children, supported=None, alts=None):
+        """Create the event of this form holding these derivations (children,
+        then alts, if any), unless the derivation was found stillborn in
+        this action; if the form is live or has fired, pack the derivation
+        into its event instead (`_pack`).  Once the cycle has started, a
         form with an extreme lacking evidence (no class support, and no
         fusion partner if open) is stillborn: its status would be DELETE or
         EPSILON, and until the deletion drain after this action nothing can
@@ -446,10 +496,13 @@ class Chart:
         stillborn form is not built, and its epsilon siblings are spawned
         all the same.  supported, when given, holds the form's class support
         per side (`_support`)."""
-        key = event_key(production, dot, cad, children)
+        key = event_key(production, dot, cad)
+        if key in self.event_index:
+            self._pack(self.event_index[key], children)
+            return
         stillborn = self.stillborn
-        if key in self.event_index or stillborn and key in stillborn:
-            return  # an identical event is live or has fired, or was stillborn
+        if stillborn and (key, children) in stillborn:
+            return
         rhs = production.rhs  # `needs`, inline: this runs for every form
         need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
                 rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
@@ -470,7 +523,7 @@ class Chart:
                     born = False
                     break
         if born:
-            ev = Event(self._next_event_id, production, dot, cad, children, key, need)
+            ev = Event(self._next_event_id, production, dot, cad, children, key, need, alts)
             self._next_event_id += 1
             self.events[ev.id] = ev
             self.event_index[key] = ev
@@ -483,12 +536,52 @@ class Chart:
                 self._analyze_extreme(ev, side, supported[side], partners[side])
             self._refresh_status(ev)
         else:
-            stillborn.add(key)
+            stillborn.add((key, children))
+            if alts:
+                stillborn.update((key, kids) for kids in alts)
             self.stats["stillborn"] += 1
             if self.tracing:
                 self.trace_lines.append(f"stillborn {render(production, dot, cad)}")
         if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
-            self._spawn_epsilon_variants(production, dot, cad, children, need)
+            for kids in (children, *alts) if alts else (children,):
+                self._spawn_epsilon_variants(production, dot, cad, kids, need)
+
+    def _pack(self, ev: Event, children: tuple):
+        """A derivation of ev's form that ev does not hold yet joins it, and
+        is replayed for itself alone, doing what an event of its own would
+        have done.  (No derivation of a form found stillborn in this action
+        comes here: nothing in the action can give the form evidence.)  If
+        ev has fired, its node takes the analysis at once.  Otherwise the
+        epsilon siblings are spawned with these children, and on each open
+        side the derivation is merged (`_new_event`, alongside) with every
+        derivation of every fusion partner facing it now, linked or not:
+        the links with ev may have been fused before it arrived, when it did
+        not yet hold it."""
+        if ev.holds(children):
+            return
+        if ev.alts is None:
+            ev.alts = {}
+        ev.alts[children] = None
+        self.stats["packed_derivations"] += 1
+        if self.debug:
+            self._assert_event_tiling(ev)
+        if self.tracing:
+            self.trace_lines.append(f"pack e{ev.id} {ev.render()}")
+        production, dot, need = ev.production, ev.dot, ev.need
+        if not ev.alive:
+            self.add_node(production.lhs.id, *ev.cad, Analysis(production, children))
+            return
+        if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
+            self._spawn_epsilon_variants(production, dot, ev.cad, children, need)
+        for side in (LEFT, RIGHT):
+            if need[side] is None:
+                continue
+            for p in self._partners(production, dot, ev.cad[side], side):
+                e1, e2 = (p, ev) if side == LEFT else (ev, p)
+                merged_dot, merged_cad, gap = self._join(e1, e2)
+                for kids in p.derivations():
+                    merged = kids + gap + children if side == LEFT else children + gap + kids
+                    self._new_event(production, merged_dot, merged_cad, merged)
 
     def _spawn_epsilon_variants(self, production, dot, cad, children, need):
         """The engine's one nullable step.  For each open extreme of the
@@ -513,8 +606,9 @@ class Chart:
     def _assert_event_tiling(self, ev: Event):
         ldot, rdot = ev.dot
         assert 0 <= ldot < rdot <= len(ev.production.rhs)
-        assert len(ev.children) == rdot - ldot
-        self._assert_tiling(*ev.cad, ev.children)
+        for children in ev.derivations():
+            assert len(children) == rdot - ldot
+            self._assert_tiling(*ev.cad, children)
 
     def _extremes(self, ev: Event, side: int) -> dict[int, Event]:
         """The CaD list that holds ev's extreme on side, as ev stands."""
@@ -609,14 +703,15 @@ class Chart:
     def _partners(self, production, dot, index: int, side: int) -> list[Event]:
         """The fusion partners of an open extreme on side at CaD index of a
         production's event with these dots: the open extremes of the same
-        production facing it there across a dot gap of nullable symbols."""
+        production facing it there across a dot gap of nullable symbols,
+        tested in constant time by the production's `nullable_runs`."""
         found = []
+        run = self.runs[production.id]
         for p in self.cads[index].open[1 - side].values():
             if p.production is not production:
                 continue
             left, right = (p.dot, dot) if side == LEFT else (dot, p.dot)
-            if (left[RIGHT] <= right[LEFT]
-                    and self._nullable_gap(production, left[RIGHT], right[LEFT])):
+            if left[RIGHT] <= right[LEFT] <= run[left[RIGHT]]:
                 found.append(p)
         return found
 
@@ -806,78 +901,109 @@ class Chart:
 
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
-        resulting node.  The event leaves its CaDs but its key stays
-        indexed.  The extremes it leaves without support lose their bit
-        before the node is admitted, and their status is refreshed after,
-        once the node and its events have given what support they can."""
+        resulting node, with one analysis per derivation.  The event leaves
+        its CaDs but its key stays indexed.  The extremes it leaves without
+        support lose their bit before the node is admitted, and their status
+        is refreshed after, once the node and its events have given what
+        support they can."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
         partners = self._release(ev)
-        self.add_node(ev.production.lhs.id, *ev.cad, Analysis(ev.production, ev.children))
+        production, lhs = ev.production, ev.production.lhs.id
+        self.add_node(lhs, *ev.cad, Analysis(production, ev.children))
+        if ev.alts:
+            for children in ev.alts:
+                self.add_node(lhs, *ev.cad, Analysis(production, children))
         for partner in partners:
             self._refresh_status(partner)
+
+    def _join(self, e1: Event, e2: Event) -> tuple:
+        """The dots and CaDs of the merge of e1 with e2, its right partner,
+        and the zero-width children filling the nullable gap between them."""
+        gap = tuple(self.eps_nodes[s.id] for s in e1.production.rhs[e1.dot[RIGHT]:e2.dot[LEFT]])
+        return (e1.dot[LEFT], e2.dot[RIGHT]), (e1.cad[LEFT], e2.cad[RIGHT]), gap
 
     def fuse(self, left_id: int, right_id: int):
         """Merge two same-production events whose dot ranges meet at a CaD
         (possibly across a run of nullable rhs symbols, which are filled
-        with zero-width children).  The pair is stale unless e1 is live and
-        still holds the link: a link only joins open extremes meeting
-        across a nullable gap, and only extremes without links move."""
+        with zero-width children): every derivation of e1 with every
+        derivation of e2.  The pair is stale unless e1 is live and still
+        holds the link (a link only joins open extremes meeting across a
+        nullable gap, and only extremes without links move), or if the
+        merged form already holds every merged derivation."""
         e1 = self.events.get(left_id)
         if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
             return
         e2 = e1.fusion[RIGHT][right_id]
         prod = e1.production
-        gap = tuple(self.eps_nodes[s.id] for s in prod.rhs[e1.dot[RIGHT]:e2.dot[LEFT]])
-        children = e1.children + gap + e2.children
-        dot = (e1.dot[LEFT], e2.dot[RIGHT])
-        cad = (e1.cad[LEFT], e2.cad[RIGHT])
-        key = event_key(prod, dot, cad, children)
+        dot, cad, gap = self._join(e1, e2)
+        if e1.alts is None and e2.alts is None:
+            merged = [e1.children + gap + e2.children]
+        else:
+            merged = [a + gap + b for a in e1.derivations() for b in e2.derivations()]
         if self.tracing:
             self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {e1.cad[RIGHT]}")
-        if key in self.event_index:
-            # the merged form already exists; just consume the link
-            del e1.fusion[RIGHT][e2.id]
-            del e2.fusion[LEFT][e1.id]
-            self._refresh_status(e1)
-            self._refresh_status(e2)
-            self.stats["stale_fusions"] += 1
-            return
+        key = event_key(prod, dot, cad)
+        ev = self.event_index.get(key)
+        if ev is not None:
+            merged = [children for children in merged if not ev.holds(children)]
+            if not merged:
+                # the merged form already holds them all; just consume the link
+                del e1.fusion[RIGHT][e2.id]
+                del e2.fusion[LEFT][e1.id]
+                self._refresh_status(e1)
+                self._refresh_status(e2)
+                self.stats["stale_fusions"] += 1
+                return
         # does either extreme meeting here hold evidence besides this link?
         pair = (e1, e2)
         held = [e.support[1 - s] or len(e.fusion[1 - s]) > 1
                 for s, e in enumerate(pair)]
         self.stats["fusions"] += 1
+        if ev is not None:
+            # the merged form exists with other derivations: these join it
+            for children in merged:
+                self._pack(ev, children)
+        elif held[LEFT] and held[RIGHT]:
+            self._new_event(prod, dot, cad, merged[0],
+                            alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
         if held[LEFT] and held[RIGHT]:
-            # both extremes carry further evidence: keep e1 and e2, create
-            # the merged event alongside them
-            self._new_event(prod, dot, cad, children)
+            # both extremes carry further evidence: e1 and e2 stay, the
+            # merged event is alongside them
             return
         del e1.fusion[RIGHT][e2.id]
         del e2.fusion[LEFT][e1.id]
+        # the event whose extreme has other evidence stays as it is; the
+        # other absorbs the merge, moving its extreme on the stayer's side.
+        # If neither has, e1 absorbs and e2 goes away.  Where the merged form
+        # exists, the absorber is deleted instead: a move would have taken
+        # its old form away.
         if held[LEFT] or held[RIGHT]:
-            # the event whose extreme has other evidence stays as it is; the
-            # other absorbs the merge, moving its extreme on the stayer's side
-            stay = LEFT if held[LEFT] else RIGHT
-            self._refresh_status(pair[stay])
-            self._mutate(pair[1 - stay], stay, dot, cad, children, key)
+            side = LEFT if held[LEFT] else RIGHT
+            self._refresh_status(pair[side])
+            mover, gone = pair[1 - side], None
         else:
-            # neither has other evidence: e1 absorbs, e2 goes away
-            self._mutate(e1, RIGHT, dot, cad, children, key)
-            self.delete_event(e2)
+            side, mover, gone = RIGHT, e1, e2
+        if ev is None:
+            self._mutate(mover, side, dot, cad, merged, key)
+        else:
+            self.delete_event(mover)
+        if gone is not None:
+            self.delete_event(gone)
 
-    def _mutate(self, ev: Event, side: int, dot, cad, children, key):
-        """Give a surviving event the merged form, which moves its extreme
-        on side.  The moved extreme had no evidence besides the consumed
-        fusion link, so no class support, and by symmetry it supports
-        nothing: leaving its CaD takes no support away.  fuse found the
-        merged key unindexed."""
+    def _mutate(self, ev: Event, side: int, dot, cad, merged: list, key):
+        """Give a surviving event the merged form and derivations, which
+        moves its extreme on side.  The moved extreme had no evidence
+        besides the consumed fusion link, so no class support, and by
+        symmetry it supports nothing: leaving its CaD takes no support
+        away.  fuse found the merged key unindexed."""
         del self.event_index[ev.key]
         self._detach(ev, side, [])
         need = needs(ev.production, dot)
-        ev.dot, ev.cad, ev.need, ev.children, ev.key = dot, cad, need, children, key
+        ev.dot, ev.cad, ev.need, ev.key = dot, cad, need, key
+        ev.children, ev.alts = merged[0], dict.fromkeys(merged[1:]) if len(merged) > 1 else None
         self.event_index[key] = ev
         if self.debug:
             self._assert_event_tiling(ev)
@@ -887,7 +1013,8 @@ class Chart:
                                                       ev.production.lhs.id))
         self._refresh_status(ev)
         if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
-            self._spawn_epsilon_variants(ev.production, dot, cad, children, need)
+            for children in merged:
+                self._spawn_epsilon_variants(ev.production, dot, cad, children, need)
 
     # -- the parsing cycle ---------------------------------------------------
 
@@ -944,7 +1071,7 @@ class Chart:
                 assert (p.production is ev.production and p.cad[LEFT] == ev.cad[RIGHT]
                         and None not in (ev.need[RIGHT], p.need[LEFT])
                         and ev.dot[RIGHT] <= p.dot[LEFT]
-                        and self._nullable_gap(ev.production, ev.dot[RIGHT], p.dot[LEFT])), \
+                        <= self.runs[ev.production.id][ev.dot[RIGHT]]), \
                     f"e{ev.id}.R: fusion link with e{p.id} is not across a nullable gap"
         held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"

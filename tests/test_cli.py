@@ -69,6 +69,14 @@ def test_parse_stats_json(g2_file, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["events_created"] >= 13  # 13 initial, plus fusion products
     assert stats["nodes"] == 8
+    assert stats["packed_derivations"] == 0
+
+
+def test_parse_stats_show_packed_derivations(tmp_path, capsys):
+    path = tmp_path / "catalan.g"
+    path.write_text("%root S\nS -> S S | a ;\n")
+    assert main(["parse", "-g", str(path), "a a a a", "--stats"]) == 0
+    assert "packed_derivations=4" in capsys.readouterr().out.splitlines()
 
 
 def test_parse_trace(g2_file, capsys):

@@ -75,6 +75,68 @@ def test_local_ambiguity_packs_one_node():
     assert chart.stats["packed"] >= 1
 
 
+# -- event packing: one event per form, holding every child tuple ---------------
+
+CATALAN = "%root S\nS -> S S | a ;"
+
+
+def catalan_counts(text, **kwargs):
+    chart = run(CATALAN, text, **kwargs)
+    return (chart, count_trees(build_forest(chart)),
+            earley_count_trees(chart.compiled.grammar, tokenize_plain(text)))
+
+
+def test_derivation_after_its_form_fired_lands_in_the_node():
+    # S -> . S S . @ [0,3] fires with S[0,2] S[2,3]; S[0,1] S[1,3] arrives
+    # later, and its form's node takes the analysis at once
+    chart, mine, theirs = catalan_counts("a a a a", trace=True)
+    form = "S -> . S S . @ [0,3]"
+    [run_line] = [line for line in chart.trace_lines if line.startswith("run") and form in line]
+    eid = run_line.split()[1]
+    pack_line = f"pack {eid} {form}"
+    assert chart.trace_lines.index(pack_line) > chart.trace_lines.index(run_line)
+    assert chart.trace_lines[chart.trace_lines.index(pack_line) + 1] == "pack S [0,3] analysis 0"
+    s03 = chart.nodes[(chart.compiled.grammar.symbol("S").id, 0, 3)]
+    assert len(s03.analyses) == 2
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 5)
+
+
+@pytest.mark.parametrize("seed,limits", [(120, CaseLimits(max_input=24)), (2314, None)],
+                         ids=["long-120", "2314"])
+def test_late_derivation_meets_partners_fused_before_it(monkeypatch, seed, limits):
+    # a live event's late derivation is merged with every partner facing
+    # it, also one whose pair with the event was fused before it arrived:
+    # merging it only through the pairs still on the fusion agenda loses
+    # trees here (long 120: 29 instead of 37)
+    fused_before = []
+    pack = engine.Chart._pack
+
+    def spy(chart, ev, children):
+        if ev.alive and not ev.holds(children):
+            for side in (LEFT, RIGHT):
+                if ev.need[side] is not None:
+                    for p in chart._partners(ev.production, ev.dot, ev.cad[side], side):
+                        pair = (p.id, ev.id) if side == LEFT else (ev.id, p.id)
+                        if pair not in chart.fusion_agenda:
+                            fused_before.append(pair)
+        pack(chart, ev, children)
+
+    monkeypatch.setattr(engine.Chart, "_pack", spy)
+    grammar, lattice = random_case(seed, limits)
+    mine = count_trees(build_forest(parse(compile_grammar(grammar), lattice)), cap=10000)
+    theirs = earley_count_trees(grammar, lattice, cap=10000)
+    assert fused_before
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value)
+
+
+def test_ambiguous_input_builds_fewer_events_than_analyses():
+    chart, mine, theirs = catalan_counts(" ".join(["a"] * 10))
+    analyses = sum(len(n.analyses) for n in chart.node_list)
+    assert chart.stats["events_created"] < analyses
+    assert chart.stats["packed_derivations"] > 0
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 4862)
+
+
 # -- epsilon handling -------------------------------------------------------------
 
 def test_trailing_nullable():
@@ -228,14 +290,18 @@ def parse_case(seed, limits=None, **kwargs):
 
 
 @pytest.mark.parametrize("seed,limits", [(s, None) for s in range(200)]
-                         + [(474, None), (18, CaseLimits(max_input=24))])
+                         + [(474, None), (18, CaseLimits(max_input=24)),
+                            (120, CaseLimits(max_input=24))])
 def test_invariants_hold_at_fixpoint(seed, limits):
     # debug mode runs check_invariants when the cycle stops
     chart = parse_case(seed, limits, debug=True)
-    # a fired event's key stays indexed, so no closed event fires twice:
-    # every run adds a new analysis
+    # a fired event's key stays indexed, so no closed form fires twice: the
+    # indexed events that are not live are exactly those run, and each of
+    # their derivations is a distinct analysis of a derived node
+    fired = [ev for ev in chart.event_index.values() if not ev.alive]
+    assert len(fired) == chart.stats["events_run"]
     derived = [n for n in chart.node_list if n.origin == "derived"]
-    assert chart.stats["events_run"] == sum(len(n.analyses) for n in derived)
+    assert sum(len(ev.derivations()) for ev in fired) == sum(len(n.analyses) for n in derived)
 
 
 def test_invariant_check_catches_a_flipped_support_bit():
