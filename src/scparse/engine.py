@@ -15,10 +15,12 @@ order.
 
 Nullable symbols are handled in one place.  An open extreme next to a
 nullable symbol has two outcomes: the symbol is realized empty, or real
-material arrives later.  Whenever an event is created or mutated,
-`_spawn_epsilon_variants` makes the first outcome a sibling event holding
-the symbol's zero-width node, and the event itself waits for the second
-(`fuse` fills the nullable gap between two events the same way).  An
+material arrives later.  Whenever an event is created, mutated or packed,
+`_spawn_epsilon_variants` makes the first outcome a sibling event, its
+dot moved over the symbol and the symbol's zero-width node its child (as
+in Aycock & Horspool 2002), and the event itself waits for the second.  A
+fusion joins only extremes whose dots meet: where two events face each
+other across nullable symbols, the siblings that cross them meet.  An
 EPSILON event is one whose open extreme lacks evidence next to a nullable
 symbol: the material it waits for has no support, and its empty
 realization was spawned when it took its current form.  So it is deleted
@@ -211,23 +213,6 @@ def coverage_needs(compiled: CompiledGrammar) -> list[list[tuple]]:
     return table
 
 
-def nullable_runs(compiled: CompiledGrammar) -> list[tuple]:
-    """Per production id, run[a] for every rhs index a (0..len(rhs)): the
-    first index at or after a whose symbol is not nullable, len(rhs) if
-    none, so rhs[a:b] is all nullable iff a <= b <= run[a].  Built by the
-    first chart on a compiled grammar and kept on it."""
-    table = compiled.nullable_runs
-    if table is None:
-        table = [None] * len(compiled.grammar.productions)
-        for p in compiled.grammar.productions:
-            run = [len(p.rhs)]
-            for i in range(len(p.rhs) - 1, -1, -1):
-                run.append(run[-1] if p.rhs[i].id in compiled.nullable else i)
-            table[p.id] = tuple(reversed(run))
-        compiled.nullable_runs = table
-    return table
-
-
 def render(production: Production, dot: tuple, cad: tuple) -> str:
     """A dotted production over its CaDs, such as `S -> A . b . c @ [0,1]`."""
     rhs = production.rhs
@@ -369,7 +354,6 @@ class Chart:
         self.status_audit: list[tuple] = []
         self.eps_nodes = epsilon_nodes(compiled)
         self.entry_needs = coverage_needs(compiled)
-        self.runs = nullable_runs(compiled)
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
 
@@ -578,9 +562,9 @@ class Chart:
                 continue
             for p in self._partners(production, dot, ev.cad[side], side):
                 e1, e2 = (p, ev) if side == LEFT else (ev, p)
-                merged_dot, merged_cad, gap = self._join(e1, e2)
+                merged_dot, merged_cad = self._join(e1, e2)
                 for kids in p.derivations():
-                    merged = kids + gap + children if side == LEFT else children + gap + kids
+                    merged = kids + children if side == LEFT else children + kids
                     self._new_event(production, merged_dot, merged_cad, merged)
 
     def _spawn_epsilon_variants(self, production, dot, cad, children, need):
@@ -703,17 +687,12 @@ class Chart:
     def _partners(self, production, dot, index: int, side: int) -> list[Event]:
         """The fusion partners of an open extreme on side at CaD index of a
         production's event with these dots: the open extremes of the same
-        production facing it there across a dot gap of nullable symbols,
-        tested in constant time by the production's `nullable_runs`."""
-        found = []
-        run = self.runs[production.id]
-        for p in self.cads[index].open[1 - side].values():
-            if p.production is not production:
-                continue
-            left, right = (p.dot, dot) if side == LEFT else (dot, p.dot)
-            if left[RIGHT] <= right[LEFT] <= run[left[RIGHT]]:
-                found.append(p)
-        return found
+        production facing it there whose dot meets its own.  Where the dots
+        are apart across nullable symbols, the epsilon siblings that cross
+        them meet instead."""
+        other = 1 - side
+        return [p for p in self.cads[index].open[other].values()
+                if p.production is production and p.dot[other] == dot[side]]
 
     def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
         """Link analysis of an extreme as it arrives at its CaD, given its
@@ -919,30 +898,26 @@ class Chart:
             self._refresh_status(partner)
 
     def _join(self, e1: Event, e2: Event) -> tuple:
-        """The dots and CaDs of the merge of e1 with e2, its right partner,
-        and the zero-width children filling the nullable gap between them."""
-        gap = tuple(self.eps_nodes[s.id] for s in e1.production.rhs[e1.dot[RIGHT]:e2.dot[LEFT]])
-        return (e1.dot[LEFT], e2.dot[RIGHT]), (e1.cad[LEFT], e2.cad[RIGHT]), gap
+        """The dots and CaDs of the merge of e1 with e2, its right partner."""
+        return (e1.dot[LEFT], e2.dot[RIGHT]), (e1.cad[LEFT], e2.cad[RIGHT])
 
     def fuse(self, left_id: int, right_id: int):
-        """Merge two same-production events whose dot ranges meet at a CaD
-        (possibly across a run of nullable rhs symbols, which are filled
-        with zero-width children): every derivation of e1 with every
-        derivation of e2.  The pair is stale unless e1 is live and still
-        holds the link (a link only joins open extremes meeting across a
-        nullable gap, and only extremes without links move), or if the
-        merged form already holds every merged derivation."""
+        """Merge two same-production events whose dots meet at a CaD: every
+        derivation of e1 with every derivation of e2.  The pair is stale
+        unless e1 is live and still holds the link (a link only joins open
+        extremes whose dots meet, and only extremes without links move), or
+        if the merged form already holds every merged derivation."""
         e1 = self.events.get(left_id)
         if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
             return
         e2 = e1.fusion[RIGHT][right_id]
         prod = e1.production
-        dot, cad, gap = self._join(e1, e2)
+        dot, cad = self._join(e1, e2)
         if e1.alts is None and e2.alts is None:
-            merged = [e1.children + gap + e2.children]
+            merged = [e1.children + e2.children]
         else:
-            merged = [a + gap + b for a in e1.derivations() for b in e2.derivations()]
+            merged = [a + b for a in e1.derivations() for b in e2.derivations()]
         if self.tracing:
             self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {e1.cad[RIGHT]}")
         key = event_key(prod, dot, cad)
@@ -1052,10 +1027,9 @@ class Chart:
         Bookkeeping: every live event's key indexes it, the CaD lists hold
         exactly the live events' extremes, each on its open or closed side,
         fusion links are symmetric between live events and join open
-        extremes of one production that meet at one CaD across a nullable
-        gap, and every CaD's class counts, node mask and (where not stale)
-        class masks and reach agree with a recount from its lists and the
-        nodes.
+        extremes of one production whose dots meet at one CaD, and every
+        CaD's class counts, node mask and (where not stale) class masks and
+        reach agree with a recount from its lists and the nodes.
         Fixpoint: every extreme's support bit equals a scan of its CaD for
         anything compatible, and every live event's stored status is
         current."""
@@ -1070,9 +1044,8 @@ class Chart:
             for p in ev.fusion[RIGHT].values():
                 assert (p.production is ev.production and p.cad[LEFT] == ev.cad[RIGHT]
                         and None not in (ev.need[RIGHT], p.need[LEFT])
-                        and ev.dot[RIGHT] <= p.dot[LEFT]
-                        <= self.runs[ev.production.id][ev.dot[RIGHT]]), \
-                    f"e{ev.id}.R: fusion link with e{p.id} is not across a nullable gap"
+                        and ev.dot[RIGHT] == p.dot[LEFT]), \
+                    f"e{ev.id}.R: fusion link with e{p.id} joins dots that do not meet"
         held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
 

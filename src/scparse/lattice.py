@@ -41,13 +41,16 @@ class InputLattice:
         self._validate()
 
     def _validate(self):
+        # Each of the points 1..n ends some item of a connected lattice;
+        # checked first, so an oversized header allocates nothing per point.
+        if self.n > len(self.items):
+            raise LatticeError(f"a lattice with last point {self.n} needs at least {self.n} "
+                               f"items to connect, got {len(self.items)}")
         starts: list[list[int]] = [[] for _ in range(self.points)]  # lbps by fbp
         for it in self.items:
             if it.lbp > self.n:
                 raise LatticeError(f"item {it.unit!r} ends at {it.lbp}, beyond last point {self.n}")
             starts[it.fbp].append(it.lbp)
-        if self.n > 0 and not self.items:
-            raise LatticeError("non-trivial lattice has no items")
         # Every interior breaking point must sit on some 0 -> n path.  Items
         # go forward (fbp < lbp), so one pass in point order finds the
         # points reachable from 0, and one in reverse order those reaching n.
@@ -113,11 +116,14 @@ def load_lattice(text: str) -> InputLattice:
         line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
-        if line.startswith("%points"):
+        directive, *values = line.split()
+        if directive == "%points":
+            if points is not None:
+                raise LatticeError(f"line {lineno}: second %points header")
             try:
-                points = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise LatticeError(f"line {lineno}: malformed %points header") from None
+                points, = map(int, values)
+            except ValueError:
+                raise LatticeError(f"line {lineno}: %points takes one count") from None
             continue
         m = _ITEM_RE.match(line)
         if not m:

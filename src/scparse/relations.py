@@ -183,12 +183,10 @@ class CompiledGrammar:
             if p.lhs.id in nullable and all(s.id in nullable for s in p.rhs):
                 self.epsilon_analyses.setdefault(p.lhs.id, []).append(p)
         # The engine's zero-width nodes of the nullable symbols, built from
-        # epsilon_analyses by the first chart (engine.epsilon_nodes), the
-        # needs of each coverage entry's forms (engine.coverage_needs) and
-        # the nullable runs of each rhs (engine.nullable_runs).
+        # epsilon_analyses by the first chart (engine.epsilon_nodes), and
+        # the needs of each coverage entry's forms (engine.coverage_needs).
         self.eps_nodes = None
         self.entry_needs = None
-        self.nullable_runs = None
 
     # -- name-based views, mainly for tests and the relation dump ---------
 

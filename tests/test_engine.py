@@ -155,14 +155,17 @@ def test_interior_nullable():
     assert not run(g, "a b d c").accept()
 
 
+CHAINED_NULLABLES = """
+    %root S
+    S -> a A B C b ;
+    A -> ;
+    B -> A A ;
+    C -> x | ;
+"""
+
+
 def test_chained_nullables():
-    chart = run("""
-        %root S
-        S -> a A B C b ;
-        A -> ;
-        B -> A A ;
-        C -> x | ;
-    """, "a b")
+    chart = run(CHAINED_NULLABLES, "a b")
     assert chart.accept()
     assert count_trees(build_forest(chart)).value == 1
 
@@ -369,8 +372,26 @@ def test_invariant_check_catches_a_fusion_link_out_of_order():
     partner = next(iter(ev.fusion[RIGHT].values()))
     ev.dot = (ev.dot[LEFT], partner.dot[LEFT] + 1)  # ev's right dot past partner's left one
     with pytest.raises(AssertionError,
-                       match=f"e{ev.id}.R: fusion link with e{partner.id} is not across a nullable gap"):
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} joins dots that do not meet"):
         chart.check_invariants()
+
+
+def test_fusion_links_join_meeting_dots(monkeypatch):
+    # a fusion joins only extremes whose dots meet; a nullable gap between
+    # two events is crossed by their epsilon siblings, never by the link
+    links = []
+    add_fusion = engine.Chart._add_fusion
+
+    def spy(chart, e1, e2):
+        links.append((e1.dot[RIGHT], e2.dot[LEFT]))
+        add_fusion(chart, e1, e2)
+
+    monkeypatch.setattr(engine.Chart, "_add_fusion", spy)
+    for seed in range(200):
+        parse_case(seed)
+    assert run(CHAINED_NULLABLES, "a b").accept()
+    assert links
+    assert all(right == left for right, left in links)
 
 
 @pytest.mark.parametrize("seeds,limits", [(range(500, 800), None),

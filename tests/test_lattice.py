@@ -102,3 +102,23 @@ def test_load_requires_points_header():
 def test_load_rejects_malformed_line():
     with pytest.raises(LatticeError, match="malformed"):
         load_lattice('%points 2\nnot an item\n')
+
+
+def test_load_rejects_a_malformed_points_directive():
+    # the directive is its whole first word, given once, with exactly one count
+    with pytest.raises(LatticeError, match="line 1: malformed item line '%pointsX 2'"):
+        load_lattice('%pointsX 2\n0 1 "a" a\n')
+    with pytest.raises(LatticeError, match="line 1: %points takes one count"):
+        load_lattice('%points 2 junk\n0 1 "a" a\n')
+    with pytest.raises(LatticeError, match="line 2: second %points header"):
+        load_lattice('%points 9\n%points 2\n0 1 "a" a\n')
+
+
+def test_oversized_lattice_rejected_before_building_per_point_lists():
+    # points 1..n each end some item, so a million points cannot be
+    # connected by one item; no per-point list is built to find that out
+    with pytest.raises(LatticeError, match="last point 999999 needs at least 999999 items"
+                                           " to connect, got 1"):
+        load_lattice('%points 1000000\n0 1 "a" a\n')
+    with pytest.raises(LatticeError, match="needs at least 2 items to connect, got 0"):
+        InputLattice(3, [])
