@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("grammar", help="grammar source file (or compiled table)")
     c.add_argument("-o", "--output", help="write compiled table here")
     c.add_argument("--dump-relations", action="store_true",
-                   help="print nullable/LPD/RPD/LA/RA/LM/RM and coverage tables")
+                   help="print nullable/LPD/RPD/LA/RA/LM/RM, coverage and useless productions")
     c.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("parse", help="parse an input string or lattice")

@@ -11,7 +11,9 @@ Everything the parser needs to prune work is precompiled here:
   lm / rm      symbols that can begin / end a root derivation
   coverage     per-symbol production-occurrence entries that drive event
                creation, classified by the nullability of the prefix and
-               suffix around the occurrence (CC / CO / OC / OO)
+               suffix around the occurrence (CC / CO / OC / OO); only
+               useful productions, those in some complete derivation of a
+               root, have entries
 
 Relation tables are dense bitsets (Python ints) indexed by symbol id, so
 the runtime membership tests are single mask operations.  Every relation
@@ -145,15 +147,70 @@ def compute_boundaries(g: Grammar, lpd: list[int], rpd: list[int]) -> tuple[int,
     return lm, rm
 
 
+def useful_productions(g: Grammar) -> set[int]:
+    """Ids of the productions that occur in some complete derivation of a
+    root (the classical grammar reduction, Hopcroft & Ullman 1979 §4.4):
+    every rhs symbol is productive (derives a terminal string) and the lhs
+    is reachable from a root through such productions.  One pass over the
+    productions counts each one's nonterminal occurrences; a worklist then
+    collects the productive productions, and a search from the roots
+    through them the reachable symbols."""
+    prods = g.productions
+    users: list[list[int]] = [[] for _ in g.symbols]  # per symbol: productions using it
+    pending = []  # per production: its occurrences of symbols not known productive
+    ready = []    # the productions with none, each once
+    for i, p in enumerate(prods):
+        count = 0
+        for s in p.rhs:
+            if s.kind == NONTERMINAL:
+                users[s.id].append(i)
+                count += 1
+        pending.append(count)
+        if not count:
+            ready.append(i)
+    productive = set()
+    for i in ready:  # grows while walked
+        lhs = prods[i].lhs.id
+        if lhs not in productive:
+            productive.add(lhs)
+            for j in users[lhs]:
+                pending[j] -= 1
+                if not pending[j]:
+                    ready.append(j)
+    by_lhs: list[list[Production]] = [[] for _ in g.symbols]
+    for i in ready:
+        by_lhs[prods[i].lhs.id].append(prods[i])
+    todo = [r.id for r in g.roots]
+    reached = set(todo)
+    useful = set()
+    for x in todo:  # grows while walked
+        for p in by_lhs[x]:
+            useful.add(p.id)
+            for s in p.rhs:
+                if s.id not in reached:
+                    reached.add(s.id)
+                    todo.append(s.id)
+    return useful
+
+
 def build_coverage(g: Grammar, nullable: frozenset[int]) -> list[list[CoverageEntry]]:
-    """One entry per rhs occurrence of each symbol, classified by whether
-    the surrounding prefix/suffix is a (possibly empty) nullable string."""
+    """One entry per rhs occurrence of each symbol in a useful production
+    (`useful_productions`), classified by whether the surrounding
+    prefix/suffix is a (possibly empty) nullable string.  A useless
+    production is in no tree, so events built from it are wasted."""
+    useful = useful_productions(g)
     coverage: list[list[CoverageEntry]] = [[] for _ in g.symbols]
     for p in g.productions:
+        if p.id not in useful:
+            continue
         rhs = p.rhs
+        # the prefix is nullable up to the first non-nullable symbol, the
+        # suffix from the last one on
+        solid = [pos for pos, s in enumerate(rhs) if s.id not in nullable]
+        first, last = (solid[0], solid[-1]) if solid else (len(rhs), -1)
         for pos, sym in enumerate(rhs):
-            left_nullable = all(s.id in nullable for s in rhs[:pos])
-            right_nullable = all(s.id in nullable for s in rhs[pos + 1:])
+            left_nullable = pos <= first
+            right_nullable = pos >= last
             klass = (CC if left_nullable and right_nullable else
                      CO if left_nullable else
                      OC if right_nullable else OO)
@@ -162,7 +219,8 @@ def build_coverage(g: Grammar, nullable: frozenset[int]) -> list[list[CoverageEn
 
 
 class CompiledGrammar:
-    """Immutable compilation result; safe to share across parse sessions."""
+    """Compilation result, shared by parse sessions.  Its tables are never
+    changed; the first chart caches eps_nodes and entry_needs on it."""
 
     def __init__(self, grammar: Grammar, nullable: frozenset[int],
                  lpd: list[int], rpd: list[int], la: list[int], ra: list[int],
@@ -270,8 +328,9 @@ def save_compiled(cg: CompiledGrammar) -> str:
 
 
 def load_compiled(text: str) -> CompiledGrammar:
-    """Inverse of save_compiled; GrammarError on malformed input, and on a
-    table whose text does not match its digest (a well-formed table can
+    """Inverse of save_compiled; GrammarError on malformed input, on a
+    coverage entry of a useless production (build_coverage's rule), and on
+    a table whose text does not match its digest (a well-formed table can
     still be wrong)."""
     # Rows are split one at a time: a large table's masks are megabytes.
     rows = ((n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
@@ -336,6 +395,7 @@ def load_compiled(text: str) -> CompiledGrammar:
     rm = num(fields[1], line, 1 << nsyms, hexa=True)
     line, fields = row("coverage", 2)
     nentries = num(fields[1], line)
+    useful = useful_productions(grammar)
     coverage: list[list[CoverageEntry]] = [[] for _ in symbols]
     for _ in range(nentries):
         line, (sid, pid, pos, klass) = row(width=4)
@@ -343,6 +403,9 @@ def load_compiled(text: str) -> CompiledGrammar:
         pos = num(pos, line, len(prod.rhs))
         if prod.rhs[pos].id != sym or klass not in (CC, CO, OC, OO):
             raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
+                      f"production {prod}", line)
+        if prod.id not in useful:
+            raise bad(f"coverage entry {sid} {pid} {pos} {klass} belongs to useless "
                       f"production {prod}", line)
         coverage[sym].append(CoverageEntry(prod, pos, klass))
     end_line, _ = row("end", 2)
@@ -377,4 +440,6 @@ def dump_relations(cg: CompiledGrammar) -> str:
     for s in g.symbols:
         for e in cg.coverage[s.id]:
             out.append(f"coverage({s.name}): {e.klass} [{e.production}] pos {e.position}")
+    useful = useful_productions(g)
+    out.append(f"useless = {fmt(str(p) for p in g.productions if p.id not in useful)}")
     return "\n".join(out) + "\n"

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers import table_with_entry
+from scparse import compile_grammar, load_grammar
 from scparse.cli import main
 
 G2 = """
@@ -62,6 +64,16 @@ def test_parse_malformed_compiled_table(g2_file, tmp_path, capsys):
 def test_compile_dump_relations(g2_file, capsys):
     assert main(["compile", g2_file, "--dump-relations"]) == 0
     assert "LA(b) = {A1, a}" in capsys.readouterr().out
+
+
+def test_parse_table_with_useless_coverage_entry(tmp_path, capsys):
+    g = load_grammar("%root S\nS -> a ;\nV -> d ;\n")
+    table = tmp_path / "table.scp"
+    table.write_text(table_with_entry(compile_grammar(g), f"{g.symbol('d').id} 1 0 CC"))
+    assert main(["parse", "-g", str(table), "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "belongs to useless production V -> d" in err
 
 
 def test_parse_stats_json(g2_file, capsys):

@@ -1,12 +1,13 @@
 import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
-from scparse import engine
+from scparse import engine, relations
 from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
 from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
 from scparse.lattice import InputLattice, LexicalItem
 from scparse.oracle import CaseLimits, earley_count_trees, random_case
+from scparse.relations import CompiledGrammar
 
 
 def run(grammar_text, text, **kwargs):
@@ -454,6 +455,35 @@ def test_tree_counts_match_earley_on_large_dense_grammars():
     assert not wrong
 
 
+def roots_and_counts(compiled, lattice):
+    """The accepted roots (symbol and span) and the tree count of a parse."""
+    chart = parse(compiled, lattice)
+    count = count_trees(build_forest(chart), cap=10000)
+    return [(n.symbol, n.fbp, n.lbp) for n in chart.accept()], (count.kind, count.value)
+
+
+@pytest.mark.parametrize("seeds,limits", [(range(200), None),
+                                          (range(20), CaseLimits(max_input=24))],
+                         ids=["0-199", "long-0-19"])
+def test_reduced_coverage_parses_like_the_full_one(monkeypatch, seeds, limits):
+    # coverage holds the useful productions only; events built from the
+    # useless ones too (every production counted useful) change no root
+    # and no tree count
+    dropped = []
+    for seed in seeds:
+        grammar, lattice = random_case(seed, limits)
+        reduced = compile_grammar(grammar)
+        with monkeypatch.context() as m:
+            m.setattr(relations, "useful_productions", lambda g: {p.id for p in g.productions})
+            coverage = relations.build_coverage(grammar, reduced.nullable)
+        full = CompiledGrammar(grammar, reduced.nullable, reduced.lpd, reduced.rpd, reduced.la,
+                               reduced.ra, reduced.lm, reduced.rm, coverage)
+        dropped.append(full.coverage != reduced.coverage)
+        assert roots_and_counts(reduced, lattice) == roots_and_counts(full, lattice), seed
+    # the reduction has something to drop on most of these grammars
+    assert sum(dropped) > len(dropped) // 2
+
+
 def mirrored(grammar, lattice):
     """The grammar with every rhs reversed, and the lattice read right to left."""
     n = lattice.n
@@ -523,15 +553,16 @@ def test_untraced_stillborn_form_renders_nothing(monkeypatch):
 DEAD_EXPANSION = """
     %root S
     %terminal n
-    S -> X ;
+    S -> X | z T ;
     X -> x ;
     T -> N N X N N ;
     N -> n | ;
 """
 
 # The node X [0,1] made in the cycle anchors T -> N N . X . N N and its
-# epsilon siblings: 3 left dots times 3 right dots.  No T can begin the
-# input, and nothing ends at 0, so no left dot has evidence.
+# epsilon siblings: 3 left dots times 3 right dots.  T is useful (S -> z T
+# reaches it), but no T can begin the input, and nothing ends at 0, so no
+# left dot has evidence.
 DEAD_FORMS = [
     "T -> N N . X . N N @ [0,1]", "T -> N N . X N . N @ [0,1]", "T -> N N . X N N . @ [0,1]",
     "T -> N . N X N N . @ [0,1]", "T -> . N N X N N . @ [0,1]", "T -> N . N X N . N @ [0,1]",

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
-                     oracle_nullable, oracle_rpd, random_small_grammar)
+                     oracle_nullable, oracle_rpd, random_small_grammar,
+                     table_with_entry)
 from scparse import compile_grammar, load_grammar
-from scparse.grammar import GrammarError
+from scparse.grammar import TERMINAL, GrammarError
 from scparse.oracle import random_case
 from scparse.relations import (CC, CO, OC, OO, compute_nullable,
                                dump_relations, load_compiled, primary_pairs,
-                               save_compiled)
+                               save_compiled, useful_productions)
 
 
 # -- frozen values for the right/left-recursion grammar -----------------------
@@ -61,6 +62,82 @@ def test_coverage_g2(g2_compiled):
     assert entries("b") == {(OC, "S -> A1 b", 1)}
     assert entries("A1") == {(CO, "S -> A1 b", 0), (OC, "A1 -> a A1", 1)}
     assert entries("A2") == {(CO, "S -> A2 c", 0), (OC, "A2 -> a A2", 1)}
+    # every G2 production is useful: the reduction drops nothing
+    assert useful_productions(g) == {p.id for p in g.productions}
+    assert entries("c") == {(OC, "S -> A2 c", 1)} and entries("S") == set()
+
+
+# S -> U W is unproductive (U derives no terminal string), and so is
+# U -> b U; V -> d is unreachable, and W -> c is reachable only through
+# the unproductive S -> U W.  Only S -> a is useful.
+USELESS = """
+    %root S
+    S -> a | U W ;
+    U -> b U ;
+    W -> c ;
+    V -> d ;
+"""
+
+
+def test_useless_productions_have_no_coverage():
+    cg = compile_grammar(load_grammar(USELESS))
+    g = cg.grammar
+    assert [str(g.productions[i]) for i in sorted(useful_productions(g))] == ["S -> a"]
+    assert {s.name: [str(e.production) for e in cg.coverage[s.id]] for s in g.symbols
+            if cg.coverage[s.id]} == {"a": ["S -> a"]}
+    # the relation tables still come from the whole grammar
+    assert cg.lpd_names("c") == {"c", "W"}
+    assert cg.lm_names() == {"S", "U", "a", "b"}
+
+
+def naive_useful(g):
+    """Productive productions by sweeps to a fixpoint, then those whose lhs
+    sweeps through them reach from a root."""
+    productive, changed = set(), True
+    while changed:
+        changed = False
+        for p in g.productions:
+            if p.lhs.id not in productive and all(
+                    s.kind == TERMINAL or s.id in productive for s in p.rhs):
+                productive.add(p.lhs.id)
+                changed = True
+    kept = [p for p in g.productions
+            if all(s.kind == TERMINAL or s.id in productive for s in p.rhs)]
+    reached, changed = {r.id for r in g.roots}, True
+    while changed:
+        changed = False
+        for p in kept:
+            if p.lhs.id in reached and not {s.id for s in p.rhs} <= reached:
+                reached |= {s.id for s in p.rhs}
+                changed = True
+    return {p.id for p in kept if p.lhs.id in reached}
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_useful_productions_match_a_naive_reduction(seed):
+    for g in (random_small_grammar(seed), random_case(seed)[0]):
+        assert useful_productions(g) == naive_useful(g)
+
+
+def test_load_rejects_coverage_of_a_useless_production():
+    cg = compile_grammar(load_grammar(USELESS))
+    g = cg.grammar
+    d = g.symbol("d").id
+    [v] = [p for p in g.productions if p.lhs.name == "V"]
+    table = table_with_entry(cg, f"{d} {v.id} 0 CC")
+    with pytest.raises(GrammarError, match=f"coverage entry {d} {v.id} 0 CC belongs to "
+                                           "useless production V -> d"):
+        load_compiled(table)
+    # the same table with a useful entry duplicated loads: only usefulness fails
+    [s_a] = [p for p in g.productions if str(p) == "S -> a"]
+    load_compiled(table_with_entry(cg, f"{g.symbol('a').id} {s_a.id} 0 CC"))
+
+
+def test_dump_relations_lists_useless_productions(g2_compiled):
+    dump = dump_relations(compile_grammar(load_grammar(USELESS)))
+    assert dump.splitlines()[-1] == "useless = {S -> U W, U -> b U, V -> d, W -> c}"
+    assert "coverage(c)" not in dump
+    assert dump_relations(g2_compiled).splitlines()[-1] == "useless = {}"
 
 
 def test_coverage_nullable_neighbors():
