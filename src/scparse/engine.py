@@ -81,9 +81,13 @@ tested whole first: its forms are its nullable expansion, every left dot
 with every right dot, and a form's evidence on a side depends only on its
 dot there, so an entry with a side where no dot has class support and
 none can meet a fusion partner is stillborn in every form, and none of
-them is keyed or spawned (`add_node`).  During `Chart.__init__` later
-lexical nodes still support earlier events, so every event is built
-there.  `events_created`, `events_deleted` and `epsilon_expansions` count
+them is keyed or spawned (`add_node`).  `Chart.__init__` builds every
+form, never stillborn, in three batch phases, as AC-4 initializes (Mohr &
+Henderson 1986): it admits every lexical node and publishes its node
+masks; builds every form and wires it into its CaDs (`_wire`); then gives
+each extreme its support bit once against the final masks, links each
+meeting fusion pair once and gives each event its status once.
+`events_created`, `events_deleted` and `epsilon_expansions` count
 built events only; `stillborn` counts the forms not built.
 
 The two directions mirror each other, so every per-side fact is a pair
@@ -357,8 +361,27 @@ class Chart:
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
 
+        # the three batch phases of init (see the module docstring)
         for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
-            self.add_node(sid, it.fbp, it.lbp, origin="lexical")
+            self._admit(sid, it.fbp, it.lbp, None, "lexical")
+            self.cads[it.fbp].nodes[LEFT] |= 1 << sid
+            self.cads[it.lbp].nodes[RIGHT] |= 1 << sid
+        for node in self.node_list:
+            ends = (node.fbp, node.lbp)
+            for entry in compiled.coverage[node.symbol]:
+                self._new_event(entry.production, (entry.position, entry.position + 1), ends,
+                                (node,))
+        for ev in self.events.values():
+            for side in (LEFT, RIGHT):
+                if self._support(ev.cad[side], side, ev.need[side], ev.production.lhs.id):
+                    self._support_on(ev, side)
+            if ev.need[RIGHT] is not None:
+                for p in self._partners(ev.production, ev.dot, ev.cad[RIGHT], RIGHT):
+                    self._add_fusion(ev, p)
+        for ev in self.events.values():
+            self._refresh_status(ev)
+        if debug:
+            self.check_invariants()
 
     # -- small helpers ----------------------------------------------------
 
@@ -367,12 +390,9 @@ class Chart:
 
     # -- steps 2 and 3: node creation with packing, events from coverage ---
 
-    def add_node(self, symbol: int, fbp: int, lbp: int,
-                 analysis: Analysis | None = None, origin: str = "derived"):
-        """Admit a (symbol, span) node; pack the analysis onto an existing
-        node, or create the node and its events from the coverage tables,
-        and give support to the unsupported closed extremes its symbol is
-        new to at its ends."""
+    def _admit(self, symbol, fbp, lbp, analysis, origin) -> Node | None:
+        """The new node of (symbol, span), holding the analysis if any; None
+        if the node exists, the analysis then packed onto it."""
         key = (symbol, fbp, lbp)
         existing = self.nodes.get(key)
         if existing is not None:
@@ -381,8 +401,7 @@ class Chart:
                 if self.tracing:
                     self.trace_lines.append(f"pack {self._sym_name(symbol)} [{fbp},{lbp}] "
                                             f"analysis {analysis.production.id}")
-            return
-
+            return None
         node = Node(self._next_node_id, symbol, fbp, lbp, origin)
         self._next_node_id += 1
         if analysis is not None:
@@ -391,11 +410,21 @@ class Chart:
             self._assert_tiling(fbp, lbp, analysis.children)
         self.nodes[key] = node
         self.node_list.append(node)
-        ends = (fbp, lbp)
         self.stats["nodes"] += 1
         if self.tracing:
             self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
                                     f"[{fbp},{lbp}] {origin}")
+        return node
+
+    def add_node(self, symbol: int, fbp: int, lbp: int, analysis: Analysis):
+        """Admit a (symbol, span) node made in the cycle; pack the analysis
+        onto an existing node, or create the node and its events from the
+        coverage tables, and give support to the unsupported closed
+        extremes its symbol is new to at its ends."""
+        node = self._admit(symbol, fbp, lbp, analysis, "derived")
+        if node is None:
+            return
+        ends = (fbp, lbp)
         # An entry's forms (`coverage_needs`) share the node's CaDs, so a
         # form's evidence on a side depends only on its dot there.  Once the
         # cycle has started, an entry with a side where no dot has class
@@ -406,15 +435,10 @@ class Chart:
         # is live already lacks evidence on that side too (a support bit or
         # fusion link there passes the test), so the drain deletes it with
         # whatever is packed into it.  A one-form entry passes its support
-        # bits on.  During `Chart.__init__` every form is built, so no entry
-        # is tested.
-        stillborn = self.stillborn
+        # bits on.
         facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
         for entry, waits in zip(self.compiled.coverage[symbol], self.entry_needs[symbol]):
             production, position = entry.production, entry.position
-            if stillborn is None:
-                self._new_event(production, (position, position + 1), ends, (node,))
-                continue
             lhs = production.lhs.id
             supported = []
             for side in (LEFT, RIGHT):
@@ -479,7 +503,8 @@ class Chart:
         mask only at its outer ends; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
         all the same.  supported, when given, holds the form's class support
-        per side (`_support`)."""
+        per side (`_support`).  During `Chart.__init__` every form is built
+        and only wired (`_wire`); init analyzes it once all are built."""
         key = event_key(production, dot, cad)
         if key in self.event_index:
             self._pack(self.event_index[key], children)
@@ -490,7 +515,7 @@ class Chart:
         rhs = production.rhs  # `needs`, inline: this runs for every form
         need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
                 rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
-        if supported is None:
+        if supported is None and stillborn is not None:
             lhs = production.lhs.id
             supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                          self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
@@ -516,9 +541,13 @@ class Chart:
                 self._assert_event_tiling(ev)
             if self.tracing:
                 self.trace_lines.append(f"create e{ev.id} {ev.render()}")
-            for side in (LEFT, RIGHT):
-                self._analyze_extreme(ev, side, supported[side], partners[side])
-            self._refresh_status(ev)
+            if stillborn is None:
+                self._wire(ev, LEFT)
+                self._wire(ev, RIGHT)
+            else:
+                for side in (LEFT, RIGHT):
+                    self._analyze_extreme(ev, side, supported[side], partners[side])
+                self._refresh_status(ev)
         else:
             stillborn.add((key, children))
             if alts:
@@ -540,7 +569,8 @@ class Chart:
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, linked or not:
         the links with ev may have been fused before it arrived, when it did
-        not yet hold it."""
+        not yet hold it.  Not during `Chart.__init__`, where no pair has
+        fused yet: a fusion merges every derivation of both events."""
         if ev.holds(children):
             return
         if ev.alts is None:
@@ -557,6 +587,8 @@ class Chart:
             return
         if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
             self._spawn_epsilon_variants(production, dot, ev.cad, children, need)
+        if self.stillborn is None:
+            return
         for side in (LEFT, RIGHT):
             if need[side] is None:
                 continue
@@ -694,15 +726,9 @@ class Chart:
         return [p for p in self.cads[index].open[other].values()
                 if p.production is production and p.dot[other] == dot[side]]
 
-    def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
-        """Link analysis of an extreme as it arrives at its CaD, given its
-        class support (`_support`) and, if it is open, its fusion partners
-        (`_partners`, found here when None): wire it into the CaD list and
-        class count and set its support bit.  A class new at the CaD gives
-        support to the unsupported facing extremes it is compatible with;
-        the relation is symmetric, so there are some only if it has support
-        itself.  Then link up with the fusion partners."""
-        other = 1 - side
+    def _wire(self, ev: Event, side: int) -> int | None:
+        """Wire ev's extreme on side into its CaD list and class count;
+        returns its class if the class is new at the CaD, else None."""
         cad = self.cads[ev.cad[side]]
         need = ev.need[side]
         if need is None:
@@ -720,9 +746,23 @@ class Chart:
             if not n:
                 cad.open_mask[side] = None
         counts[sym] = n + 1
+        return None if n else sym
+
+    def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
+        """Link analysis of an extreme as it arrives at its CaD, given its
+        class support (`_support`) and, if it is open, its fusion partners
+        (`_partners`, found here when None): wire it (`_wire`) and set its
+        support bit.  A class new at the CaD gives support to the
+        unsupported facing extremes it is compatible with; the relation is
+        symmetric, so there are some only if it has support itself.  Then
+        link up with the fusion partners."""
+        other = 1 - side
+        cad = self.cads[ev.cad[side]]
+        need = ev.need[side]
+        sym = self._wire(ev, side)
         if supported:
             self._support_on(ev, side)
-            if n == 0 and (cad.closed[other] or need is None and cad.open[other]):
+            if sym is not None and (cad.closed[other] or need is None and cad.open[other]):
                 for p in self._facing(cad, side, need, sym):
                     self._support_on(p, other)
                     self._refresh_status(p)

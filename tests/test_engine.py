@@ -58,6 +58,63 @@ def test_other_branch_wins(g2_compiled):
     assert [render_tree(t) for t in trees] == ["S(A2(a,A2(a)),c)"]
 
 
+# -- batch initialization ----------------------------------------------------------
+
+INIT_PHASES = {"node": 0, "create": 1, "pack": 1, "support": 2, "link": 2, "status": 3}
+
+
+def status_ids(chart):
+    return sorted(line.split()[1] for line in chart.trace_lines if line.startswith("status"))
+
+
+def test_init_sets_each_status_once(g2_compiled):
+    chart = init_session(g2_compiled, tokenize_plain("a a a b"), trace=True)
+    assert status_ids(chart) == sorted(f"e{i}" for i in range(13))
+    phases = [INIT_PHASES[line.split()[0]] for line in chart.trace_lines]
+    assert phases == sorted(phases)
+    for seed in range(100):
+        grammar, lattice = random_case(seed)
+        chart = init_session(compile_grammar(grammar), lattice, trace=True)
+        assert status_ids(chart) == sorted(f"e{eid}" for eid in chart.events)
+
+
+def test_debug_init_checks_invariants_before_the_cycle(monkeypatch, g2_compiled):
+    seen = []
+    check = engine.Chart.check_invariants
+
+    def spy(chart):
+        seen.append((chart.stillborn, dict(chart.stats)))
+        check(chart)
+
+    monkeypatch.setattr(engine.Chart, "check_invariants", spy)
+    init_session(g2_compiled, tokenize_plain("a a a b"))
+    assert not seen
+    init_session(g2_compiled, tokenize_plain("a a a b"), debug=True)
+    [(stillborn, stats)] = seen
+    assert stillborn is None and stats["events_created"] == 13
+    assert stats["events_run"] == stats["events_deleted"] == stats["fusions"] == 0
+
+
+def test_form_packed_in_init_before_its_partner_is_built():
+    # S -> . M N . C @ [0,1] takes its second derivation (empty M, then N)
+    # in init before its fusion partner S -> M N . C . @ [1,2] is built; init
+    # merges nothing, and the fusion in the cycle merges both derivations
+    cg = compile_grammar(load_grammar(
+        "%root S\nS -> M N C ;\nM -> m | ;\nN -> n | ;\nC -> c ;\n%terminal m n c"))
+    lat = InputLattice(3, [LexicalItem("x", "M", 0, 1), LexicalItem("x", "N", 0, 1),
+                           LexicalItem("y", "C", 1, 2)])
+    chart = init_session(cg, lat, trace=True, debug=True)
+    [pack] = [i for i, line in enumerate(chart.trace_lines) if line.startswith("pack")]
+    assert chart.trace_lines[pack].endswith("S -> . M N . C @ [0,1]")
+    [partner] = [i for i, line in enumerate(chart.trace_lines)
+                 if line.startswith("create") and line.endswith("S -> M N . C . @ [1,2]")]
+    assert pack < partner
+    chart.parse_cycle()
+    mine = count_trees(build_forest(chart))
+    theirs = earley_count_trees(cg.grammar, lat)
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 2)
+
+
 # -- node packing ---------------------------------------------------------------
 
 def test_local_ambiguity_packs_one_node():
