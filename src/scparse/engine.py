@@ -27,27 +27,32 @@ realization was spawned when it took its current form.  So it is deleted
 like a DELETE event; its sibling is live or has fired, or was deleted as
 unsupported itself, which is sound as below.
 
-Status asks only whether an extreme has evidence, and what an extreme is
-compatible with at its CaD depends only on its side, whether it is open or
-closed, and one symbol: its lhs if closed, the symbol it waits for if
-open.  Extremes alike in these are a class, and support is kept per class
-(AC-4 support counting, Mohr & Henderson 1986, lifted from values to
-classes).  Each CaD counts its extremes per side and class and keeps the
-mask of the node symbols ending there; the masks of the classes present
-and `reach`, the union of the closed classes' partial-derivability rows,
-are derived from the counts when read.  Each extreme keeps one support
-bit, set by mask tests of its relation rows against the facing side and
-the input boundary.
-When a class appears at a CaD, the facing classes it is compatible with
-that had no support gain it; when a class vanishes, the facing classes it
-was compatible with are tested again, and the extremes of those left
-without support may starve in turn: that is the delete cascade.  Fusion
-links, which `fuse` looks up and counts, are the exception: they are kept
-explicitly, per side and keyed by partner id, on both events.
+Status asks only whether an extreme has evidence.  A closed extreme's
+support is fixed when it arrives: it is the input boundary or a lexical
+item beside it (the lemma at `_support`), and every lexical item is
+known before the first event is built.  What an open extreme is
+compatible with at its CaD depends only on its side and one symbol, the
+one it waits for, so classes serve open extremes only: each CaD counts
+its closed extremes per side by lhs (AC-4 support counting, Mohr &
+Henderson 1986, lifted from values to classes), and `reach`, the union
+of the closed classes' partial-derivability rows, is derived from the
+counts when read.  Each extreme keeps one support bit, set by a mask test
+of its relation row against the facing side (open) or against the input
+boundary and the lexical symbols there (closed).  When a closed class
+appears at a CaD, the unsupported facing open extremes it is compatible
+with gain support; when one vanishes, the facing open extremes whose
+symbol the remaining `reach` no longer covers lose it, and their events
+may starve in turn: that is the delete cascade, and it runs through open
+extremes only.  Fusion links, which `fuse` looks up and counts, are the
+exception: they are kept explicitly, per side and keyed by partner id, on
+both events.
 
-Nodes are never deleted, so early deletions stay sound: lexical nodes,
-through the transitively closed relation tables, support everything the
-input can ever provide.
+Lexical nodes, through the transitively closed relation tables, support
+everything the input can ever provide to a closed extreme: whatever may
+stand beside it, an event's closed or open extreme or a node, has a
+lexical item as its outermost descendant at that CaD, and the closed
+extreme may stand beside that item too.  So early deletions stay sound,
+and a node made in the cycle adds no support.
 
 An event is its form: production, dots and CaDs (`event_key`).  Status,
 link analysis and fusion read only the form, never the children between
@@ -68,7 +73,7 @@ would have taken its old form away).  So ambiguity costs one tuple per
 derivation, not one event life.
 
 Once the cycle has started, an event is not built when it would be born
-DELETE or EPSILON: its status is decided from the class masks and a scan
+DELETE or EPSILON: its status is decided from its support bits and a scan
 for fusion partners before anything is allocated (left-corner filtering
 before an item is built, as in Moore 2000).  Such a stillborn form gets
 no event, index entry, CaD wiring or queue entry, and no deletion later;
@@ -76,17 +81,18 @@ its epsilon siblings are still spawned, and the derivation (key and
 children) blocks a duplicate until the next run or fusion action, as the
 built event would have until the deletion drain.  It is sound because
 nothing but deletions runs between an action and that drain, and within
-the action nothing can give the form evidence (see `_new_event`).  A new node's coverage entry is
-tested whole first: its forms are its nullable expansion, every left dot
-with every right dot, and a form's evidence on a side depends only on its
-dot there, so an entry with a side where no dot has class support and
-none can meet a fusion partner is stillborn in every form, and none of
-them is keyed or spawned (`add_node`).  `Chart.__init__` builds every
-form, never stillborn, in three batch phases, as AC-4 initializes (Mohr &
-Henderson 1986): it admits every lexical node and publishes its node
-masks; builds every form and wires it into its CaDs (`_wire`); then gives
-each extreme its support bit once against the final masks, links each
-meeting fusion pair once and gives each event its status once.
+the action nothing can give the form evidence (see `_new_event`).  A
+new node's coverage entry is tested whole first: its forms are its
+nullable expansion, every left dot with every right dot, and a form's
+evidence on a side depends only on its dot there, so an entry with a side
+where no dot has support and none can meet a fusion partner is stillborn
+in every form, and none of them is keyed or spawned (`add_node`).
+`Chart.__init__` builds every form, never stillborn, in three batch
+phases, as AC-4 initializes (Mohr & Henderson 1986): it admits every
+lexical node and sets the CaDs' lexical masks; builds every form and
+wires it into its CaDs (`_wire`); then gives each extreme its support bit
+once against the final counts, links each meeting fusion pair once and
+gives each event its status once.
 `events_created`, `events_deleted` and `epsilon_expansions` count
 built events only; `stillborn` counts the forms not built.
 
@@ -95,11 +101,11 @@ indexed by LEFT (0) or RIGHT (1) and each step is written once for a
 `side`, with `other = 1 - side` the side facing it across a CaD: an
 event's dots, CaD indices and the symbols its open extremes wait for
 (`need`, None on a closed side), its support bits and fusion links; a
-CaD's open and closed extremes, class counts and masks and node symbols;
-the chart's partial-derivability, adjacency and boundary tables.  Where
-the order of the two sides matters to the queues (and so to the event
-counts), it is fixed in place: nodes give support and spawned siblings are
-made RIGHT first, extremes are analyzed LEFT first.
+CaD's open and closed extremes, closed class counts, reach and lexical
+symbols; the chart's partial-derivability, adjacency and boundary tables.
+Where the order of the two sides matters to the queues (and so to the
+event counts), it is fixed in place: spawned siblings are made RIGHT
+first, extremes are analyzed LEFT first.
 """
 
 from __future__ import annotations
@@ -246,8 +252,9 @@ class Event:
         # ordered set), None while it has only the one.
         self.children = children
         self.alts = alts
-        # Per side: whether some class at the extreme's CaD supports it (the
-        # Chart keeps this bit), and its fusion links (partner id -> Event).
+        # Per side: whether the extreme has support at its CaD (the Chart
+        # keeps this bit, see `Chart._support`), and its fusion links
+        # (partner id -> Event).
         self.support = [False, False]
         self.fusion: tuple[dict, dict] = ({}, {})
         self.status = None
@@ -265,42 +272,25 @@ class Event:
 
 
 class CaD:
-    """Per-breaking-point lists of event extremes and their classes, each a
-    (LEFT, RIGHT) pair.  open[side] and closed[side] hold the events whose
-    extreme on side is here, open or closed; n_open[side] counts the open
-    ones by the symbol they wait for and n_closed[side] the closed ones by
-    lhs (a class is present while its count is).  nodes[side] is the mask
-    of the symbols of the nodes whose end on side is here (LEFT: nodes
-    starting here).  open_mask[side] and closed_mask[side], the masks of
-    the classes present, and reach[side], the union of the closed
-    classes' partial-derivability rows, are derived from the counts when
-    read (`class_mask`, `Chart._reach`); None marks them stale."""
+    """Per-breaking-point lists of event extremes, each a (LEFT, RIGHT)
+    pair.  open[side] and closed[side] hold the events whose extreme on
+    side is here, open or closed.  Classes serve open extremes only:
+    n_closed[side] counts the closed ones by lhs (a class is present while
+    its count is), and reach[side], the union of the closed classes'
+    partial-derivability rows, is derived from the counts when read
+    (`Chart._reach`); None marks it stale.  nodes[side] is the mask of the
+    symbols of the lexical items whose end on side is here (LEFT: items
+    starting here), set in `Chart.__init__` and never again."""
 
-    __slots__ = ("index", "open", "closed", "n_open", "n_closed", "nodes",
-                 "open_mask", "closed_mask", "reach")
+    __slots__ = ("index", "open", "closed", "n_closed", "nodes", "reach")
 
     def __init__(self, index: int):
         self.index = index
         self.open: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
-        self.n_open: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.n_closed: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.nodes = [0, 0]
-        self.open_mask = [0, 0]
-        self.closed_mask = [0, 0]
         self.reach = [0, 0]
-
-
-def class_mask(masks: list, counts: tuple[dict[int, int], dict[int, int]], side: int) -> int:
-    """masks[side], the mask of the classes in counts[side], rebuilt if
-    stale."""
-    mask = masks[side]
-    if mask is None:
-        mask = 0
-        for sym in counts[side]:
-            mask |= 1 << sym
-        masks[side] = mask
-    return mask
 
 
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
@@ -419,16 +409,16 @@ class Chart:
     def add_node(self, symbol: int, fbp: int, lbp: int, analysis: Analysis):
         """Admit a (symbol, span) node made in the cycle; pack the analysis
         onto an existing node, or create the node and its events from the
-        coverage tables, and give support to the unsupported closed
-        extremes its symbol is new to at its ends."""
+        coverage tables.  The node gives no support: a closed extreme takes
+        its own from the lexical items (`_support`)."""
         node = self._admit(symbol, fbp, lbp, analysis, "derived")
         if node is None:
             return
         ends = (fbp, lbp)
         # An entry's forms (`coverage_needs`) share the node's CaDs, so a
         # form's evidence on a side depends only on its dot there.  Once the
-        # cycle has started, an entry with a side where no dot has class
-        # support and none can have a fusion partner (it has no open dot, or
+        # cycle has started, an entry with a side where no dot has support
+        # and none can have a fusion partner (it has no open dot, or
         # no open extreme faces it) has no form that would be born: all are
         # counted stillborn, none is keyed or spawned.  Each derivation holds
         # the new node, so none was met before in this action; a form that
@@ -466,21 +456,6 @@ class Chart:
                     for ldot in range(position - 1, position - nleft, -1)]
                 for dot in dots:
                     self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
-        # the node's ends join their CaDs' node masks only now, after its
-        # events have been analyzed, so that every support test agrees with
-        # the support bits.  A symbol new at an end supports the closed
-        # extremes on side facing it there.
-        bit = 1 << symbol
-        for side in (RIGHT, LEFT):
-            cad = self.cads[ends[1 - side]]
-            if cad.nodes[1 - side] & bit:
-                continue
-            cad.nodes[1 - side] |= bit
-            adj = self.adj[side]
-            for ev in cad.closed[side].values():
-                if not ev.support[side] and adj[ev.production.lhs.id] >> symbol & 1:
-                    self._support_on(ev, side)
-                    self._refresh_status(ev)
 
     def _assert_tiling(self, fbp, lbp, children):
         pos = fbp
@@ -495,15 +470,15 @@ class Chart:
         then alts, if any), unless the derivation was found stillborn in
         this action; if the form is live or has fired, pack the derivation
         into its event instead (`_pack`).  Once the cycle has started, a
-        form with an extreme lacking evidence (no class support, and no
-        fusion partner if open) is stillborn: its status would be DELETE or
+        form with an extreme lacking evidence (no support, and no fusion
+        partner if open) is stillborn: its status would be DELETE or
         EPSILON, and until the deletion drain after this action nothing can
         give it evidence.  The other events of the action share its CaD
-        pair, so they face the way it does; the node of a run publishes its
-        mask only at its outer ends; deletions only take support away.  A
+        pair, so they face the way it does; a closed extreme's support is
+        fixed when it arrives; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
-        all the same.  supported, when given, holds the form's class support
-        per side (`_support`).  During `Chart.__init__` every form is built
+        all the same.  supported, when given, holds the form's support per
+        side (`_support`).  During `Chart.__init__` every form is built
         and only wired (`_wire`); init analyzes it once all are built."""
         key = event_key(production, dot, cad)
         if key in self.event_index:
@@ -644,35 +619,6 @@ class Chart:
             cad.reach[side] = reach
         return reach
 
-    def _starved(self, cad: CaD, side: int, need, sym: int) -> tuple[int, int] | None:
-        """The masks of the closed and of the open classes at cad facing
-        side that class sym (its lhs if need is None, else need) is
-        compatible with and that lack support as the CaD stands (the tests
-        of `_analyze_extreme`); None if there are none.  Facing a class
-        here, they are not at the input boundary."""
-        other = 1 - side
-        pd_o = self.pd[other]
-        if need is None:
-            adj = self.adj[side][sym]
-            compatible = ([lhs for lhs in cad.n_closed[other] if adj >> lhs & 1]
-                          if adj & class_mask(cad.closed_mask, cad.n_closed, other) else ())
-            opened = self.pd[side][sym] & class_mask(cad.open_mask, cad.n_open, other)
-            if opened:
-                opened &= ~self._reach(cad, side)
-        else:
-            compatible = ([lhs for lhs in cad.n_closed[other] if pd_o[lhs] >> sym & 1]
-                          if self._reach(cad, other) >> sym & 1 else ())
-            opened = 0
-        closed = 0
-        if compatible:
-            adj_o = self.adj[other]
-            near = class_mask(cad.closed_mask, cad.n_closed, side) | cad.nodes[side]
-            opened_here = class_mask(cad.open_mask, cad.n_open, side)
-            for lhs in compatible:
-                if not (adj_o[lhs] & near or pd_o[lhs] & opened_here):
-                    closed |= 1 << lhs
-        return (closed, opened) if closed or opened else None
-
     def _support_on(self, ev: Event, side: int):
         ev.support[side] = True
         self.stats["links"] += 1
@@ -686,17 +632,28 @@ class Chart:
 
     def _support(self, index: int, side: int, need, lhs: int):
         """Whether the extreme on side at CaD index of an lhs event, waiting
-        for need (None if closed), has class support there: mask tests of
-        its relation rows against the facing side and the input boundary.
+        for need (None if closed), has support there.
+
+        An open extreme needs a closed extreme whose constituent can end
+        (begin) with its required symbol: that symbol in the facing side's
+        `reach`.  A bare node is no promise that such a constituent will
+        ever close here, and terminal expectations are met by fusion with
+        the terminal's own anchored events.
 
         A closed extreme needs a neighbor: the input boundary, an adjacent
         node or closed extreme, or an open extreme whose required symbol
-        its constituent can begin (end) on its side.  An open extreme needs
-        a closed extreme whose constituent can end (begin) with its
-        required symbol; a bare node is no promise that such a constituent
-        will ever close here, and terminal expectations are met by fusion
-        with the terminal's own anchored events."""
-        # fresh masks are read in place: this runs for every form and entry
+        its constituent can begin (end) on its side.  Off the boundary that
+        is exactly an adjacent lexical item (nodes[other]), so the answer
+        never changes.  Each such neighbor has an outermost real node at
+        the CaD (a node is its own, an event has its outermost real child),
+        and following first analyses down from it ends in a lexical item at
+        the same CaD, along corners that `lpd`/`rpd` chain.  `la`/`ra` are
+        closed under those corners (the `begun_by`/`ended_by` seeds in
+        `relations.compute_adjacency`); an open neighbor's required symbol
+        and that child are a primary pair, and the lhs is one of the
+        symbol's corners.  So the extreme may stand beside the lexical item
+        too."""
+        # a fresh reach is read in place: this runs for every form and entry
         other = 1 - side
         at = self.cads[index]
         if need is not None:
@@ -706,15 +663,7 @@ class Chart:
             return reach >> need & 1
         if index == self.edge[side]:
             return self.bound[side] >> lhs & 1
-        closed = at.closed_mask[other]
-        if closed is None:
-            closed = class_mask(at.closed_mask, at.n_closed, other)
-        if self.adj[side][lhs] & (closed | at.nodes[other]):
-            return True
-        opened = at.open_mask[other]
-        if opened is None:
-            opened = class_mask(at.open_mask, at.n_open, other)
-        return self.pd[side][lhs] & opened
+        return self.adj[side][lhs] & at.nodes[other]
 
     def _partners(self, production, dot, index: int, side: int) -> list[Event]:
         """The fusion partners of an open extreme on side at CaD index of a
@@ -727,46 +676,41 @@ class Chart:
                 if p.production is production and p.dot[other] == dot[side]]
 
     def _wire(self, ev: Event, side: int) -> int | None:
-        """Wire ev's extreme on side into its CaD list and class count;
-        returns its class if the class is new at the CaD, else None."""
+        """Wire ev's extreme on side into its CaD list, and a closed one
+        into its class count; returns its class (lhs) if it is closed and
+        its class is new at the CaD, else None."""
         cad = self.cads[ev.cad[side]]
-        need = ev.need[side]
-        if need is None:
-            sym = ev.production.lhs.id
-            cad.closed[side][ev.id] = ev
-            counts = cad.n_closed[side]
-            n = counts.get(sym, 0)
-            if not n:
-                cad.closed_mask[side] = cad.reach[side] = None
-        else:
-            sym = need
+        if ev.need[side] is not None:
             cad.open[side][ev.id] = ev
-            counts = cad.n_open[side]
-            n = counts.get(sym, 0)
-            if not n:
-                cad.open_mask[side] = None
+            return None
+        sym = ev.production.lhs.id
+        cad.closed[side][ev.id] = ev
+        counts = cad.n_closed[side]
+        n = counts.get(sym, 0)
         counts[sym] = n + 1
-        return None if n else sym
+        if n:
+            return None
+        cad.reach[side] = None
+        return sym
 
     def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
         """Link analysis of an extreme as it arrives at its CaD, given its
-        class support (`_support`) and, if it is open, its fusion partners
+        support (`_support`) and, if it is open, its fusion partners
         (`_partners`, found here when None): wire it (`_wire`) and set its
-        support bit.  A class new at the CaD gives support to the
-        unsupported facing extremes it is compatible with; the relation is
-        symmetric, so there are some only if it has support itself.  Then
-        link up with the fusion partners."""
+        support bit.  A closed class new at the CaD gives support to the
+        unsupported facing open extremes it is compatible with; each of them
+        would support it in turn, so there are some only if it has support
+        itself.  Then link up with the fusion partners."""
         other = 1 - side
         cad = self.cads[ev.cad[side]]
-        need = ev.need[side]
         sym = self._wire(ev, side)
         if supported:
             self._support_on(ev, side)
-            if sym is not None and (cad.closed[other] or need is None and cad.open[other]):
-                for p in self._facing(cad, side, need, sym):
-                    self._support_on(p, other)
-                    self._refresh_status(p)
-        if need is None:
+            if sym is not None and cad.open[other]:
+                for q in self._facing(cad, side, sym):
+                    self._support_on(q, other)
+                    self._refresh_status(q)
+        if ev.need[side] is None:
             return
         if partners is None:
             if not cad.open[other]:
@@ -783,63 +727,43 @@ class Chart:
                 self._refresh_status(ev)
             self._refresh_status(p)
 
-    def _facing(self, cad: CaD, side: int, need, sym: int):
-        """The unsupported extremes at cad facing side that class sym (as in
-        `_starved`) is compatible with: those whose relation row holds it."""
+    def _facing(self, cad: CaD, side: int, sym: int):
+        """The unsupported open extremes at cad facing side that the closed
+        class sym is compatible with: those waiting for a symbol in its
+        pd row."""
         other = 1 - side
-        if need is None:
-            adj = self.adj[side][sym]
-            for p in cad.closed[other].values():
-                if not p.support[other] and adj >> p.production.lhs.id & 1:
-                    yield p
-            pd = self.pd[side][sym]
-            for q in cad.open[other].values():
-                if not q.support[other] and pd >> q.need[other] & 1:
-                    yield q
-        else:
-            pd = self.pd[other]
-            for p in cad.closed[other].values():
-                if not p.support[other] and pd[p.production.lhs.id] >> sym & 1:
-                    yield p
+        pd = self.pd[side][sym]
+        for q in cad.open[other].values():
+            if not q.support[other] and pd >> q.need[other] & 1:
+                yield q
 
     def _detach(self, ev: Event, side: int, lost: list[Event]):
-        """Unwire ev's extreme on side from its CaD list and class count.
-        When its class vanishes there, the facing classes it was compatible
-        with (there are some only if it had support) are tested again; the
-        extremes of those left without support lose their bit and go on
-        `lost`."""
-        other = 1 - side
+        """Unwire ev's extreme on side from its CaD list, and a closed one
+        from its class count.  When a closed class vanishes there, the
+        facing open extremes it was compatible with (there are some only if
+        it had support) whose symbol the remaining `reach` does not cover
+        lose their bit and go on `lost`.  An open extreme takes no support
+        away: the closed extremes facing it take theirs from the lexical
+        items (`_support`)."""
         cad = self.cads[ev.cad[side]]
-        need = ev.need[side]
-        if need is None:
-            sym = ev.production.lhs.id
-            del cad.closed[side][ev.id]
-            counts = cad.n_closed[side]
-        else:
-            sym = need
+        if ev.need[side] is not None:
             del cad.open[side][ev.id]
-            counts = cad.n_open[side]
+            return
+        sym = ev.production.lhs.id
+        del cad.closed[side][ev.id]
+        counts = cad.n_closed[side]
         n = counts.pop(sym) - 1
         if n:
             counts[sym] = n
             return
-        if need is None:
-            cad.closed_mask[side] = cad.reach[side] = None
-        else:
-            cad.open_mask[side] = None
-        starved = (ev.support[side] and (cad.closed[other] or need is None and cad.open[other])
-                   and self._starved(cad, side, need, sym))
-        if not starved:
+        cad.reach[side] = None
+        other = 1 - side
+        if not (ev.support[side] and cad.open[other]):
             return
-        closed, opened = starved
-        if closed:
-            for p in cad.closed[other].values():
-                if closed >> p.production.lhs.id & 1:
-                    self._support_off(p, other)
-                    lost.append(p)
-        if opened:
+        starved = self.pd[side][sym] & ~self._reach(cad, side)
+        if starved:
             for q in cad.open[other].values():
-                if opened >> q.need[other] & 1:
+                if starved >> q.need[other] & 1:
                     self._support_off(q, other)
                     lost.append(q)
 
@@ -854,8 +778,8 @@ class Chart:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
     def _release(self, ev: Event) -> list[Event]:
-        """Take ev out of the live events and its CaDs: the facing extremes
-        left without class support lose their bit, and its fusion partners
+        """Take ev out of the live events and its CaDs: the facing open
+        extremes left without support lose their bit, and its fusion partners
         drop their links with it.  Returns those extremes' events and the
         partners, whose status may have changed."""
         ev.alive = False
@@ -876,7 +800,7 @@ class Chart:
         EPSILON when the other waits next to a nullable symbol.  Anything
         else is DELETE."""
         need, support, fusion = ev.need, ev.support, ev.fusion
-        # an extreme has evidence when a class supports it or it holds a
+        # an extreme has evidence when its support bit is set or it holds a
         # fusion link
         supported = (support[LEFT] or bool(fusion[LEFT]), support[RIGHT] or bool(fusion[RIGHT]))
         nullable = self.compiled.nullable
@@ -1010,10 +934,9 @@ class Chart:
 
     def _mutate(self, ev: Event, side: int, dot, cad, merged: list, key):
         """Give a surviving event the merged form and derivations, which
-        moves its extreme on side.  The moved extreme had no evidence
-        besides the consumed fusion link, so no class support, and by
-        symmetry it supports nothing: leaving its CaD takes no support
-        away.  fuse found the merged key unindexed."""
+        moves its extreme on side.  The moved extreme held the consumed
+        fusion link, so it is open and leaving its CaD takes no support
+        away (`_detach`).  fuse found the merged key unindexed."""
         del self.event_index[ev.key]
         self._detach(ev, side, [])
         need = needs(ev.production, dot)
@@ -1068,10 +991,11 @@ class Chart:
         exactly the live events' extremes, each on its open or closed side,
         fusion links are symmetric between live events and join open
         extremes of one production whose dots meet at one CaD, and every
-        CaD's class counts, node mask and (where not stale) class masks and
-        reach agree with a recount from its lists and the nodes.
+        CaD's closed class counts, lexical mask and (where not stale) reach
+        agree with a recount from its lists and the lexical items.
         Fixpoint: every extreme's support bit equals a scan of its CaD for
-        anything compatible, and every live event's stored status is
+        anything compatible (every node, closed and open extreme, or the
+        input boundary), and every live event's stored status is
         current."""
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
@@ -1090,28 +1014,25 @@ class Chart:
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
 
         node_syms = {}  # (CaD index, side) -> symbols of the nodes ending there
+        lexical = {}    # the same, of the lexical items only
         for nd in self.node_list:
             for side, end in enumerate((nd.fbp, nd.lbp)):
                 node_syms.setdefault((end, side), []).append(nd.symbol)
+                if nd.origin == "lexical":
+                    lexical[end, side] = lexical.get((end, side), 0) | 1 << nd.symbol
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 name = f"CaD {cad.index}.{SIDE_NAMES[side]}"
-                closed, opened = {}, {}
+                closed = {}
                 for ev in cad.closed[side].values():
                     closed[ev.production.lhs.id] = closed.get(ev.production.lhs.id, 0) + 1
-                for ev in cad.open[side].values():
-                    opened[ev.need[side]] = opened.get(ev.need[side], 0) + 1
-                assert cad.n_closed[side] == closed and cad.n_open[side] == opened, \
-                    f"{name}: class counts differ from its lists"
-                nodes = sum(1 << sym for sym in set(node_syms.get((cad.index, side), ())))
-                assert cad.nodes[side] == nodes, f"{name}: node mask differs from the nodes"
+                assert cad.n_closed[side] == closed, f"{name}: class counts differ from its lists"
+                assert cad.nodes[side] == lexical.get((cad.index, side), 0), \
+                    f"{name}: lexical mask differs from the lexical items"
                 reach = 0
                 for lhs in closed:
                     reach |= self.pd[side][lhs]
-                assert (cad.closed_mask[side] in (None, sum(1 << lhs for lhs in closed))
-                        and cad.open_mask[side] in (None, sum(1 << x for x in opened))
-                        and cad.reach[side] in (None, reach)), \
-                    f"{name}: class masks differ from its counts"
+                assert cad.reach[side] in (None, reach), f"{name}: reach differs from its counts"
 
         def compatible(ev: Event, side: int) -> bool:
             """Whether anything at ev's CaD on side supports that extreme,

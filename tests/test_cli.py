@@ -42,20 +42,20 @@ def test_parse_invalid_grammar(tmp_path, capsys):
 
 
 def test_compile_round_trip(g2_file, tmp_path, capsys):
-    out = str(tmp_path / "g2.scp")
-    assert main(["compile", g2_file, "-o", out]) == 0
-    first = open(out).read()
-    assert main(["compile", g2_file, "-o", out]) == 0
-    assert open(out).read() == first  # deterministic
+    out = tmp_path / "g2.scp"
+    assert main(["compile", g2_file, "-o", str(out)]) == 0
+    first = out.read_text()
+    assert main(["compile", g2_file, "-o", str(out)]) == 0
+    assert out.read_text() == first  # deterministic
     # parse can consume the compiled table directly
-    assert main(["parse", "-g", out, "a a a b"]) == 0
+    assert main(["parse", "-g", str(out), "a a a b"]) == 0
 
 
 def test_parse_malformed_compiled_table(g2_file, tmp_path, capsys):
-    good = str(tmp_path / "g2.scp")
-    assert main(["compile", g2_file, "-o", good]) == 0
+    good = tmp_path / "g2.scp"
+    assert main(["compile", g2_file, "-o", str(good)]) == 0
     bad = tmp_path / "bad.scp"
-    bad.write_text(open(good).read().replace("productions 6", "productions x"))
+    bad.write_text(good.read_text().replace("productions 6", "productions x"))
     assert main(["parse", "-g", str(bad), "a b"]) == 2
     assert "error: line 10: bad compiled-grammar file: 'x' is not a number" \
         in capsys.readouterr().err

@@ -4,7 +4,8 @@ from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize
 from scparse import engine, relations
 from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
-from scparse.forest import build_forest, count_trees, enumerate_trees, render_tree
+from scparse.forest import (FINITE, INFINITE, build_forest, count_trees, enumerate_trees,
+                            render_tree)
 from scparse.lattice import InputLattice, LexicalItem
 from scparse.oracle import CaseLimits, earley_count_trees, random_case
 from scparse.relations import CompiledGrammar
@@ -365,6 +366,75 @@ def test_invariants_hold_at_fixpoint(seed, limits):
     assert sum(len(ev.derivations()) for ev in fired) == sum(len(n.analyses) for n in derived)
 
 
+# Many productions over few terminals: most nonterminals are nullable.
+DENSE_40 = CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240, max_input=3)
+
+
+def closed_support_by_scan(chart, index, side, lhs):
+    """Whether a closed extreme of an lhs event on side at CaD index has
+    anything beside it, found by walking every node and every closed and
+    open extreme facing it there, or the input boundary."""
+    other = 1 - side
+    if index == chart.edge[side]:
+        return bool(chart.bound[side] >> lhs & 1)
+    cad = chart.cads[index]
+    adj, pd = chart.adj[side][lhs], chart.pd[side][lhs]
+    return (any(adj >> n.symbol & 1 for n in chart.node_list if (n.fbp, n.lbp)[other] == index)
+            or any(adj >> p.production.lhs.id & 1 for p in cad.closed[other].values())
+            or any(pd >> q.need[other] & 1 for q in cad.open[other].values()))
+
+
+def closed_support_cases():
+    yield from (random_case(seed) for seed in range(200))
+    yield from (random_case(seed, CaseLimits(max_input=24)) for seed in range(20))
+    yield from (random_case(seed, DENSE_40) for seed in range(30))
+
+
+def test_closed_support_is_read_from_the_lexical_items(monkeypatch):
+    # a closed extreme's support is the input boundary or an adjacent
+    # lexical item (the lemma at Chart._support): it agrees with a scan of
+    # everything at its CaD whenever it is asked, and never changes after
+    support = engine.Chart._support
+    asked = []
+
+    def spy(chart, index, side, need, lhs):
+        held = support(chart, index, side, need, lhs)
+        if need is None:
+            asked.append(bool(held) == closed_support_by_scan(chart, index, side, lhs))
+        return held
+
+    monkeypatch.setattr(engine.Chart, "_support", spy)
+    for grammar, lattice in closed_support_cases():
+        parse(compile_grammar(grammar), lattice)
+    assert len(asked) > 10000 and all(asked)
+    monkeypatch.undo()
+
+    checked = []
+
+    def audit(chart):
+        for ev in chart.events.values():
+            for side in (LEFT, RIGHT):
+                if ev.need[side] is None:
+                    scan = closed_support_by_scan(chart, ev.cad[side], side, ev.production.lhs.id)
+                    assert ev.support[side] == scan, f"e{ev.id}.{engine.SIDE_NAMES[side]}"
+                    checked.append(scan)
+
+    def after(action):
+        def wrapped(chart, *args):
+            action(chart, *args)
+            audit(chart)
+        return wrapped
+
+    monkeypatch.setattr(engine.Chart, "run_event", after(engine.Chart.run_event))
+    monkeypatch.setattr(engine.Chart, "fuse", after(engine.Chart.fuse))
+    for grammar, lattice in ([random_case(seed) for seed in range(40)]
+                             + [random_case(seed, DENSE_40) for seed in range(5)]):
+        chart = init_session(compile_grammar(grammar), lattice)
+        audit(chart)
+        chart.parse_cycle()
+    assert True in checked and False in checked
+
+
 def test_invariant_check_catches_a_flipped_support_bit():
     chart = parse_case(474)
     chart.check_invariants()
@@ -469,14 +539,15 @@ def test_tree_counts_match_earley_beyond_the_gate(seeds, limits):
 
 
 @pytest.mark.parametrize("limits", [
-    CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240, max_input=3),
+    DENSE_40,
     CaseLimits(max_nonterminals=80, max_terminals=4, max_productions=480, max_input=2),
     CaseLimits(max_nonterminals=200, max_terminals=10, max_productions=1200, max_input=3),
 ], ids=["40-nonterminals", "80-nonterminals", "200-nonterminals"])
 def test_tree_counts_match_earley_on_dense_nullable_grammars(limits):
     # many productions over few terminals make most nonterminals nullable,
-    # a regime the acceptance gate's small grammars never reach
-    wrong, nullable, nonterminals = [], 0, 0
+    # a regime the acceptance gate's small grammars never reach; each set
+    # holds finite positive counts as well as infinite ones
+    wrong, nullable, nonterminals, kinds = [], 0, 0, set()
     for seed in range(30):
         grammar, lattice = random_case(seed, limits)
         compiled = compile_grammar(grammar)
@@ -486,8 +557,10 @@ def test_tree_counts_match_earley_on_dense_nullable_grammars(limits):
         theirs = earley_count_trees(grammar, lattice, cap=10000)
         if (mine.kind, mine.value) != (theirs.kind, theirs.value):
             wrong.append(seed)
+        kinds.add("finite positive" if mine.kind == FINITE and mine.value else mine.kind)
     assert nullable > 0.7 * nonterminals
     assert not wrong
+    assert {"finite positive", INFINITE} <= kinds
 
 
 # About 400 symbols, at most 5% of them terminals, up to 6 productions per
