@@ -87,14 +87,17 @@ nullable expansion, every left dot with every right dot, and a form's
 evidence on a side depends only on its dot there, so an entry with a side
 where no dot has support and none can meet a fusion partner is stillborn
 in every form, and none of them is keyed or spawned (`add_node`).
-`Chart.__init__` builds every form, never stillborn, in three batch
-phases, as AC-4 initializes (Mohr & Henderson 1986): it admits every
-lexical node and sets the CaDs' lexical masks; builds every form and
-wires it into its CaDs (`_wire`); then gives each extreme its support bit
-once against the final counts, links each meeting fusion pair once and
-gives each event its status once.
-`events_created`, `events_deleted` and `epsilon_expansions` count
-built events only; `stillborn` counts the forms not built.
+`Chart.__init__` builds every form, never stillborn, in batch phases, as
+AC-4 initializes (Mohr & Henderson 1986): it admits every lexical node
+and sets the CaDs' lexical masks and lexical reach; builds every form
+and wires it into its CaDs (`_wire`), unless an extreme of it can never
+have evidence (the bound at `_support`), as AC-4 drops an unsupported
+value before propagating; gives each wired extreme its support bit once
+against the final counts, links each meeting fusion pair once and gives
+each event its status once; then deletes the unwired forms.
+`events_created` and `events_deleted` count built events only, those
+deleted in init included; `epsilon_expansions` counts the EPSILON events
+the cycle deletes; `stillborn` counts the forms not built.
 
 The two directions mirror each other, so every per-side fact is a pair
 indexed by LEFT (0) or RIGHT (1) and each step is written once for a
@@ -280,9 +283,11 @@ class CaD:
     partial-derivability rows, is derived from the counts when read
     (`Chart._reach`); None marks it stale.  nodes[side] is the mask of the
     symbols of the lexical items whose end on side is here (LEFT: items
-    starting here), set in `Chart.__init__` and never again."""
+    starting here), and lexical[side] their lexical reach, the union of
+    their pd rows, which bounds reach[side] (`Chart._support`).  Both are
+    set in `Chart.__init__` and never again."""
 
-    __slots__ = ("index", "open", "closed", "n_closed", "nodes", "reach")
+    __slots__ = ("index", "open", "closed", "n_closed", "nodes", "lexical", "reach")
 
     def __init__(self, index: int):
         self.index = index
@@ -290,6 +295,7 @@ class CaD:
         self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.n_closed: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.nodes = [0, 0]
+        self.lexical = [0, 0]
         self.reach = [0, 0]
 
 
@@ -350,26 +356,44 @@ class Chart:
         self.entry_needs = coverage_needs(compiled)
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
+        self.retired: list[Event] | None = []  # init events never wired, None after init
 
-        # the three batch phases of init (see the module docstring)
+        # the batch phases of init (see the module docstring)
+        cads, lpd, rpd = self.cads, compiled.lpd, compiled.rpd
         for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
             self._admit(sid, it.fbp, it.lbp, None, "lexical")
-            self.cads[it.fbp].nodes[LEFT] |= 1 << sid
-            self.cads[it.lbp].nodes[RIGHT] |= 1 << sid
+            first, last = cads[it.fbp], cads[it.lbp]
+            first.nodes[LEFT] |= 1 << sid
+            last.nodes[RIGHT] |= 1 << sid
+            first.lexical[LEFT] |= lpd[sid]
+            last.lexical[RIGHT] |= rpd[sid]
         for node in self.node_list:
             ends = (node.fbp, node.lbp)
             for entry in compiled.coverage[node.symbol]:
                 self._new_event(entry.production, (entry.position, entry.position + 1), ends,
                                 (node,))
+        links = 0
         for ev in self.events.values():
+            # a closed side passed the bound in `_new_event`: it has support
             for side in (LEFT, RIGHT):
-                if self._support(ev.cad[side], side, ev.need[side], ev.production.lhs.id):
-                    self._support_on(ev, side)
+                need = ev.need[side]
+                if need is None or self._reach(self.cads[ev.cad[side]], 1 - side) >> need & 1:
+                    ev.support[side] = True  # `_support_on`, inline: this runs for every side
+                    links += 1
+                    if self.tracing:
+                        self.trace_lines.append(f"support e{ev.id}.{SIDE_NAMES[side]} on")
             if ev.need[RIGHT] is not None:
                 for p in self._partners(ev.production, ev.dot, ev.cad[RIGHT], RIGHT):
                     self._add_fusion(ev, p)
+        self.stats["links"] += links
         for ev in self.events.values():
             self._refresh_status(ev)
+        for ev in self.retired:
+            del self.event_index[ev.key]
+            self.stats["events_deleted"] += 1
+            if self.tracing:
+                self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
+        self.retired = None
         if debug:
             self.check_invariants()
 
@@ -478,8 +502,11 @@ class Chart:
         fixed when it arrives; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
         all the same.  supported, when given, holds the form's support per
-        side (`_support`).  During `Chart.__init__` every form is built
-        and only wired (`_wire`); init analyzes it once all are built."""
+        side (`_support`).  During `Chart.__init__` every form is built; one
+        with an extreme that can never have evidence (the bound at
+        `_support`) is retired: keyed, so a later derivation packs into it,
+        never wired, and deleted at the end of init; the others are only
+        wired (`_wire`), and analyzed once all are built."""
         key = event_key(production, dot, cad)
         if key in self.event_index:
             self._pack(self.event_index[key], children)
@@ -509,7 +536,6 @@ class Chart:
         if born:
             ev = Event(self._next_event_id, production, dot, cad, children, key, need, alts)
             self._next_event_id += 1
-            self.events[ev.id] = ev
             self.event_index[key] = ev
             self.stats["events_created"] += 1
             if self.debug:
@@ -517,9 +543,23 @@ class Chart:
             if self.tracing:
                 self.trace_lines.append(f"create e{ev.id} {ev.render()}")
             if stillborn is None:
-                self._wire(ev, LEFT)
-                self._wire(ev, RIGHT)
+                # per side, the bound at `_support`: closed with support, or open off
+                # the input edge for a symbol in the facing lexical reach or a nullable one
+                (lo, hi), (xl, xr), lhs = cad, need, production.lhs.id
+                left, right, eps = self.cads[lo], self.cads[hi], self.eps_nodes
+                if ((self.adj[LEFT][lhs] & left.nodes[RIGHT]
+                     or lo == 0 and self.bound[LEFT] >> lhs & 1) if xl is None
+                        else left.lexical[RIGHT] >> xl & 1 or lo != 0 and xl in eps) and (
+                        (self.adj[RIGHT][lhs] & right.nodes[LEFT]
+                         or hi == self.n and self.bound[RIGHT] >> lhs & 1) if xr is None
+                        else right.lexical[LEFT] >> xr & 1 or hi != self.n and xr in eps):
+                    self.events[ev.id] = ev
+                    self._wire(ev, LEFT)
+                    self._wire(ev, RIGHT)
+                else:
+                    self.retired.append(ev)
             else:
+                self.events[ev.id] = ev
                 for side in (LEFT, RIGHT):
                     self._analyze_extreme(ev, side, supported[side], partners[side])
                 self._refresh_status(ev)
@@ -652,7 +692,15 @@ class Chart:
         `relations.compute_adjacency`); an open neighbor's required symbol
         and that child are a primary pair, and the lhs is one of the
         symbol's corners.  So the extreme may stand beside the lexical item
-        too."""
+        too.
+
+        The same corners bound an open extreme's evidence.  A facing closed
+        class whose pd row holds its symbol X, and a fusion partner whose
+        child for X is a real node, have an outermost lexical item at the
+        CaD whose pd row holds X: X is in the facing `CaD.lexical`, or the
+        extreme never has evidence.  A nullable X has no such bound, since a
+        partner may hold it empty; at the input edge on its own side an open
+        extreme faces nothing at all."""
         # a fresh reach is read in place: this runs for every form and entry
         other = 1 - side
         at = self.cads[index]
@@ -991,12 +1039,13 @@ class Chart:
         exactly the live events' extremes, each on its open or closed side,
         fusion links are symmetric between live events and join open
         extremes of one production whose dots meet at one CaD, and every
-        CaD's closed class counts, lexical mask and (where not stale) reach
-        agree with a recount from its lists and the lexical items.
-        Fixpoint: every extreme's support bit equals a scan of its CaD for
-        anything compatible (every node, closed and open extreme, or the
-        input boundary), and every live event's stored status is
-        current."""
+        CaD's closed class counts, lexical mask, lexical reach and (where not
+        stale) reach agree with a recount from its lists and the lexical
+        items, the reach within the lexical reach.  Fixpoint: no live
+        extreme is ruled out by the bound at `_support`, every extreme's
+        support bit equals a scan of its CaD for anything compatible (every
+        node, closed and open extreme, or the input boundary), and every
+        live event's stored status is current."""
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
@@ -1014,12 +1063,14 @@ class Chart:
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
 
         node_syms = {}  # (CaD index, side) -> symbols of the nodes ending there
-        lexical = {}    # the same, of the lexical items only
+        lexical = {}    # the same, of the lexical items only, as a mask
+        lex_reach = {}  # the union of those items' pd rows
         for nd in self.node_list:
             for side, end in enumerate((nd.fbp, nd.lbp)):
                 node_syms.setdefault((end, side), []).append(nd.symbol)
                 if nd.origin == "lexical":
                     lexical[end, side] = lexical.get((end, side), 0) | 1 << nd.symbol
+                    lex_reach[end, side] = lex_reach.get((end, side), 0) | self.pd[side][nd.symbol]
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 name = f"CaD {cad.index}.{SIDE_NAMES[side]}"
@@ -1033,6 +1084,9 @@ class Chart:
                 for lhs in closed:
                     reach |= self.pd[side][lhs]
                 assert cad.reach[side] in (None, reach), f"{name}: reach differs from its counts"
+                assert not reach & ~cad.lexical[side], f"{name}: reach exceeds its lexical reach"
+                assert cad.lexical[side] == lex_reach.get((cad.index, side), 0), \
+                    f"{name}: lexical reach differs from the lexical items"
 
         def compatible(ev: Event, side: int) -> bool:
             """Whether anything at ev's CaD on side supports that extreme,
@@ -1054,6 +1108,11 @@ class Chart:
 
         for ev in self.events.values():
             for side in (LEFT, RIGHT):
+                index, need = ev.cad[side], ev.need[side]  # the bound at `_support`
+                assert (self._support(index, side, None, ev.production.lhs.id) if need is None
+                        else index != self.edge[side] and (need in self.compiled.nullable
+                        or lex_reach.get((index, 1 - side), 0) >> need & 1)), \
+                    f"e{ev.id}.{SIDE_NAMES[side]}: live but can never have evidence"
                 assert ev.support[side] == compatible(ev, side), \
                     f"e{ev.id}.{SIDE_NAMES[side]}: support bit is stale"
             assert ev.status == self.compute_status(ev), f"e{ev.id}: stale status"

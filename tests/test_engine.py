@@ -61,22 +61,35 @@ def test_other_branch_wins(g2_compiled):
 
 # -- batch initialization ----------------------------------------------------------
 
-INIT_PHASES = {"node": 0, "create": 1, "pack": 1, "support": 2, "link": 2, "status": 3}
+INIT_PHASES = {"node": 0, "create": 1, "pack": 1, "support": 2, "link": 2, "status": 3,
+               "delete": 4}
 
 
-def status_ids(chart):
-    return sorted(line.split()[1] for line in chart.trace_lines if line.startswith("status"))
+def traced_ids(chart, verb):
+    return sorted(line.split()[1] for line in chart.trace_lines if line.startswith(verb + " "))
+
+
+def assert_one_status_or_delete_each(chart):
+    # every init event gets exactly one status line, or one delete line if
+    # it was retired unwired (Chart._new_event); deleting comes last
+    status, deleted = traced_ids(chart, "status"), traced_ids(chart, "delete")
+    assert status == sorted(f"e{eid}" for eid in chart.events)
+    assert sorted(status + deleted) == sorted(f"e{i}" for i in range(chart.stats["events_created"]))
+    assert len(deleted) == chart.stats["events_deleted"]
+    phases = [INIT_PHASES[line.split()[0]] for line in chart.trace_lines]
+    assert phases == sorted(phases)
 
 
 def test_init_sets_each_status_once(g2_compiled):
     chart = init_session(g2_compiled, tokenize_plain("a a a b"), trace=True)
-    assert status_ids(chart) == sorted(f"e{i}" for i in range(13))
-    phases = [INIT_PHASES[line.split()[0]] for line in chart.trace_lines]
-    assert phases == sorted(phases)
+    assert chart.stats["events_created"] == 13
+    assert_one_status_or_delete_each(chart)
+    # the 7 events that, wired, would have status DELETE after init
+    assert traced_ids(chart, "delete") == sorted(f"e{i}" for i in (0, 2, 4, 6, 9, 10, 11))
     for seed in range(100):
         grammar, lattice = random_case(seed)
-        chart = init_session(compile_grammar(grammar), lattice, trace=True)
-        assert status_ids(chart) == sorted(f"e{eid}" for eid in chart.events)
+        assert_one_status_or_delete_each(
+            init_session(compile_grammar(grammar), lattice, trace=True))
 
 
 def test_debug_init_checks_invariants_before_the_cycle(monkeypatch, g2_compiled):
@@ -93,7 +106,9 @@ def test_debug_init_checks_invariants_before_the_cycle(monkeypatch, g2_compiled)
     init_session(g2_compiled, tokenize_plain("a a a b"), debug=True)
     [(stillborn, stats)] = seen
     assert stillborn is None and stats["events_created"] == 13
-    assert stats["events_run"] == stats["events_deleted"] == stats["fusions"] == 0
+    # the 7 events retired in init, and nothing else
+    assert stats["events_deleted"] == 7
+    assert stats["events_run"] == stats["fusions"] == 0
 
 
 def test_form_packed_in_init_before_its_partner_is_built():
@@ -400,23 +415,27 @@ def test_closed_support_is_read_from_the_lexical_items(monkeypatch):
     def spy(chart, index, side, need, lhs):
         held = support(chart, index, side, need, lhs)
         if need is None:
-            asked.append(bool(held) == closed_support_by_scan(chart, index, side, lhs))
+            scan = closed_support_by_scan(chart, index, side, lhs)
+            assert bool(held) == scan, f"closed {engine.SIDE_NAMES[side]} extreme at CaD {index}"
+            asked.append(scan)
         return held
 
     monkeypatch.setattr(engine.Chart, "_support", spy)
     for grammar, lattice in closed_support_cases():
         parse(compile_grammar(grammar), lattice)
-    assert len(asked) > 10000 and all(asked)
+    assert len(asked) > 10000 and True in asked and False in asked
     monkeypatch.undo()
 
     checked = []
 
     def audit(chart):
+        # init retires an event whose closed extreme lacks support, and the
+        # cycle never builds one: every live closed extreme is supported
         for ev in chart.events.values():
             for side in (LEFT, RIGHT):
                 if ev.need[side] is None:
                     scan = closed_support_by_scan(chart, ev.cad[side], side, ev.production.lhs.id)
-                    assert ev.support[side] == scan, f"e{ev.id}.{engine.SIDE_NAMES[side]}"
+                    assert ev.support[side] and scan, f"e{ev.id}.{engine.SIDE_NAMES[side]}"
                     checked.append(scan)
 
     def after(action):
@@ -432,7 +451,59 @@ def test_closed_support_is_read_from_the_lexical_items(monkeypatch):
         chart = init_session(compile_grammar(grammar), lattice)
         audit(chart)
         chart.parse_cycle()
-    assert True in checked and False in checked
+    assert len(checked) > 10000
+
+
+def test_retired_init_events_never_had_evidence(monkeypatch):
+    # init retires an event when one of its extremes can never have
+    # evidence (the bound at Chart._support): nothing wired at that CaD
+    # until the parse ends supports it or meets it for a fusion, and a
+    # closed one has nothing beside it
+    wire = engine.Chart._wire
+    wired = {}  # (CaD index, side) -> (lhs, need, production, dot) per wiring
+    built = []
+
+    class Recorded(Event):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def spy(chart, ev, side):
+        wired.setdefault((ev.cad[side], side), []).append(
+            (ev.production.lhs.id, ev.need[side], ev.production, ev.dot))
+        return wire(chart, ev, side)
+
+    def had_evidence(chart, ev, side):
+        other, index, need = 1 - side, ev.cad[side], ev.need[side]
+        facing = wired.get((index, other), ())
+        if need is None:
+            lhs = ev.production.lhs.id
+            adj, pd = chart.adj[side][lhs], chart.pd[side][lhs]
+            return (closed_support_by_scan(chart, index, side, lhs)
+                    or any(adj >> q_lhs & 1 for q_lhs, q_need, _, _ in facing if q_need is None)
+                    or any(pd >> q_need & 1 for _, q_need, _, _ in facing if q_need is not None))
+        pd = chart.pd[other]
+        return any(pd[q_lhs] >> need & 1 if q_need is None
+                   else q_prod is ev.production and q_dot[other] == ev.dot[side]
+                   for q_lhs, q_need, q_prod, q_dot in facing)
+
+    monkeypatch.setattr(engine, "Event", Recorded)
+    monkeypatch.setattr(engine.Chart, "_wire", spy)
+    retired = 0
+    for grammar, lattice in closed_support_cases():
+        wired.clear()
+        built.clear()
+        chart = init_session(compile_grammar(grammar), lattice)
+        gone = [ev for ev in built if ev.id not in chart.events]
+        assert len(gone) == chart.stats["events_deleted"]
+        chart.parse_cycle()
+        for ev in gone:
+            assert not all(had_evidence(chart, ev, side) for side in (LEFT, RIGHT)), \
+                f"e{ev.id} {ev.render()}"
+        retired += len(gone)
+    assert retired > 1000
 
 
 def test_invariant_check_catches_a_flipped_support_bit():
@@ -479,6 +550,29 @@ def test_invariant_check_catches_a_dropped_class_count():
     cad = chart.cads[ev.cad[RIGHT]]
     del cad.n_closed[RIGHT][ev.production.lhs.id]
     with pytest.raises(AssertionError, match=f"CaD {cad.index}.R: class counts differ"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_reach_beyond_the_lexical_reach():
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.need[RIGHT] is None)
+    cad = chart.cads[ev.cad[RIGHT]]
+    cad.lexical[RIGHT] = 0
+    with pytest.raises(AssertionError, match=f"CaD {cad.index}.R: reach exceeds its lexical reach"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_a_live_event_that_can_never_have_evidence(g2_compiled):
+    chart = init_session(g2_compiled, tokenize_plain("a a a b"))
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.need[LEFT] is not None)
+    # a non-nullable symbol that no lexical item ending there can end
+    reach = chart.cads[ev.cad[LEFT]].lexical[RIGHT]
+    need = next(s.id for s in chart.compiled.grammar.symbols
+                if s.id not in chart.compiled.nullable and not reach >> s.id & 1)
+    ev.need = (need, ev.need[RIGHT])
+    with pytest.raises(AssertionError, match=f"e{ev.id}.L: live but can never have evidence"):
         chart.check_invariants()
 
 
