@@ -29,30 +29,25 @@ unsupported itself, which is sound as below.
 
 Status asks only whether an extreme has evidence.  A closed extreme's
 support is fixed when it arrives: it is the input boundary or a lexical
-item beside it (the lemma at `_support`), and every lexical item is
-known before the first event is built.  What an open extreme is
-compatible with at its CaD depends only on its side and one symbol, the
-one it waits for, so classes serve open extremes only: each CaD counts
-its closed extremes per side by lhs (AC-4 support counting, Mohr &
-Henderson 1986, lifted from values to classes), and `reach`, the union
-of the closed classes' partial-derivability rows, is derived from the
-counts when read.  Each extreme keeps one support bit, set by a mask test
-of its relation row against the facing side (open) or against the input
-boundary and the lexical symbols there (closed).  When a closed class
-appears at a CaD, the unsupported facing open extremes it is compatible
-with gain support; when one vanishes, the facing open extremes whose
-symbol the remaining `reach` no longer covers lose it, and their events
-may starve in turn: that is the delete cascade, and it runs through open
-extremes only.  Fusion links, which `fuse` looks up and counts, are the
-exception: they are kept explicitly, per side and keyed by partner id, on
-both events.
-
-Lexical nodes, through the transitively closed relation tables, support
-everything the input can ever provide to a closed extreme: whatever may
-stand beside it, an event's closed or open extreme or a node, has a
-lexical item as its outermost descendant at that CaD, and the closed
-extreme may stand beside that item too.  So early deletions stay sound,
-and a node made in the cycle adds no support.
+item beside it, since whatever may stand beside it has a lexical item as
+its outermost descendant there (the lemma at `_support`; so early
+deletions stay sound, and a node made in the cycle adds no support).
+Every lexical item is known before the first event is built, so each CaD
+side holds that support as one mask of classes, `closable`.  What an open
+extreme is compatible with at its CaD depends only on its side and one
+symbol, the one it waits for, so classes serve open extremes only: each
+CaD counts its closed extremes per side by lhs (AC-4 support counting,
+Mohr & Henderson 1986, lifted from values to classes), and `reach`, the
+union of the closed classes' partial-derivability rows, is derived from
+the counts when read.  Each extreme keeps one support bit, set by one bit
+test: its symbol in the facing `reach` (open), or its lhs in `closable`
+(closed).  When a closed class appears at a CaD, the unsupported facing
+open extremes it is compatible with gain support; when one vanishes, the
+facing open extremes whose symbol the remaining `reach` no longer covers
+lose it, and their events may starve in turn: that is the delete
+cascade, and it runs through open extremes only.  Fusion links, which
+`fuse` looks up and counts, are the exception: they are kept explicitly,
+per side and keyed by partner id, on both events.
 
 An event is its form: production, dots and CaDs (`event_key`).  Status,
 link analysis and fusion read only the form, never the children between
@@ -82,11 +77,14 @@ children) blocks a duplicate until the next run or fusion action, as the
 built event would have until the deletion drain.  It is sound because
 nothing but deletions runs between an action and that drain, and within
 the action nothing can give the form evidence (see `_new_event`).  A
-new node's coverage entry is tested whole first: its forms are its
-nullable expansion, every left dot with every right dot, and a form's
-evidence on a side depends only on its dot there, so an entry with a side
-where no dot has support and none can meet a fusion partner is stillborn
-in every form, and none of them is keyed or spawned (`add_node`).
+form open at its own input edge, where it faces nothing, is stillborn
+before any other test.  A new node's coverage entry is tested whole
+first: its forms are its nullable expansion, every left dot with every
+right dot, and a form's evidence on a side depends only on its dot there,
+so an entry with a side where no dot has support and none can meet a
+fusion partner is stillborn in every form, and none of them is keyed or
+spawned (`add_node`); at an input edge that test is a bit of the entry,
+set when the grammar was compiled (`CoverageEntry.edge`).
 `Chart.__init__` builds every form, never stillborn, in batch phases, as
 AC-4 initializes (Mohr & Henderson 1986): it admits every lexical node
 and sets the CaDs' lexical masks and lexical reach; builds every form
@@ -281,20 +279,22 @@ class CaD:
     n_closed[side] counts the closed ones by lhs (a class is present while
     its count is), and reach[side], the union of the closed classes'
     partial-derivability rows, is derived from the counts when read
-    (`Chart._reach`); None marks it stale.  nodes[side] is the mask of the
-    symbols of the lexical items whose end on side is here (LEFT: items
-    starting here), and lexical[side] their lexical reach, the union of
-    their pd rows, which bounds reach[side] (`Chart._support`).  Both are
-    set in `Chart.__init__` and never again."""
+    (`Chart._reach`); None marks it stale.  Set in `Chart.__init__` and
+    never again: closable[side], the classes whose closed extreme on side
+    has support here (the union of the ra rows of the lexical items ending
+    here (LEFT) or the la rows of those starting here (RIGHT); lm (rm) at
+    the input edge), and lexical[side], the lexical reach of the items
+    whose end on side is here (LEFT: items starting here), the union of
+    their pd rows, which bounds reach[side] (`Chart._support`)."""
 
-    __slots__ = ("index", "open", "closed", "n_closed", "nodes", "lexical", "reach")
+    __slots__ = ("index", "open", "closed", "n_closed", "closable", "lexical", "reach")
 
     def __init__(self, index: int):
         self.index = index
         self.open: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.n_closed: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.nodes = [0, 0]
+        self.closable = [0, 0]
         self.lexical = [0, 0]
         self.reach = [0, 0]
 
@@ -359,14 +359,15 @@ class Chart:
         self.retired: list[Event] | None = []  # init events never wired, None after init
 
         # the batch phases of init (see the module docstring)
-        cads, lpd, rpd = self.cads, compiled.lpd, compiled.rpd
+        cads, lpd, rpd, la, ra = self.cads, compiled.lpd, compiled.rpd, compiled.la, compiled.ra
         for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
             self._admit(sid, it.fbp, it.lbp, None, "lexical")
             first, last = cads[it.fbp], cads[it.lbp]
-            first.nodes[LEFT] |= 1 << sid
-            last.nodes[RIGHT] |= 1 << sid
+            first.closable[RIGHT] |= la[sid]
+            last.closable[LEFT] |= ra[sid]
             first.lexical[LEFT] |= lpd[sid]
             last.lexical[RIGHT] |= rpd[sid]
+        cads[0].closable[LEFT], cads[self.n].closable[RIGHT] = self.bound
         for node in self.node_list:
             ends = (node.fbp, node.lbp)
             for entry in compiled.coverage[node.symbol]:
@@ -440,34 +441,37 @@ class Chart:
             return
         ends = (fbp, lbp)
         # An entry's forms (`coverage_needs`) share the node's CaDs, so a
-        # form's evidence on a side depends only on its dot there.  Once the
-        # cycle has started, an entry with a side where no dot has support
-        # and none can have a fusion partner (it has no open dot, or
-        # no open extreme faces it) has no form that would be born: all are
-        # counted stillborn, none is keyed or spawned.  Each derivation holds
-        # the new node, so none was met before in this action; a form that
-        # is live already lacks evidence on that side too (a support bit or
-        # fusion link there passes the test), so the drain deletes it with
-        # whatever is packed into it.  A one-form entry passes its support
-        # bits on.
+        # form's evidence on a side depends only on its dot there.  An entry
+        # with a side where no dot has support and none can have a fusion
+        # partner (no dot is open, or no open extreme faces it) has no form
+        # that would be born: all count as stillborn, none is keyed or
+        # spawned.  Each derivation holds the new node, so none was met
+        # before in this action; a live form lacks evidence on that side too
+        # (a support bit or fusion link passes the test), so the drain
+        # deletes it with whatever is packed into it.  At an input edge the
+        # test is the entry's edge bit.  A one-form entry passes its bits on.
+        at_edge = (fbp == 0) | (lbp == self.n) << 1
         facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
         for entry, waits in zip(self.compiled.coverage[symbol], self.entry_needs[symbol]):
             production, position = entry.production, entry.position
-            lhs = production.lhs.id
-            supported = []
-            for side in (LEFT, RIGHT):
-                for need in waits[side]:
-                    held = self._support(ends[side], side, need, lhs)
-                    if held:
-                        break
-                if not (held or waits[side][0] is not None and facing[side]):
-                    break
-                supported.append(held)
-            else:
-                one_form = len(waits[LEFT]) == len(waits[RIGHT]) == 1
-                self._new_event(production, (position, position + 1), ends, (node,),
-                                supported if one_form else None)
-                continue
+            if not at_edge & ~entry.edge:
+                lhs = production.lhs.id
+                supported = []
+                for side in (LEFT, RIGHT):
+                    held = at_edge >> side & 1
+                    if not held:
+                        for need in waits[side]:
+                            held = self._support(ends[side], side, need, lhs)
+                            if held:
+                                break
+                        if not (held or waits[side][0] is not None and facing[side]):
+                            break
+                    supported.append(held)
+                else:
+                    one_form = len(waits[LEFT]) == len(waits[RIGHT]) == 1
+                    self._new_event(production, (position, position + 1), ends, (node,),
+                                    supported if one_form else None)
+                    continue
             nleft, nright = len(waits[LEFT]), len(waits[RIGHT])
             self.stats["stillborn"] += nleft * nright
             if self.tracing:
@@ -517,13 +521,15 @@ class Chart:
         rhs = production.rhs  # `needs`, inline: this runs for every form
         need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
                 rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
-        if supported is None and stillborn is not None:
+        partners = (None, None)
+        # stillborn at once if an extreme is open at its own input edge: it faces nothing
+        born = stillborn is None or not (cad[LEFT] == 0 and need[LEFT] is not None
+                                         or cad[RIGHT] == self.n and need[RIGHT] is not None)
+        if born and supported is None and stillborn is not None:
             lhs = production.lhs.id
             supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                          self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
-        partners = (None, None)
-        born = True
-        if stillborn is not None and not (supported[LEFT] and supported[RIGHT]):
+        if born and stillborn is not None and not (supported[LEFT] and supported[RIGHT]):
             partners = [None, None]
             for side in (LEFT, RIGHT):
                 if supported[side]:
@@ -547,11 +553,9 @@ class Chart:
                 # the input edge for a symbol in the facing lexical reach or a nullable one
                 (lo, hi), (xl, xr), lhs = cad, need, production.lhs.id
                 left, right, eps = self.cads[lo], self.cads[hi], self.eps_nodes
-                if ((self.adj[LEFT][lhs] & left.nodes[RIGHT]
-                     or lo == 0 and self.bound[LEFT] >> lhs & 1) if xl is None
+                if (left.closable[LEFT] >> lhs & 1 if xl is None
                         else left.lexical[RIGHT] >> xl & 1 or lo != 0 and xl in eps) and (
-                        (self.adj[RIGHT][lhs] & right.nodes[LEFT]
-                         or hi == self.n and self.bound[RIGHT] >> lhs & 1) if xr is None
+                        right.closable[RIGHT] >> lhs & 1 if xr is None
                         else right.lexical[LEFT] >> xr & 1 or hi != self.n and xr in eps):
                     self.events[ev.id] = ev
                     self._wire(ev, LEFT)
@@ -683,12 +687,13 @@ class Chart:
         A closed extreme needs a neighbor: the input boundary, an adjacent
         node or closed extreme, or an open extreme whose required symbol
         its constituent can begin (end) on its side.  Off the boundary that
-        is exactly an adjacent lexical item (nodes[other]), so the answer
-        never changes.  Each such neighbor has an outermost real node at
-        the CaD (a node is its own, an event has its outermost real child),
-        and following first analyses down from it ends in a lexical item at
-        the same CaD, along corners that `lpd`/`rpd` chain.  `la`/`ra` are
-        closed under those corners (the `begun_by`/`ended_by` seeds in
+        is exactly an adjacent lexical item, so the answer never changes:
+        one bit of `CaD.closable` (`la` and `ra` are exact inverses).  Each
+        such neighbor has an outermost real node at the CaD (a node is its
+        own, an event has its outermost real child), and following first
+        analyses down from it ends in a lexical item at the same CaD, along
+        corners that `lpd`/`rpd` chain.  `la`/`ra` are closed under those
+        corners (the `begun_by`/`ended_by` seeds in
         `relations.compute_adjacency`); an open neighbor's required symbol
         and that child are a primary pair, and the lhs is one of the
         symbol's corners.  So the extreme may stand beside the lexical item
@@ -702,16 +707,13 @@ class Chart:
         partner may hold it empty; at the input edge on its own side an open
         extreme faces nothing at all."""
         # a fresh reach is read in place: this runs for every form and entry
-        other = 1 - side
         at = self.cads[index]
-        if need is not None:
-            reach = at.reach[other]
-            if reach is None:
-                reach = self._reach(at, other)
-            return reach >> need & 1
-        if index == self.edge[side]:
-            return self.bound[side] >> lhs & 1
-        return self.adj[side][lhs] & at.nodes[other]
+        if need is None:
+            return at.closable[side] >> lhs & 1
+        reach = at.reach[1 - side]
+        if reach is None:
+            reach = self._reach(at, 1 - side)
+        return reach >> need & 1
 
     def _partners(self, production, dot, index: int, side: int) -> list[Event]:
         """The fusion partners of an open extreme on side at CaD index of a
@@ -1039,13 +1041,14 @@ class Chart:
         exactly the live events' extremes, each on its open or closed side,
         fusion links are symmetric between live events and join open
         extremes of one production whose dots meet at one CaD, and every
-        CaD's closed class counts, lexical mask, lexical reach and (where not
-        stale) reach agree with a recount from its lists and the lexical
-        items, the reach within the lexical reach.  Fixpoint: no live
-        extreme is ruled out by the bound at `_support`, every extreme's
-        support bit equals a scan of its CaD for anything compatible (every
-        node, closed and open extreme, or the input boundary), and every
-        live event's stored status is current."""
+        CaD's closed class counts, closed support mask, lexical reach and
+        (where not stale) reach agree with a recount from its lists, the
+        lexical items and the adjacency and boundary tables, the reach within
+        the lexical reach.  Fixpoint: no live extreme is ruled out by the
+        bound at `_support`, every extreme's support bit equals a scan of
+        its CaD for anything compatible (every node, closed and open
+        extreme, or the input boundary), and every live event's stored
+        status is current."""
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
@@ -1063,14 +1066,15 @@ class Chart:
         assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
 
         node_syms = {}  # (CaD index, side) -> symbols of the nodes ending there
-        lexical = {}    # the same, of the lexical items only, as a mask
-        lex_reach = {}  # the union of those items' pd rows
+        lex_reach = {}  # the union of the pd rows of the lexical items among them
+        closable = {(0, LEFT): self.bound[LEFT], (self.n, RIGHT): self.bound[RIGHT]}
         for nd in self.node_list:
             for side, end in enumerate((nd.fbp, nd.lbp)):
                 node_syms.setdefault((end, side), []).append(nd.symbol)
                 if nd.origin == "lexical":
-                    lexical[end, side] = lexical.get((end, side), 0) | 1 << nd.symbol
                     lex_reach[end, side] = lex_reach.get((end, side), 0) | self.pd[side][nd.symbol]
+                    closable[end, 1 - side] = (closable.get((end, 1 - side), 0)
+                                               | self.adj[side][nd.symbol])
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 name = f"CaD {cad.index}.{SIDE_NAMES[side]}"
@@ -1078,8 +1082,8 @@ class Chart:
                 for ev in cad.closed[side].values():
                     closed[ev.production.lhs.id] = closed.get(ev.production.lhs.id, 0) + 1
                 assert cad.n_closed[side] == closed, f"{name}: class counts differ from its lists"
-                assert cad.nodes[side] == lexical.get((cad.index, side), 0), \
-                    f"{name}: lexical mask differs from the lexical items"
+                assert cad.closable[side] == closable.get((cad.index, side), 0), \
+                    f"{name}: closed support mask differs from the lexical items"
                 reach = 0
                 for lhs in closed:
                     reach |= self.pd[side][lhs]

@@ -35,13 +35,16 @@ CC = "CC"
 CO = "CO"
 OC = "OC"
 OO = "OO"
+CLASSES = ((OO, OC), (CO, CC))  # [left context closed][right context closed]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # never changed; not frozen, which makes building one 3x slower
 class CoverageEntry:
     production: Production
     position: int  # rhs index of the anchor occurrence
     klass: str     # CC / CO / OC / OO
+    edge: int      # bit 0 (1): it can live at the left (right) input edge, as it
+                   # closes there (C) and its lhs is in lm (rm)
 
 
 def compute_nullable(g: Grammar) -> frozenset[int]:
@@ -193,34 +196,41 @@ def useful_productions(g: Grammar) -> set[int]:
     return useful
 
 
-def build_coverage(g: Grammar, nullable: frozenset[int]) -> list[list[CoverageEntry]]:
+def production_entries(p: Production, nullable: frozenset[int], lm: int, rm: int
+                       ) -> list[CoverageEntry]:
+    """Each rhs occurrence's coverage entry, in rhs order, with its edge
+    bits, classified by whether its prefix (suffix) is nullable: it is not
+    after the first (before the last) non-nullable symbol."""
+    rhs, lhs = p.rhs, p.lhs.id
+    solid = [pos for pos, s in enumerate(rhs) if s.id not in nullable] or [len(rhs), -1]
+    first, last = solid[0], solid[-1]
+    left, right = lm >> lhs & 1, (rm >> lhs & 1) << 1
+    entries = []
+    for pos in range(len(rhs)):
+        lc, rc = pos <= first, pos >= last  # the left / right context is closed
+        entries.append(CoverageEntry(p, pos, CLASSES[lc][rc],
+                                     (left if lc else 0) | (right if rc else 0)))
+    return entries
+
+
+def build_coverage(g: Grammar, nullable: frozenset[int], lm: int, rm: int
+                   ) -> list[list[CoverageEntry]]:
     """One entry per rhs occurrence of each symbol in a useful production
-    (`useful_productions`), classified by whether the surrounding
-    prefix/suffix is a (possibly empty) nullable string.  A useless
-    production is in no tree, so events built from it are wasted."""
+    (`useful_productions`, `production_entries`).  A useless production is
+    in no tree, so events built from it are wasted."""
     useful = useful_productions(g)
     coverage: list[list[CoverageEntry]] = [[] for _ in g.symbols]
     for p in g.productions:
-        if p.id not in useful:
-            continue
-        rhs = p.rhs
-        # the prefix is nullable up to the first non-nullable symbol, the
-        # suffix from the last one on
-        solid = [pos for pos, s in enumerate(rhs) if s.id not in nullable]
-        first, last = (solid[0], solid[-1]) if solid else (len(rhs), -1)
-        for pos, sym in enumerate(rhs):
-            left_nullable = pos <= first
-            right_nullable = pos >= last
-            klass = (CC if left_nullable and right_nullable else
-                     CO if left_nullable else
-                     OC if right_nullable else OO)
-            coverage[sym.id].append(CoverageEntry(p, pos, klass))
+        if p.id in useful:
+            for sym, entry in zip(p.rhs, production_entries(p, nullable, lm, rm)):
+                coverage[sym.id].append(entry)
     return coverage
 
 
 class CompiledGrammar:
     """Compilation result, shared by parse sessions.  Its tables are never
-    changed; the first chart caches eps_nodes and entry_needs on it."""
+    changed; the coverage entries carry their edge bits (`CoverageEntry`),
+    and the first chart caches eps_nodes and entry_needs on it."""
 
     def __init__(self, grammar: Grammar, nullable: frozenset[int],
                  lpd: list[int], rpd: list[int], la: list[int], ra: list[int],
@@ -280,7 +290,7 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
     rpd = compute_rpd(g, nullable)
     la, ra = compute_adjacency(g, nullable)
     lm, rm = compute_boundaries(g, lpd, rpd)
-    coverage = build_coverage(g, nullable)
+    coverage = build_coverage(g, nullable, lm, rm)
     return CompiledGrammar(g, nullable, lpd, rpd, la, ra, lm, rm, coverage)
 
 
@@ -329,9 +339,10 @@ def save_compiled(cg: CompiledGrammar) -> str:
 
 def load_compiled(text: str) -> CompiledGrammar:
     """Inverse of save_compiled; GrammarError on malformed input, on a
-    coverage entry of a useless production (build_coverage's rule), and on
-    a table whose text does not match its digest (a well-formed table can
-    still be wrong)."""
+    coverage entry of a useless production (build_coverage's rule) or
+    whose class disagrees with the nullable set (`production_entries`,
+    which also gives it its edge bits), and on a table whose text does not
+    match its digest (a well-formed table can still be wrong)."""
     # Rows are split one at a time: a large table's masks are megabytes.
     rows = ((n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     if next(rows, (0, None))[1] != [MAGIC]:
@@ -395,8 +406,9 @@ def load_compiled(text: str) -> CompiledGrammar:
     rm = num(fields[1], line, 1 << nsyms, hexa=True)
     line, fields = row("coverage", 2)
     nentries = num(fields[1], line)
-    useful = useful_productions(grammar)
     coverage: list[list[CoverageEntry]] = [[] for _ in symbols]
+    built = {i: production_entries(productions[i], nullable, lm, rm)  # the useful ones
+             for i in useful_productions(grammar)}
     for _ in range(nentries):
         line, (sid, pid, pos, klass) = row(width=4)
         sym, prod = num(sid, line, nsyms), productions[num(pid, line, nprods)]
@@ -404,10 +416,14 @@ def load_compiled(text: str) -> CompiledGrammar:
         if prod.rhs[pos].id != sym or klass not in (CC, CO, OC, OO):
             raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
                       f"production {prod}", line)
-        if prod.id not in useful:
+        if prod.id not in built:
             raise bad(f"coverage entry {sid} {pid} {pos} {klass} belongs to useless "
                       f"production {prod}", line)
-        coverage[sym].append(CoverageEntry(prod, pos, klass))
+        entry = built[prod.id][pos]
+        if entry.klass != klass:
+            raise bad(f"coverage entry {sid} {pid} {pos} {klass}: the nullable set "
+                      f"makes it {entry.klass}", line)
+        coverage[sym].append(entry)
     end_line, _ = row("end", 2)
     line, fields = next(rows, (None, None))
     if fields is not None:

@@ -563,6 +563,17 @@ def test_invariant_check_catches_reach_beyond_the_lexical_reach():
         chart.check_invariants()
 
 
+@pytest.mark.parametrize("index,side", [(0, LEFT), (2, LEFT), (2, RIGHT), (4, RIGHT)])
+def test_invariant_check_catches_a_corrupted_closed_support_mask(g2_compiled, index, side):
+    chart = parse(g2_compiled, tokenize_plain("a a a b"))
+    chart.check_invariants()
+    cad = chart.cads[index]
+    cad.closable[side] ^= 1 << g2_compiled.grammar.symbol("A1").id
+    with pytest.raises(AssertionError, match=f"CaD {index}.{engine.SIDE_NAMES[side]}: "
+                                             "closed support mask differs"):
+        chart.check_invariants()
+
+
 def test_invariant_check_catches_a_live_event_that_can_never_have_evidence(g2_compiled):
     chart = init_session(g2_compiled, tokenize_plain("a a a b"))
     chart.check_invariants()
@@ -699,7 +710,8 @@ def test_reduced_coverage_parses_like_the_full_one(monkeypatch, seeds, limits):
         reduced = compile_grammar(grammar)
         with monkeypatch.context() as m:
             m.setattr(relations, "useful_productions", lambda g: {p.id for p in g.productions})
-            coverage = relations.build_coverage(grammar, reduced.nullable)
+            coverage = relations.build_coverage(grammar, reduced.nullable,
+                                                  reduced.lm, reduced.rm)
         full = CompiledGrammar(grammar, reduced.nullable, reduced.lpd, reduced.rpd, reduced.la,
                                reduced.ra, reduced.lm, reduced.rm, coverage)
         dropped.append(full.coverage != reduced.coverage)
@@ -817,6 +829,63 @@ def test_untraced_dead_coverage_expansion_renders_nothing(monkeypatch):
     monkeypatch.setattr(engine, "render", boom)
     chart = run(DEAD_EXPANSION, "x")
     assert chart.stats["stillborn"] == 9 and not chart.trace_lines
+
+
+RIGHT_EDGE = """
+    %root S
+    S -> a B N | a X ;
+    B -> b ;
+    X -> M B N c ;
+    M -> m | ;
+    N -> n | ;
+"""
+
+# On "a b" the node B [1,2] made in the cycle ends at the right input edge.
+# S -> a B N closes there across N and S may end the input, so its entry
+# lives, but its anchor form waits for N at the edge.  X -> M B N c may
+# stand after a, so its left side has support, but it cannot close on the
+# right: its edge bit rejects all four forms.
+RIGHT_EDGE_STILLBORN = [
+    "S -> a . B . N @ [1,2]",
+    "X -> M . B . N c @ [1,2]", "X -> M . B N . c @ [1,2]",
+    "X -> . M B N . c @ [1,2]", "X -> . M B . N c @ [1,2]",
+]
+
+
+def test_entry_dead_at_the_right_edge_only_is_stillborn_without_tests(monkeypatch):
+    cg = compile_grammar(load_grammar(RIGHT_EDGE))
+    g = cg.grammar
+    x, s, n = (g.symbol(name).id for name in "XSN")
+    [x_entry] = [e for e in cg.coverage[g.symbol("B").id] if e.production.lhs.id == x]
+    assert x_entry.klass == "CO" and x_entry.edge == 0  # X begins no root derivation either
+    support, partners = engine.Chart._support, engine.Chart._partners
+    asked = []
+
+    def support_spy(chart, index, side, need, lhs):
+        if chart.stillborn is not None:
+            asked.append(("support", index, side, need, lhs))
+        return support(chart, index, side, need, lhs)
+
+    def partners_spy(chart, production, dot, index, side):
+        asked.append(("partners", production.lhs.id, dot, index, side))
+        return partners(chart, production, dot, index, side)
+
+    monkeypatch.setattr(engine.Chart, "_support", support_spy)
+    monkeypatch.setattr(engine.Chart, "_partners", partners_spy)
+    chart = init_session(cg, tokenize_plain("a b"), trace=True, debug=True)
+    chart.parse_cycle()
+    assert chart.stats["stillborn"] == 5
+    assert [line for line in chart.trace_lines if line.startswith("stillborn")] == \
+        [f"stillborn {form}" for form in RIGHT_EDGE_STILLBORN]
+    assert count_trees(build_forest(chart)).value == 1
+    # nothing is asked for X's entry, nor for the form waiting for N at the edge
+    assert not [a for a in asked if a[0] == "support" and a[4] == x
+                or a[0] == "partners" and a[1] == x]
+    assert ("support", 2, RIGHT, n, s) not in asked
+    assert not [a for a in asked if a[0] == "partners" and a[2:] == ((1, 2), 2, RIGHT)]
+    # its sibling, closed at the edge, is built and asked about
+    assert ("support", 1, LEFT, g.symbol("a").id, s) in asked
+    assert "create e3 S -> a . B N . @ [1,2]" in chart.trace_lines
 
 
 def test_side_with_only_a_fusion_partner_is_not_stillborn():

@@ -8,7 +8,7 @@ from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
 from scparse import compile_grammar, load_grammar
 from scparse.grammar import TERMINAL, GrammarError
 from scparse.oracle import random_case
-from scparse.relations import (CC, CO, OC, OO, compute_nullable,
+from scparse.relations import (CC, CO, OC, OO, _digest, compute_nullable,
                                dump_relations, load_compiled, primary_pairs,
                                save_compiled, useful_productions)
 
@@ -149,6 +149,53 @@ def test_coverage_nullable_neighbors():
     cg = compile_grammar(g)
     [entry] = cg.coverage[g.symbol("x").id]
     assert entry.klass == CC
+
+
+def edge_bits_by_rhs(cg, entry) -> int:
+    """An entry's edge bits recomputed from its production's rhs: bit 0 (1)
+    when every symbol left (right) of the anchor is nullable and the lhs
+    is in lm (rm)."""
+    rhs, pos, lhs = entry.production.rhs, entry.position, entry.production.lhs.id
+    left = all(s.id in cg.nullable for s in rhs[:pos]) and cg.lm >> lhs & 1
+    right = all(s.id in cg.nullable for s in rhs[pos + 1:]) and cg.rm >> lhs & 1
+    return int(left) | int(right) << 1
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)], ids=["0-99", "100-199"])
+def test_coverage_edge_bits_follow_the_rhs(seeds):
+    counts = [0] * 4
+    for seed in seeds:
+        cg = compile_grammar(random_case(seed)[0])
+        for compiled in (cg, load_compiled(save_compiled(cg))):
+            for sym, entries in enumerate(compiled.coverage):
+                for e in entries:
+                    assert e.production.rhs[e.position].id == sym
+                    assert e.edge == edge_bits_by_rhs(compiled, e), (seed, str(e.production))
+                    counts[e.edge] += 1
+    # every combination of the two bits occurs
+    assert all(counts)
+
+
+def redigested(text: str, old: str, new: str) -> str:
+    """A saved table with its first line equal to old replaced by new, and
+    its digest fixed up so that only that line is wrong."""
+    lines = text.splitlines()[:-1]
+    lines[lines.index(old)] = new
+    body = "\n".join(lines) + "\n"
+    return f"{body}end {_digest(body, len(body))}\n"
+
+
+def test_load_rejects_a_coverage_class_the_nullable_set_contradicts(g2_compiled):
+    # A1 -> a A1: the anchor a has the non-nullable A1 on its right (CO)
+    text = save_compiled(g2_compiled)
+    g = g2_compiled.grammar
+    [p] = [p for p in g.productions if str(p) == "A1 -> a A1"]
+    line = f"{g.symbol('a').id} {p.id} 0 CO"
+    assert load_compiled(redigested(text, line, line)).coverage == g2_compiled.coverage
+    for klass in (CC, OC, OO):
+        with pytest.raises(GrammarError, match=f"coverage entry {line[:-2]}{klass}: "
+                                               "the nullable set makes it CO"):
+            load_compiled(redigested(text, line, line[:-2] + klass))
 
 
 def test_coverage_interior_occurrence():
