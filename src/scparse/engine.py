@@ -18,14 +18,15 @@ nullable symbol has two outcomes: the symbol is realized empty, or real
 material arrives later.  Whenever an event is created, mutated or packed,
 `_spawn_epsilon_variants` makes the first outcome a sibling event, its
 dot moved over the symbol and the symbol's zero-width node its child (as
-in Aycock & Horspool 2002), and the event itself waits for the second.  A
-fusion joins only extremes whose dots meet: where two events face each
-other across nullable symbols, the siblings that cross them meet.  An
-EPSILON event is one whose open extreme lacks evidence next to a nullable
-symbol: the material it waits for has no support, and its empty
-realization was spawned when it took its current form.  So it is deleted
-like a DELETE event; its sibling is live or has fired, or was deleted as
-unsupported itself, which is sound as below.
+in Aycock & Horspool 2002; built with the grammar, `CompiledGrammar`), and
+the event itself waits for the second.  A fusion joins only extremes
+whose dots meet: where two events face each other across nullable
+symbols, the siblings that cross them meet.  An EPSILON event is one
+whose open extreme lacks evidence next to a nullable symbol: the material
+it waits for has no support, and its empty realization was spawned when
+it took its current form.  So it is deleted like a DELETE event; its
+sibling is live or has fired, or was deleted as unsupported itself, which
+is sound as below.
 
 Status asks only whether an extreme has evidence.  A closed extreme's
 support is fixed when it arrives: it is the input boundary or a lexical
@@ -79,12 +80,13 @@ nothing but deletions runs between an action and that drain, and within
 the action nothing can give the form evidence (see `_new_event`).  A
 form open at its own input edge, where it faces nothing, is stillborn
 before any other test.  A new node's coverage entry is tested whole
-first: its forms are its nullable expansion, every left dot with every
-right dot, and a form's evidence on a side depends only on its dot there,
-so an entry with a side where no dot has support and none can meet a
-fusion partner is stillborn in every form, and none of them is keyed or
-spawned (`add_node`); at an input edge that test is a bit of the entry,
-set when the grammar was compiled (`CoverageEntry.edge`).
+first: its forms are its nullable expansion, every left dot out to the
+entry's `lo` with every right dot out to its `hi`, and a form's evidence
+on a side depends only on its dot there, so an entry with a side where no
+dot has support and none can meet a fusion partner is stillborn in every
+form, and none of them is keyed or spawned (`add_node`); at an input edge
+that test is a bit of the entry, set when the grammar was compiled
+(`CoverageEntry.edge`).
 `Chart.__init__` builds every form, never stillborn, in batch phases, as
 AC-4 initializes (Mohr & Henderson 1986): it admits every lexical node
 and sets the CaDs' lexical masks and lexical reach; builds every form
@@ -112,11 +114,10 @@ first, extremes are analyzed LEFT first.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .lattice import InputLattice
 from .relations import CompiledGrammar
-from .grammar import Grammar, Production
+from .grammar import Analysis, Grammar, Node, Production
 
 # Event statuses.  DERIVATION is a resting state: such events move only
 # through fusion or when deletion propagation starves them.
@@ -135,50 +136,6 @@ class EngineError(ValueError):
     pass
 
 
-class Node:
-    __slots__ = ("id", "symbol", "fbp", "lbp", "analyses", "origin", "_akeys")
-
-    def __init__(self, nid: int, symbol: int, fbp: int, lbp: int, origin: str):
-        self.id = nid
-        self.symbol = symbol        # symbol id
-        self.fbp = fbp              # -1 for the canonical epsilon nodes
-        self.lbp = lbp
-        self.analyses: list[Analysis] = []
-        self.origin = origin        # lexical / derived / epsilon
-        self._akeys: set = set()
-
-    def add_analysis(self, analysis: "Analysis") -> bool:
-        key = (analysis.production.id, analysis.children)
-        if key in self._akeys:
-            return False
-        self._akeys.add(key)
-        self.analyses.append(analysis)
-        return True
-
-
-@dataclass(frozen=True)
-class Analysis:
-    production: Production
-    children: tuple[Node, ...]
-
-
-def epsilon_nodes(compiled: CompiledGrammar) -> dict[int, Node]:
-    """The canonical zero-width nodes of the nullable symbols, ids 0..k-1
-    in symbol order, with their empty-derivation skeletons prebuilt
-    (recursion stays cycle-shared).  Built by the first chart on a compiled
-    grammar, kept on it and shared by its later charts, which never change
-    them: they are in no chart's node store, so nothing packs onto them."""
-    nodes = compiled.eps_nodes
-    if nodes is None:
-        nodes = {sid: Node(i, sid, -1, -1, "epsilon")
-                 for i, sid in enumerate(sorted(compiled.nullable))}
-        for sid, prods in sorted(compiled.epsilon_analyses.items()):
-            for p in prods:
-                nodes[sid].add_analysis(Analysis(p, tuple(nodes[s.id] for s in p.rhs)))
-        compiled.eps_nodes = nodes
-    return nodes
-
-
 def event_key(production: Production, dot: tuple, cad: tuple) -> tuple:
     """What makes two events the same, their form: production, dots and
     CaDs.  One event stands for every child tuple of its form."""
@@ -191,37 +148,6 @@ def needs(production: Production, dot: tuple) -> tuple:
     rhs = production.rhs
     return (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
             rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
-
-
-def coverage_needs(compiled: CompiledGrammar) -> list[list[tuple]]:
-    """Per symbol, per coverage entry, a (LEFT, RIGHT) pair of tuples: what
-    the extremes of the entry's forms wait for on that side (None when
-    closed), one per dot, nearest first.  The forms are the node's event
-    and its epsilon siblings: every pair of a left dot (the anchor's, then
-    moved left over nullable symbols) and a right dot (likewise, moving
-    right), so an entry has len(LEFT tuple) * len(RIGHT tuple) forms; None
-    can only come last.  Built by the first chart on a compiled grammar and
-    kept on it; equal tuples are shared."""
-    table = compiled.entry_needs
-    if table is None:
-        shared: dict[tuple, tuple] = {}
-        table = []
-        for entries in compiled.coverage:
-            row = []
-            for entry in entries:
-                pair = []
-                for side, step in ((LEFT, -1), (RIGHT, 1)):
-                    dot = [entry.position, entry.position + 1]
-                    found = [needs(entry.production, dot)[side]]
-                    while found[-1] in compiled.nullable:
-                        dot[side] += step
-                        found.append(needs(entry.production, dot)[side])
-                    pair.append(shared.setdefault(tuple(found), tuple(found)))
-                pair = tuple(pair)
-                row.append(shared.setdefault(pair, pair))
-            table.append(row)
-        compiled.entry_needs = table
-    return table
 
 
 def render(production: Production, dot: tuple, cad: tuple) -> str:
@@ -352,8 +278,7 @@ class Chart:
         self.trace_lines: list[str] = []
         self.debug = debug
         self.status_audit: list[tuple] = []
-        self.eps_nodes = epsilon_nodes(compiled)
-        self.entry_needs = coverage_needs(compiled)
+        self.eps_nodes = compiled.eps_nodes
         self._next_node_id = len(self.eps_nodes)
         self._next_event_id = 0
         self.retired: list[Event] | None = []  # init events never wired, None after init
@@ -440,8 +365,9 @@ class Chart:
         if node is None:
             return
         ends = (fbp, lbp)
-        # An entry's forms (`coverage_needs`) share the node's CaDs, so a
-        # form's evidence on a side depends only on its dot there.  An entry
+        # An entry's forms (its dots out to `CoverageEntry.lo`/`hi`) share the
+        # node's CaDs, so a form's evidence on a side depends only on its dot
+        # there, and what the dot waits for is read from the rhs.  An entry
         # with a side where no dot has support and none can have a fusion
         # partner (no dot is open, or no open extreme faces it) has no form
         # that would be born: all count as stillborn, none is keyed or
@@ -452,36 +378,37 @@ class Chart:
         # test is the entry's edge bit.  A one-form entry passes its bits on.
         at_edge = (fbp == 0) | (lbp == self.n) << 1
         facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
-        for entry, waits in zip(self.compiled.coverage[symbol], self.entry_needs[symbol]):
-            production, position = entry.production, entry.position
+        for entry in self.compiled.coverage[symbol]:
+            production, position, lo, hi = entry.production, entry.position, entry.lo, entry.hi
             if not at_edge & ~entry.edge:
-                lhs = production.lhs.id
+                rhs, lhs, size = production.rhs, production.lhs.id, len(production.rhs)
                 supported = []
-                for side in (LEFT, RIGHT):
+                # per side, the rhs index of the symbol each dot waits for,
+                # nearest first; the outermost is off the rhs if it is closed
+                for side, step, outer in ((LEFT, -1, lo - 1), (RIGHT, 1, hi)):
                     held = at_edge >> side & 1
                     if not held:
-                        for need in waits[side]:
-                            held = self._support(ends[side], side, need, lhs)
+                        for i in range(position + step, outer + step, step):
+                            held = self._support(ends[side], side,
+                                                 rhs[i].id if 0 <= i < size else None, lhs)
                             if held:
                                 break
-                        if not (held or waits[side][0] is not None and facing[side]):
+                        if not (held or 0 <= position + step < size and facing[side]):
                             break
                     supported.append(held)
                 else:
-                    one_form = len(waits[LEFT]) == len(waits[RIGHT]) == 1
+                    one_form = lo == position and hi == position + 1
                     self._new_event(production, (position, position + 1), ends, (node,),
                                     supported if one_form else None)
                     continue
-            nleft, nright = len(waits[LEFT]), len(waits[RIGHT])
-            self.stats["stillborn"] += nleft * nright
+            self.stats["stillborn"] += (position - lo + 1) * (hi - position)
             if self.tracing:
                 # in spawn order (`_spawn_epsilon_variants`): the right dot
                 # outward, then for each right dot from the outermost in,
                 # the left dot outward
-                rdots = range(position + 1, position + 1 + nright)
+                rdots = range(position + 1, hi + 1)
                 dots = [(position, r) for r in rdots] + [
-                    (ldot, r) for r in reversed(rdots)
-                    for ldot in range(position - 1, position - nleft, -1)]
+                    (ldot, r) for r in reversed(rdots) for ldot in range(position - 1, lo - 1, -1)]
                 for dot in dots:
                     self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Chart, Node
+from .engine import Chart
+from .grammar import Node
 
 FINITE = "finite"
 CAPPED = "capped"

@@ -4,7 +4,9 @@ A grammar is a plain context-free grammar: symbols (terminals and
 nonterminals), productions (empty right-hand sides encode epsilon rules)
 and a non-empty set of root symbols.  Symbol and production ids are dense
 integers assigned in declaration order, so reloading the same text always
-yields the same numbering.
+yields the same numbering.  The packed-forest nodes and analyses live here
+too: the compiled grammar builds some (its zero-width nodes), the parser
+the rest.
 """
 
 from __future__ import annotations
@@ -49,6 +51,41 @@ class Production:
     def __str__(self):
         body = " ".join(s.name for s in self.rhs) if self.rhs else ""
         return f"{self.lhs.name} -> {body}".rstrip()
+
+
+class Node:
+    """A packed-forest node: a symbol over a span, with its analyses."""
+
+    __slots__ = ("id", "symbol", "fbp", "lbp", "analyses", "origin", "_akeys")
+
+    def __init__(self, nid: int, symbol: int, fbp: int, lbp: int, origin: str):
+        self.id = nid
+        self.symbol = symbol        # symbol id
+        self.fbp = fbp              # -1 for the canonical epsilon nodes
+        self.lbp = lbp
+        self.analyses: list[Analysis] = []
+        self.origin = origin        # lexical / derived / epsilon
+        self._akeys: set | None = None  # the analyses' keys, once there are two
+
+    def add_analysis(self, analysis: "Analysis") -> bool:
+        analyses = self.analyses
+        if analyses:
+            keys = self._akeys
+            if keys is None:
+                first = analyses[0]
+                keys = self._akeys = {(first.production.id, first.children)}
+            key = (analysis.production.id, analysis.children)
+            if key in keys:
+                return False
+            keys.add(key)
+        analyses.append(analysis)
+        return True
+
+
+@dataclass(slots=True)  # never changed; not frozen, which makes building one 3x slower
+class Analysis:
+    production: Production
+    children: tuple[Node, ...]
 
 
 class Grammar:

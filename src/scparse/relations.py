@@ -1,6 +1,7 @@
 """Grammar relation fixpoints and coverage tables.
 
-Everything the parser needs to prune work is precompiled here:
+Everything the parser needs to prune work is built here, when a grammar
+is compiled or loaded (CompiledGrammar); parsing only reads it:
 
   nullable     symbols deriving the empty string
   lpd / rpd    left / right partial derivability: a symbol together with
@@ -11,9 +12,12 @@ Everything the parser needs to prune work is precompiled here:
   lm / rm      symbols that can begin / end a root derivation
   coverage     per-symbol production-occurrence entries that drive event
                creation, classified by the nullability of the prefix and
-               suffix around the occurrence (CC / CO / OC / OO); only
-               useful productions, those in some complete derivation of a
-               root, have entries
+               suffix around the occurrence (CC / CO / OC / OO), with
+               input-edge bits and the outermost dots of the entry's forms
+               (lo / hi); only useful productions, those in some complete
+               derivation of a root, have entries
+  eps_nodes    the zero-width node of each nullable symbol, with its
+               empty derivations
 
 Relation tables are dense bitsets (Python ints) indexed by symbol id, so
 the runtime membership tests are single mask operations.  Every relation
@@ -26,7 +30,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .grammar import NONTERMINAL, TERMINAL, Grammar, GrammarError, Production, Symbol
+from .grammar import (NONTERMINAL, TERMINAL, Analysis, Grammar, GrammarError, Node, Production,
+                      Symbol)
 
 # Coverage occurrence classes: first letter = left context, second = right;
 # C(losed) means the context is empty-or-nullable, O(pen) means it contains
@@ -45,6 +50,8 @@ class CoverageEntry:
     klass: str     # CC / CO / OC / OO
     edge: int      # bit 0 (1): it can live at the left (right) input edge, as it
                    # closes there (C) and its lhs is in lm (rm)
+    lo: int        # the outermost left (right) dot of its forms: the anchor's
+    hi: int        # dot moved outward over every nullable symbol beside it
 
 
 def compute_nullable(g: Grammar) -> frozenset[int]:
@@ -199,17 +206,25 @@ def useful_productions(g: Grammar) -> set[int]:
 def production_entries(p: Production, nullable: frozenset[int], lm: int, rm: int
                        ) -> list[CoverageEntry]:
     """Each rhs occurrence's coverage entry, in rhs order, with its edge
-    bits, classified by whether its prefix (suffix) is nullable: it is not
-    after the first (before the last) non-nullable symbol."""
-    rhs, lhs = p.rhs, p.lhs.id
-    solid = [pos for pos, s in enumerate(rhs) if s.id not in nullable] or [len(rhs), -1]
-    first, last = solid[0], solid[-1]
+    bits and outermost dots.  An entry's forms are the anchor's event and
+    its epsilon siblings, every left dot from the anchor's out to lo with
+    every right dot out to hi: lo (hi) stops at the nearest non-nullable
+    symbol on the left (right), or the rhs boundary.  Its prefix (suffix)
+    is nullable, the class closed on that side, iff lo (hi) is that
+    boundary."""
+    rhs, lhs, size = p.rhs, p.lhs.id, len(p.rhs)
     left, right = lm >> lhs & 1, (rm >> lhs & 1) << 1
+    later = iter([pos for pos, s in enumerate(rhs) if s.id not in nullable] + [size])
+    lo, hi = 0, next(later)
     entries = []
-    for pos in range(len(rhs)):
-        lc, rc = pos <= first, pos >= last  # the left / right context is closed
+    for pos in range(size):
+        if hi == pos:  # a non-nullable anchor: the right dots stop at the next one
+            hi = next(later)
+        lc, rc = lo == 0, hi == size  # the left / right context is closed
         entries.append(CoverageEntry(p, pos, CLASSES[lc][rc],
-                                     (left if lc else 0) | (right if rc else 0)))
+                                     (left if lc else 0) | (right if rc else 0), lo, hi))
+        if rhs[pos].id not in nullable:
+            lo = pos + 1
     return entries
 
 
@@ -228,9 +243,12 @@ def build_coverage(g: Grammar, nullable: frozenset[int], lm: int, rm: int
 
 
 class CompiledGrammar:
-    """Compilation result, shared by parse sessions.  Its tables are never
-    changed; the coverage entries carry their edge bits (`CoverageEntry`),
-    and the first chart caches eps_nodes and entry_needs on it."""
+    """Compilation result, shared by parse sessions and never changed by
+    them.  eps_nodes holds the zero-width node of each nullable symbol, ids
+    0..k-1 in symbol order, with one analysis per production whose rhs is
+    all nullable, its children those symbols' zero-width nodes (Aycock &
+    Horspool 2002; recursion stays cycle-shared).  Every chart shares them;
+    they are in no chart's node store, so nothing packs onto them."""
 
     def __init__(self, grammar: Grammar, nullable: frozenset[int],
                  lpd: list[int], rpd: list[int], la: list[int], ra: list[int],
@@ -244,17 +262,14 @@ class CompiledGrammar:
         self.lm = lm
         self.rm = rm
         self.coverage = coverage
-        # Per nullable symbol: (production, rhs) skeletons of its
-        # empty-string derivations; recursive structures stay cycle-shared.
-        self.epsilon_analyses: dict[int, list[Production]] = {}
+        eps = self.eps_nodes = {sid: Node(i, sid, -1, -1, "epsilon")
+                                for i, sid in enumerate(sorted(nullable))}
+        get = eps.get
         for p in grammar.productions:
-            if p.lhs.id in nullable and all(s.id in nullable for s in p.rhs):
-                self.epsilon_analyses.setdefault(p.lhs.id, []).append(p)
-        # The engine's zero-width nodes of the nullable symbols, built from
-        # epsilon_analyses by the first chart (engine.epsilon_nodes), and
-        # the needs of each coverage entry's forms (engine.coverage_needs).
-        self.eps_nodes = None
-        self.entry_needs = None
+            node, kids = get(p.lhs.id), tuple([get(s.id) for s in p.rhs])
+            if node is not None and None not in kids:
+                # appended directly: one analysis per production, so none repeats
+                node.analyses.append(Analysis(p, kids))
 
     # -- name-based views, mainly for tests and the relation dump ---------
 
@@ -373,6 +388,17 @@ def load_compiled(text: str) -> CompiledGrammar:
             raise bad(f"{field} is out of range", line)
         return value
 
+    def nums(fields: list[str], line: int, limit: int | None = None, hexa: bool = False
+             ) -> list[int]:
+        """num of each field, parsed in one map; num only words the error."""
+        try:
+            values = list(map(int, fields, [16 if hexa else 10] * len(fields)))
+            if min(values, default=0) >= 0 and (limit is None or max(values, default=0) < limit):
+                return values
+        except ValueError:
+            pass
+        return [num(f, line, limit, hexa) for f in fields]
+
     line, fields = row("symbols", 2)
     nsyms = num(fields[1], line)
     symbols = []
@@ -382,13 +408,13 @@ def load_compiled(text: str) -> CompiledGrammar:
             raise bad(f"symbol {i} expected, got {sid} {name} {kind}", line)
         symbols.append(Symbol(i, name, kind))
     line, fields = row("roots")
-    roots = [symbols[num(f, line, nsyms)] for f in fields[1:]]
+    roots = [symbols[i] for i in nums(fields[1:], line, nsyms)]
     line, fields = row("productions", 2)
     nprods = num(fields[1], line)
     productions = []
     for i in range(nprods):
         line, fields = row()
-        ids = [num(f, line, nsyms) for f in fields[1:]]
+        ids = nums(fields[1:], line, nsyms)
         if num(fields[0], line) != i or not ids:
             raise bad(f"production {i} expected, got {fields[0]}", line)
         productions.append(Production(i, symbols[ids[0]], tuple(symbols[j] for j in ids[1:])))
@@ -399,7 +425,7 @@ def load_compiled(text: str) -> CompiledGrammar:
     masks = {}
     for label in ("lpd", "rpd", "la", "ra"):
         line, fields = row(label, nsyms + 1)
-        masks[label] = [num(f, line, 1 << nsyms, hexa=True) for f in fields[1:]]
+        masks[label] = nums(fields[1:], line, 1 << nsyms, hexa=True)
     line, fields = row("lm", 2)
     lm = num(fields[1], line, 1 << nsyms, hexa=True)
     line, fields = row("rm", 2)
@@ -411,8 +437,14 @@ def load_compiled(text: str) -> CompiledGrammar:
              for i in useful_productions(grammar)}
     for _ in range(nentries):
         line, (sid, pid, pos, klass) = row(width=4)
-        sym, prod = num(sid, line, nsyms), productions[num(pid, line, nprods)]
-        pos = num(pos, line, len(prod.rhs))
+        try:
+            sym, i, at = int(sid), int(pid), int(pos)
+        except ValueError:
+            sym = -1
+        if not (0 <= sym < nsyms and 0 <= i < nprods and 0 <= at < len(productions[i].rhs)):
+            num(sid, line, nsyms)  # raises, as one of these does
+            num(pos, line, len(productions[num(pid, line, nprods)].rhs))
+        prod, pos = productions[i], at
         if prod.rhs[pos].id != sym or klass not in (CC, CO, OC, OO):
             raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
                       f"production {prod}", line)

@@ -900,12 +900,31 @@ def test_side_with_only_a_fusion_partner_is_not_stillborn():
 
 
 def test_epsilon_nodes_are_shared_by_the_sessions_of_a_grammar():
+    # built when the grammar is compiled or loaded, before any chart
     cg = compile_grammar(load_grammar(OPTIONAL_ENDS))
+    for compiled in (cg, relations.load_compiled(relations.save_compiled(cg))):
+        eps = compiled.eps_nodes
+        assert sorted(eps) == sorted(compiled.nullable) == [compiled.grammar.symbol(name).id
+                                                           for name in ("A", "C")]
+        assert [eps[sid].id for sid in sorted(eps)] == list(range(len(eps)))
+        assert all(nd.fbp == nd.lbp == -1 and len(nd.analyses) == 1 for nd in eps.values())
     first, second = (parse(cg, tokenize_plain(text)) for text in ("a b c", "b"))
-    assert first.eps_nodes is second.eps_nodes
-    skeleton = {sid: (nd.id, len(nd.analyses)) for sid, nd in first.eps_nodes.items()}
-    assert sorted(i for i, _ in skeleton.values()) == list(range(len(skeleton)))
+    assert first.eps_nodes is second.eps_nodes is cg.eps_nodes
     for chart in (first, second):
-        assert chart.node_list[0].id == len(skeleton)
-    parse(cg, tokenize_plain("a b"))
-    assert {sid: (nd.id, len(nd.analyses)) for sid, nd in first.eps_nodes.items()} == skeleton
+        assert chart.node_list[0].id == len(cg.eps_nodes)
+
+
+def test_parsing_leaves_the_compiled_grammar_unchanged():
+    # nothing is cached on the grammar by a chart: every attribute is the
+    # object compile_grammar made, and the epsilon nodes, which this input's
+    # trees hold, keep their analyses
+    grammar, lattice = random_case(6)
+    cg = compile_grammar(grammar)
+    before = dict(vars(cg))
+    skeleton = {sid: list(nd.analyses) for sid, nd in cg.eps_nodes.items()}
+    assert skeleton and None not in before.values()
+    for _ in range(3):
+        count_trees(build_forest(parse(cg, lattice)))
+    assert vars(cg).keys() == before.keys()
+    assert all(vars(cg)[name] is value for name, value in before.items())
+    assert {sid: nd.analyses for sid, nd in cg.eps_nodes.items()} == skeleton

@@ -6,9 +6,10 @@ from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
                      oracle_nullable, oracle_rpd, random_small_grammar,
                      table_with_entry)
 from scparse import compile_grammar, load_grammar
+from scparse.engine import needs
 from scparse.grammar import TERMINAL, GrammarError
 from scparse.oracle import random_case
-from scparse.relations import (CC, CO, OC, OO, _digest, compute_nullable,
+from scparse.relations import (CC, CLASSES, CO, OC, OO, _digest, compute_nullable,
                                dump_relations, load_compiled, primary_pairs,
                                save_compiled, useful_productions)
 
@@ -174,6 +175,51 @@ def test_coverage_edge_bits_follow_the_rhs(seeds):
                     counts[e.edge] += 1
     # every combination of the two bits occurs
     assert all(counts)
+
+
+def outer_dots_by_walk(cg, entry) -> tuple[int, int]:
+    """An entry's outermost dots, found by trying every dot: the smallest
+    left dot (largest right dot) with only nullable symbols between it and
+    the anchor."""
+    rhs, pos = entry.production.rhs, entry.position
+
+    def nullable(i, j):
+        return all(s.id in cg.nullable for s in rhs[i:j])
+    return (min(d for d in range(pos + 1) if nullable(d, pos)),
+            max(d for d in range(pos + 1, len(rhs) + 1) if nullable(pos + 1, d)))
+
+
+def forms_by_needs(cg, entry) -> int:
+    """The number of an entry's forms, as a walk over what its dots wait for
+    counts them: on each side, the anchor's dot and every dot reached by
+    stepping outward while the symbol it waits for is nullable."""
+    counts = []
+    for side, step in ((0, -1), (1, 1)):
+        dot = [entry.position, entry.position + 1]
+        count = 1
+        while needs(entry.production, dot)[side] in cg.nullable:
+            dot[side] += step
+            count += 1
+        counts.append(count)
+    return counts[0] * counts[1]
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)], ids=["0-99", "100-199"])
+def test_coverage_outer_dots_follow_the_nullable_symbols(seeds):
+    spread = 0
+    for seed in seeds:
+        cg = compile_grammar(random_case(seed)[0])
+        for compiled in (cg, load_compiled(save_compiled(cg))):
+            for entries in compiled.coverage:
+                for e in entries:
+                    where = (seed, str(e.production), e.position)
+                    assert (e.lo, e.hi) == outer_dots_by_walk(compiled, e), where
+                    forms = (e.position - e.lo + 1) * (e.hi - e.position)
+                    assert forms == forms_by_needs(compiled, e), where
+                    assert e.klass == CLASSES[e.lo == 0][e.hi == len(e.production.rhs)], where
+                    spread += forms > 1
+    # many entries have epsilon siblings
+    assert spread > 100
 
 
 def redigested(text: str, old: str, new: str) -> str:
