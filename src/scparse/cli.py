@@ -12,7 +12,7 @@ from .forest import TreeCount, build_forest, count_trees, dump_forest
 from .grammar import GrammarError, load_grammar
 from .lattice import LatticeError, load_lattice, tokenize_plain
 from .oracle import earley_count_trees, earley_recognize
-from .relations import MAGIC, compile_grammar, dump_relations, load_compiled, save_compiled
+from .relations import FAMILY, compile_grammar, dump_relations, load_compiled, save_compiled
 
 
 class UsageError(Exception):
@@ -38,9 +38,9 @@ def _write(path: str, text: str):
 
 
 def _load_any_grammar(path: str):
-    """Grammar source or already-compiled table, detected by the header."""
+    """Grammar source or compiled table of any format, detected by the header."""
     text = _read(path)
-    if text.lstrip().startswith(MAGIC):
+    if text.lstrip().startswith(FAMILY):
         return load_compiled(text)
     return compile_grammar(load_grammar(text))
 

@@ -104,8 +104,8 @@ indexed by LEFT (0) or RIGHT (1) and each step is written once for a
 `side`, with `other = 1 - side` the side facing it across a CaD: an
 event's dots, CaD indices and the symbols its open extremes wait for
 (`need`, None on a closed side), its support bits and fusion links; a
-CaD's open and closed extremes, closed class counts, reach and lexical
-symbols; the chart's partial-derivability, adjacency and boundary tables.
+CaD's open extremes, closed class counts, reach and lexical symbols; the
+chart's partial-derivability, adjacency and boundary tables.
 Where the order of the two sides matters to the queues (and so to the
 event counts), it is fixed in place: spawned siblings are made RIGHT
 first, extremes are analyzed LEFT first.
@@ -199,11 +199,11 @@ class Event:
 
 
 class CaD:
-    """Per-breaking-point lists of event extremes, each a (LEFT, RIGHT)
-    pair.  open[side] and closed[side] hold the events whose extreme on
-    side is here, open or closed.  Classes serve open extremes only:
-    n_closed[side] counts the closed ones by lhs (a class is present while
-    its count is), and reach[side], the union of the closed classes'
+    """Per-breaking-point tables of event extremes, each a (LEFT, RIGHT)
+    pair.  open[side] holds the events whose extreme on side is here and
+    open.  The closed ones are kept as classes, which serve open extremes
+    only: n_closed[side] counts them by lhs (a class is present while its
+    count is), and reach[side], the union of the closed classes'
     partial-derivability rows, is derived from the counts when read
     (`Chart._reach`); None marks it stale.  Set in `Chart.__init__` and
     never again: closable[side], the classes whose closed extreme on side
@@ -213,12 +213,11 @@ class CaD:
     whose end on side is here (LEFT: items starting here), the union of
     their pd rows, which bounds reach[side] (`Chart._support`)."""
 
-    __slots__ = ("index", "open", "closed", "n_closed", "closable", "lexical", "reach")
+    __slots__ = ("index", "open", "n_closed", "closable", "lexical", "reach")
 
     def __init__(self, index: int):
         self.index = index
         self.open: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
-        self.closed: tuple[dict[int, Event], dict[int, Event]] = ({}, {})
         self.n_closed: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.closable = [0, 0]
         self.lexical = [0, 0]
@@ -449,23 +448,26 @@ class Chart:
         need = (rhs[dot[LEFT] - 1].id if dot[LEFT] > 0 else None,
                 rhs[dot[RIGHT]].id if dot[RIGHT] < len(rhs) else None)
         partners = (None, None)
-        # stillborn at once if an extreme is open at its own input edge: it faces nothing
-        born = stillborn is None or not (cad[LEFT] == 0 and need[LEFT] is not None
-                                         or cad[RIGHT] == self.n and need[RIGHT] is not None)
-        if born and supported is None and stillborn is not None:
-            lhs = production.lhs.id
-            supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
-                         self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
-        if born and stillborn is not None and not (supported[LEFT] and supported[RIGHT]):
-            partners = [None, None]
-            for side in (LEFT, RIGHT):
-                if supported[side]:
-                    continue
-                if need[side] is not None:
-                    partners[side] = self._partners(production, dot, cad[side], side)
-                if not partners[side]:
-                    born = False
-                    break
+        born = True
+        if stillborn is not None:  # the cycle has started
+            if (cad[LEFT] == 0 and need[LEFT] is not None
+                    or cad[RIGHT] == self.n and need[RIGHT] is not None):
+                born = False  # an extreme open at its own input edge faces nothing
+            else:
+                if supported is None:
+                    lhs = production.lhs.id
+                    supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
+                                 self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
+                if not (supported[LEFT] and supported[RIGHT]):
+                    partners = [None, None]
+                    for side in (LEFT, RIGHT):
+                        if supported[side]:
+                            continue
+                        if need[side] is not None:
+                            partners[side] = self._partners(production, dot, cad[side], side)
+                        if not partners[side]:
+                            born = False
+                            break
         if born:
             ev = Event(self._next_event_id, production, dot, cad, children, key, need, alts)
             self._next_event_id += 1
@@ -572,11 +574,6 @@ class Chart:
             assert len(children) == rdot - ldot
             self._assert_tiling(*ev.cad, children)
 
-    def _extremes(self, ev: Event, side: int) -> dict[int, Event]:
-        """The CaD list that holds ev's extreme on side, as ev stands."""
-        cad = self.cads[ev.cad[side]]
-        return (cad.open if ev.need[side] is not None else cad.closed)[side]
-
     # -- step 4: link analyses --------------------------------------------
 
     def _reach(self, cad: CaD, side: int) -> int:
@@ -653,15 +650,14 @@ class Chart:
                 if p.production is production and p.dot[other] == dot[side]]
 
     def _wire(self, ev: Event, side: int) -> int | None:
-        """Wire ev's extreme on side into its CaD list, and a closed one
-        into its class count; returns its class (lhs) if it is closed and
-        its class is new at the CaD, else None."""
+        """Wire ev's extreme on side into its CaD: an open one into its
+        list, a closed one into its class count; returns its class (lhs) if
+        it is closed and its class is new at the CaD, else None."""
         cad = self.cads[ev.cad[side]]
         if ev.need[side] is not None:
             cad.open[side][ev.id] = ev
             return None
         sym = ev.production.lhs.id
-        cad.closed[side][ev.id] = ev
         counts = cad.n_closed[side]
         n = counts.get(sym, 0)
         counts[sym] = n + 1
@@ -715,19 +711,18 @@ class Chart:
                 yield q
 
     def _detach(self, ev: Event, side: int, lost: list[Event]):
-        """Unwire ev's extreme on side from its CaD list, and a closed one
-        from its class count.  When a closed class vanishes there, the
-        facing open extremes it was compatible with (there are some only if
-        it had support) whose symbol the remaining `reach` does not cover
-        lose their bit and go on `lost`.  An open extreme takes no support
-        away: the closed extremes facing it take theirs from the lexical
-        items (`_support`)."""
+        """Unwire ev's extreme on side from its CaD: an open one from its
+        list, a closed one from its class count.  When a closed class
+        vanishes there, the facing open extremes it was compatible with
+        (there are some only if it had support) whose symbol the remaining
+        `reach` does not cover lose their bit and go on `lost`.  An open
+        extreme takes no support away: the closed extremes facing it take
+        theirs from the lexical items (`_support`)."""
         cad = self.cads[ev.cad[side]]
         if ev.need[side] is not None:
             del cad.open[side][ev.id]
             return
         sym = ev.production.lhs.id
-        del cad.closed[side][ev.id]
         counts = cad.n_closed[side]
         n = counts.pop(sym) - 1
         if n:
@@ -965,22 +960,26 @@ class Chart:
     def check_invariants(self):
         """Debug check of the chart's bookkeeping, then of the fixpoint.
         Bookkeeping: every live event's key indexes it, the CaD lists hold
-        exactly the live events' extremes, each on its open or closed side,
-        fusion links are symmetric between live events and join open
-        extremes of one production whose dots meet at one CaD, and every
-        CaD's closed class counts, closed support mask, lexical reach and
-        (where not stale) reach agree with a recount from its lists, the
-        lexical items and the adjacency and boundary tables, the reach within
-        the lexical reach.  Fixpoint: no live extreme is ruled out by the
-        bound at `_support`, every extreme's support bit equals a scan of
-        its CaD for anything compatible (every node, closed and open
-        extreme, or the input boundary), and every live event's stored
-        status is current."""
+        exactly the live events' open extremes, fusion links are symmetric
+        between live events and join open extremes of one production whose
+        dots meet at one CaD, and every CaD's closed class counts, closed
+        support mask, lexical reach and (where not stale) reach agree with a
+        recount from the live events' closed extremes, the lexical items and
+        the adjacency and boundary tables, the reach within the lexical
+        reach.  Fixpoint: no live extreme is ruled out by the bound at
+        `_support`, every extreme's support bit equals a scan of its CaD for
+        anything compatible (every node, closed and open extreme, or the
+        input boundary), and every live event's stored status is current."""
+        closed = {}  # (CaD index, side) -> the lhs of each live closed extreme there
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
                 name = f"e{ev.id}.{SIDE_NAMES[side]}"
-                assert self._extremes(ev, side).get(ev.id) is ev, f"{name}: not in its CaD list"
+                if ev.need[side] is None:
+                    closed.setdefault((ev.cad[side], side), []).append(ev.production.lhs.id)
+                else:
+                    assert self.cads[ev.cad[side]].open[side].get(ev.id) is ev, \
+                        f"{name}: not in its CaD list"
                 for p in ev.fusion[side].values():
                     assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
                         f"{name}: fusion link with e{p.id} is one-sided"
@@ -989,8 +988,12 @@ class Chart:
                         and None not in (ev.need[RIGHT], p.need[LEFT])
                         and ev.dot[RIGHT] == p.dot[LEFT]), \
                     f"e{ev.id}.R: fusion link with e{p.id} joins dots that do not meet"
-        held = sum(len(extremes) for cad in self.cads for extremes in cad.open + cad.closed)
-        assert held == 2 * len(self.events), "CaD lists hold extremes of dead events"
+        for cad in self.cads:
+            for side in (LEFT, RIGHT):
+                for i, ev in cad.open[side].items():
+                    assert self.events.get(i) is ev, "CaD lists hold extremes of dead events"
+                    assert ev.need[side] is not None and ev.cad[side] == cad.index, \
+                        f"e{ev.id}.{SIDE_NAMES[side]}: listed open at CaD {cad.index}"
 
         node_syms = {}  # (CaD index, side) -> symbols of the nodes ending there
         lex_reach = {}  # the union of the pd rows of the lexical items among them
@@ -1005,14 +1008,15 @@ class Chart:
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 name = f"CaD {cad.index}.{SIDE_NAMES[side]}"
-                closed = {}
-                for ev in cad.closed[side].values():
-                    closed[ev.production.lhs.id] = closed.get(ev.production.lhs.id, 0) + 1
-                assert cad.n_closed[side] == closed, f"{name}: class counts differ from its lists"
+                counts = {}
+                for lhs in closed.get((cad.index, side), ()):
+                    counts[lhs] = counts.get(lhs, 0) + 1
+                assert cad.n_closed[side] == counts, \
+                    f"{name}: class counts differ from the live closed extremes"
                 assert cad.closable[side] == closable.get((cad.index, side), 0), \
                     f"{name}: closed support mask differs from the lexical items"
                 reach = 0
-                for lhs in closed:
+                for lhs in counts:
                     reach |= self.pd[side][lhs]
                 assert cad.reach[side] in (None, reach), f"{name}: reach differs from its counts"
                 assert not reach & ~cad.lexical[side], f"{name}: reach exceeds its lexical reach"
@@ -1021,20 +1025,19 @@ class Chart:
 
         def compatible(ev: Event, side: int) -> bool:
             """Whether anything at ev's CaD on side supports that extreme,
-            found by walking the CaD's lists and nodes."""
+            found by walking the CaD's live extremes and nodes."""
             other = 1 - side
             cad = self.cads[ev.cad[side]]
-            need = ev.need[side]
+            need, facing = ev.need[side], closed.get((cad.index, other), ())
             if need is not None:
                 pd = self.pd[other]
-                return any(pd[p.production.lhs.id] >> need & 1
-                           for p in cad.closed[other].values())
+                return any(pd[lhs] >> need & 1 for lhs in facing)
             delta = ev.production.lhs.id
             if cad.index == self.edge[side]:
                 return self.bound[side] >> delta & 1 == 1
             adj, pd = self.adj[side][delta], self.pd[side][delta]
             return (any(adj >> sym & 1 for sym in node_syms.get((cad.index, other), ()))
-                    or any(adj >> p.production.lhs.id & 1 for p in cad.closed[other].values())
+                    or any(adj >> lhs & 1 for lhs in facing)
                     or any(pd >> q.need[other] & 1 for q in cad.open[other].values()))
 
         for ev in self.events.values():

@@ -1,7 +1,9 @@
 """Grammar relation fixpoints and coverage tables.
 
 Everything the parser needs to prune work is built here, when a grammar
-is compiled or loaded (CompiledGrammar); parsing only reads it:
+is compiled or loaded (CompiledGrammar); parsing only reads it.  A saved
+table stores the fixpoints, nullable to la / ra; the tables after them
+take one pass over the grammar and are derived again on load:
 
   nullable     symbols deriving the empty string
   lpd / rpd    left / right partial derivability: a symbol together with
@@ -244,24 +246,24 @@ def build_coverage(g: Grammar, nullable: frozenset[int], lm: int, rm: int
 
 class CompiledGrammar:
     """Compilation result, shared by parse sessions and never changed by
-    them.  eps_nodes holds the zero-width node of each nullable symbol, ids
+    them.  Given a grammar's fixpoints, computed or loaded, it derives lm /
+    rm, coverage and eps_nodes, so a loaded grammar is the compiled one.
+    eps_nodes holds the zero-width node of each nullable symbol, ids
     0..k-1 in symbol order, with one analysis per production whose rhs is
     all nullable, its children those symbols' zero-width nodes (Aycock &
     Horspool 2002; recursion stays cycle-shared).  Every chart shares them;
     they are in no chart's node store, so nothing packs onto them."""
 
     def __init__(self, grammar: Grammar, nullable: frozenset[int],
-                 lpd: list[int], rpd: list[int], la: list[int], ra: list[int],
-                 lm: int, rm: int, coverage: list[list[CoverageEntry]]):
+                 lpd: list[int], rpd: list[int], la: list[int], ra: list[int]):
         self.grammar = grammar
         self.nullable = nullable
         self.lpd = lpd
         self.rpd = rpd
         self.la = la
         self.ra = ra
-        self.lm = lm
-        self.rm = rm
-        self.coverage = coverage
+        self.lm, self.rm = compute_boundaries(grammar, lpd, rpd)
+        self.coverage = build_coverage(grammar, nullable, self.lm, self.rm)
         eps = self.eps_nodes = {sid: Node(i, sid, -1, -1, "epsilon")
                                 for i, sid in enumerate(sorted(nullable))}
         get = eps.get
@@ -299,19 +301,18 @@ class CompiledGrammar:
 
 
 def compile_grammar(g: Grammar) -> CompiledGrammar:
-    """Run all relation fixpoints and table builds for a grammar."""
+    """Run all relation fixpoints for a grammar (CompiledGrammar derives the rest)."""
     nullable = compute_nullable(g)
     lpd = compute_lpd(g, nullable)
     rpd = compute_rpd(g, nullable)
     la, ra = compute_adjacency(g, nullable)
-    lm, rm = compute_boundaries(g, lpd, rpd)
-    coverage = build_coverage(g, nullable, lm, rm)
-    return CompiledGrammar(g, nullable, lpd, rpd, la, ra, lm, rm, coverage)
+    return CompiledGrammar(g, nullable, lpd, rpd, la, ra)
 
 
 # -- serialization ---------------------------------------------------------
 
-MAGIC = "SCPC1"
+FAMILY = "SCPC"  # every table format's header: FAMILY and its version
+MAGIC = FAMILY + "2"
 
 
 def _digest(text: str, end: int) -> str:
@@ -324,8 +325,8 @@ def _digest(text: str, end: int) -> str:
 
 
 def save_compiled(cg: CompiledGrammar) -> str:
-    """Deterministic textual dump of the compiled tables; the last line is
-    `end` and the digest of the text before it."""
+    """Deterministic textual dump of the grammar and its fixpoints; the
+    last line is `end` and the digest of the text before it."""
     g = cg.grammar
     out = [MAGIC]
     out.append(f"symbols {len(g.symbols)}")
@@ -341,26 +342,22 @@ def save_compiled(cg: CompiledGrammar) -> str:
     out.append(f"nullable {nmask:x}")
     for label, masks in (("lpd", cg.lpd), ("rpd", cg.rpd), ("la", cg.la), ("ra", cg.ra)):
         out.append(label + " " + " ".join(f"{m:x}" for m in masks))
-    out.append(f"lm {cg.lm:x}")
-    out.append(f"rm {cg.rm:x}")
-    entries = sum(len(es) for es in cg.coverage)
-    out.append(f"coverage {entries}")
-    for sym in g.symbols:
-        for e in cg.coverage[sym.id]:
-            out.append(f"{sym.id} {e.production.id} {e.position} {e.klass}")
     text = "\n".join(out) + "\n"
     return f"{text}end {_digest(text, len(text))}\n"
 
 
 def load_compiled(text: str) -> CompiledGrammar:
-    """Inverse of save_compiled; GrammarError on malformed input, on a
-    coverage entry of a useless production (build_coverage's rule) or
-    whose class disagrees with the nullable set (`production_entries`,
-    which also gives it its edge bits), and on a table whose text does not
-    match its digest (a well-formed table can still be wrong)."""
+    """Inverse of save_compiled, the other tables derived as for
+    compile_grammar; GrammarError on malformed input, a table of another
+    format (an older one must be recompiled) and a table whose text does
+    not match its digest (a well-formed table can still be wrong)."""
     # Rows are split one at a time: a large table's masks are megabytes.
     rows = ((n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    if next(rows, (0, None))[1] != [MAGIC]:
+    header = next(rows, (0, None))[1]
+    if header != [MAGIC]:
+        if header and header[0].startswith(FAMILY):
+            raise GrammarError(f"bad compiled-grammar file: format {header[0]}, not {MAGIC} "
+                               "(a table saved in an older format must be recompiled)")
         raise GrammarError(f"bad compiled-grammar file: missing {MAGIC} header")
 
     def bad(message: str, line: int | None = None) -> GrammarError:
@@ -426,36 +423,6 @@ def load_compiled(text: str) -> CompiledGrammar:
     for label in ("lpd", "rpd", "la", "ra"):
         line, fields = row(label, nsyms + 1)
         masks[label] = nums(fields[1:], line, 1 << nsyms, hexa=True)
-    line, fields = row("lm", 2)
-    lm = num(fields[1], line, 1 << nsyms, hexa=True)
-    line, fields = row("rm", 2)
-    rm = num(fields[1], line, 1 << nsyms, hexa=True)
-    line, fields = row("coverage", 2)
-    nentries = num(fields[1], line)
-    coverage: list[list[CoverageEntry]] = [[] for _ in symbols]
-    built = {i: production_entries(productions[i], nullable, lm, rm)  # the useful ones
-             for i in useful_productions(grammar)}
-    for _ in range(nentries):
-        line, (sid, pid, pos, klass) = row(width=4)
-        try:
-            sym, i, at = int(sid), int(pid), int(pos)
-        except ValueError:
-            sym = -1
-        if not (0 <= sym < nsyms and 0 <= i < nprods and 0 <= at < len(productions[i].rhs)):
-            num(sid, line, nsyms)  # raises, as one of these does
-            num(pos, line, len(productions[num(pid, line, nprods)].rhs))
-        prod, pos = productions[i], at
-        if prod.rhs[pos].id != sym or klass not in (CC, CO, OC, OO):
-            raise bad(f"coverage entry {sid} {pid} {pos} {klass} does not match "
-                      f"production {prod}", line)
-        if prod.id not in built:
-            raise bad(f"coverage entry {sid} {pid} {pos} {klass} belongs to useless "
-                      f"production {prod}", line)
-        entry = built[prod.id][pos]
-        if entry.klass != klass:
-            raise bad(f"coverage entry {sid} {pid} {pos} {klass}: the nullable set "
-                      f"makes it {entry.klass}", line)
-        coverage[sym].append(entry)
     end_line, _ = row("end", 2)
     line, fields = next(rows, (None, None))
     if fields is not None:
@@ -464,7 +431,7 @@ def load_compiled(text: str) -> CompiledGrammar:
     if text[cut:] != f"end {_digest(text, cut)}\n":
         raise bad("the table does not match its digest", end_line)
     return CompiledGrammar(grammar, nullable, masks["lpd"], masks["rpd"],
-                           masks["la"], masks["ra"], lm, rm, coverage)
+                           masks["la"], masks["ra"])
 
 
 def dump_relations(cg: CompiledGrammar) -> str:

@@ -4,14 +4,13 @@ These recompute nullability, partial derivability, adjacency and boundary
 sets by enumerating sentential forms, sharing no code with the fixpoint
 implementations they check.  Only usable on very small grammars.  Each
 symbol's sentential forms are enumerated once per grammar and shared by
-all the oracles.  Also a saved-table edit for the loader tests.
+all the oracles.
 """
 
 import random
 import weakref
 
 from scparse.grammar import Grammar, NONTERMINAL, Production, Symbol, TERMINAL
-from scparse.relations import _digest, save_compiled
 
 MAX_FORM = 7
 
@@ -132,12 +131,3 @@ def random_small_grammar(seed: int) -> Grammar:
         prods.append(Production(len(prods), rng.choice(nts), rhs()))
     return Grammar(symbols, prods, [nts[0]])
 
-
-def table_with_entry(compiled, entry: str) -> str:
-    """The saved table of a compiled grammar with one more coverage entry
-    line, its count and digest fixed up so that only the entry is wrong."""
-    lines = save_compiled(compiled).splitlines()[:-1]
-    at = next(i for i, ln in enumerate(lines) if ln.startswith("coverage "))
-    lines[at] = f"coverage {int(lines[at].split()[1]) + 1}"
-    body = "\n".join(lines + [entry]) + "\n"
-    return f"{body}end {_digest(body, len(body))}\n"

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from helpers import table_with_entry
 from scparse import compile_grammar, load_grammar
 from scparse.cli import main
 
@@ -61,19 +60,21 @@ def test_parse_malformed_compiled_table(g2_file, tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_parse_table_of_an_older_format(g2_file, tmp_path, capsys):
+    table = tmp_path / "g2.scp"
+    assert main(["compile", g2_file, "-o", str(table)]) == 0
+    old = tmp_path / "old.scp"
+    old.write_text(table.read_text().replace("SCPC2", "SCPC1", 1))
+    assert main(["parse", "-g", str(old), "a a a b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "bad compiled-grammar file: format SCPC1, not SCPC2 (a table saved in an older " \
+           "format must be recompiled)" in err
+
+
 def test_compile_dump_relations(g2_file, capsys):
     assert main(["compile", g2_file, "--dump-relations"]) == 0
     assert "LA(b) = {A1, a}" in capsys.readouterr().out
-
-
-def test_parse_table_with_useless_coverage_entry(tmp_path, capsys):
-    g = load_grammar("%root S\nS -> a ;\nV -> d ;\n")
-    table = tmp_path / "table.scp"
-    table.write_text(table_with_entry(compile_grammar(g), f"{g.symbol('d').id} 1 0 CC"))
-    assert main(["parse", "-g", str(table), "a"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "belongs to useless production V -> d" in err
 
 
 def test_parse_stats_json(g2_file, capsys):

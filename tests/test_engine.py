@@ -387,16 +387,16 @@ DENSE_40 = CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240,
 
 def closed_support_by_scan(chart, index, side, lhs):
     """Whether a closed extreme of an lhs event on side at CaD index has
-    anything beside it, found by walking every node and every closed and
-    open extreme facing it there, or the input boundary."""
+    anything beside it, found by walking every node and every live event's
+    closed and open extreme facing it there, or the input boundary."""
     other = 1 - side
     if index == chart.edge[side]:
         return bool(chart.bound[side] >> lhs & 1)
-    cad = chart.cads[index]
     adj, pd = chart.adj[side][lhs], chart.pd[side][lhs]
+    facing = [ev for ev in chart.events.values() if ev.cad[other] == index]
     return (any(adj >> n.symbol & 1 for n in chart.node_list if (n.fbp, n.lbp)[other] == index)
-            or any(adj >> p.production.lhs.id & 1 for p in cad.closed[other].values())
-            or any(pd >> q.need[other] & 1 for q in cad.open[other].values()))
+            or any(adj >> p.production.lhs.id & 1 for p in facing if p.need[other] is None)
+            or any(pd >> q.need[other] & 1 for q in facing if q.need[other] is not None))
 
 
 def closed_support_cases():
@@ -527,10 +527,17 @@ def test_invariant_check_catches_an_unindexed_event():
 def test_invariant_check_catches_an_extreme_on_the_wrong_side():
     chart = parse_case(2)
     chart.check_invariants()
+    # a closed extreme listed open
     ev = next(e for e in chart.events.values() if e.need[LEFT] is None)
-    cad = chart.cads[ev.cad[LEFT]]
-    cad.open[LEFT][ev.id] = cad.closed[LEFT].pop(ev.id)
-    with pytest.raises(AssertionError, match=f"e{ev.id}.L: not in its CaD list"):
+    chart.cads[ev.cad[LEFT]].open[LEFT][ev.id] = ev
+    with pytest.raises(AssertionError, match=f"e{ev.id}.L: listed open at CaD {ev.cad[LEFT]}"):
+        chart.check_invariants()
+    del chart.cads[ev.cad[LEFT]].open[LEFT][ev.id]
+    chart.check_invariants()
+    # an open extreme missing from its list
+    ev = next(e for e in chart.events.values() if e.need[RIGHT] is not None)
+    del chart.cads[ev.cad[RIGHT]].open[RIGHT][ev.id]
+    with pytest.raises(AssertionError, match=f"e{ev.id}.R: not in its CaD list"):
         chart.check_invariants()
 
 
@@ -710,10 +717,8 @@ def test_reduced_coverage_parses_like_the_full_one(monkeypatch, seeds, limits):
         reduced = compile_grammar(grammar)
         with monkeypatch.context() as m:
             m.setattr(relations, "useful_productions", lambda g: {p.id for p in g.productions})
-            coverage = relations.build_coverage(grammar, reduced.nullable,
-                                                  reduced.lm, reduced.rm)
-        full = CompiledGrammar(grammar, reduced.nullable, reduced.lpd, reduced.rpd, reduced.la,
-                               reduced.ra, reduced.lm, reduced.rm, coverage)
+            full = CompiledGrammar(grammar, reduced.nullable, reduced.lpd, reduced.rpd,
+                                   reduced.la, reduced.ra)
         dropped.append(full.coverage != reduced.coverage)
         assert roots_and_counts(reduced, lattice) == roots_and_counts(full, lattice), seed
     # the reduction has something to drop on most of these grammars

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from helpers import (oracle_adjacency, oracle_boundaries, oracle_lpd,
-                     oracle_nullable, oracle_rpd, random_small_grammar,
-                     table_with_entry)
-from scparse import compile_grammar, load_grammar
+                     oracle_nullable, oracle_rpd, random_small_grammar)
+from scparse import build_forest, compile_grammar, count_trees, load_grammar, parse
 from scparse.engine import needs
 from scparse.grammar import TERMINAL, GrammarError
-from scparse.oracle import random_case
-from scparse.relations import (CC, CLASSES, CO, OC, OO, _digest, compute_nullable,
+from scparse.oracle import CaseLimits, random_case
+from scparse.relations import (CC, CLASSES, CO, OC, OO, compute_nullable,
                                dump_relations, load_compiled, primary_pairs,
                                save_compiled, useful_productions)
 
@@ -120,20 +119,6 @@ def test_useful_productions_match_a_naive_reduction(seed):
         assert useful_productions(g) == naive_useful(g)
 
 
-def test_load_rejects_coverage_of_a_useless_production():
-    cg = compile_grammar(load_grammar(USELESS))
-    g = cg.grammar
-    d = g.symbol("d").id
-    [v] = [p for p in g.productions if p.lhs.name == "V"]
-    table = table_with_entry(cg, f"{d} {v.id} 0 CC")
-    with pytest.raises(GrammarError, match=f"coverage entry {d} {v.id} 0 CC belongs to "
-                                           "useless production V -> d"):
-        load_compiled(table)
-    # the same table with a useful entry duplicated loads: only usefulness fails
-    [s_a] = [p for p in g.productions if str(p) == "S -> a"]
-    load_compiled(table_with_entry(cg, f"{g.symbol('a').id} {s_a.id} 0 CC"))
-
-
 def test_dump_relations_lists_useless_productions(g2_compiled):
     dump = dump_relations(compile_grammar(load_grammar(USELESS)))
     assert dump.splitlines()[-1] == "useless = {S -> U W, U -> b U, V -> d, W -> c}"
@@ -222,28 +207,6 @@ def test_coverage_outer_dots_follow_the_nullable_symbols(seeds):
     assert spread > 100
 
 
-def redigested(text: str, old: str, new: str) -> str:
-    """A saved table with its first line equal to old replaced by new, and
-    its digest fixed up so that only that line is wrong."""
-    lines = text.splitlines()[:-1]
-    lines[lines.index(old)] = new
-    body = "\n".join(lines) + "\n"
-    return f"{body}end {_digest(body, len(body))}\n"
-
-
-def test_load_rejects_a_coverage_class_the_nullable_set_contradicts(g2_compiled):
-    # A1 -> a A1: the anchor a has the non-nullable A1 on its right (CO)
-    text = save_compiled(g2_compiled)
-    g = g2_compiled.grammar
-    [p] = [p for p in g.productions if str(p) == "A1 -> a A1"]
-    line = f"{g.symbol('a').id} {p.id} 0 CO"
-    assert load_compiled(redigested(text, line, line)).coverage == g2_compiled.coverage
-    for klass in (CC, OC, OO):
-        with pytest.raises(GrammarError, match=f"coverage entry {line[:-2]}{klass}: "
-                                               "the nullable set makes it CO"):
-            load_compiled(redigested(text, line, line[:-2] + klass))
-
-
 def test_coverage_interior_occurrence():
     g = load_grammar("%root S\nS -> a x b ;")
     cg = compile_grammar(g)
@@ -318,6 +281,36 @@ def test_compiled_round_trip(g2_compiled):
     assert save_compiled(back) == text
     assert back.la_names("b") == {"A1", "a"}
     assert back.nullable == g2_compiled.nullable
+
+
+def coverage_fields(cg):
+    return [[(e.production.id, e.position, e.klass, e.edge, e.lo, e.hi) for e in entries]
+            for entries in cg.coverage]
+
+
+def parse_outcome(cg, lattice):
+    """The accepted roots (symbol and span), tree count and counters of a parse."""
+    chart = parse(cg, lattice)
+    count = count_trees(build_forest(chart), cap=10000)
+    roots = [(n.symbol, n.fbp, n.lbp) for n in chart.accept()]
+    return roots, (count.kind, count.value), chart.stats
+
+
+@pytest.mark.parametrize("seeds,limits", [(range(200), None),
+                                          (range(20), CaseLimits(max_input=24))],
+                         ids=["0-199", "long-0-19"])
+def test_loaded_table_derives_the_compiled_tables(seeds, limits):
+    # a saved table holds the fixpoints only; the loader derives coverage
+    # and lm / rm with the compiler's code, so it parses the same
+    for seed in seeds:
+        grammar, lattice = random_case(seed, limits)
+        compiled = compile_grammar(grammar)
+        text = save_compiled(compiled)
+        assert not {"coverage", "lm", "rm"} & {line.split()[0] for line in text.splitlines()}
+        loaded = load_compiled(text)
+        assert coverage_fields(loaded) == coverage_fields(compiled), seed
+        assert (loaded.lm, loaded.rm) == (compiled.lm, compiled.rm), seed
+        assert parse_outcome(loaded, lattice) == parse_outcome(compiled, lattice), seed
 
 
 def mutate_line(rng, lines):
