@@ -79,14 +79,10 @@ built event would have until the deletion drain.  It is sound because
 nothing but deletions runs between an action and that drain, and within
 the action nothing can give the form evidence (see `_new_event`).  A
 form open at its own input edge, where it faces nothing, is stillborn
-before any other test.  A new node's coverage entry is tested whole
-first: its forms are its nullable expansion, every left dot out to the
-entry's `lo` with every right dot out to its `hi`, and a form's evidence
-on a side depends only on its dot there, so an entry with a side where no
-dot has support and none can meet a fusion partner is stillborn in every
-form, and none of them is keyed or spawned (`add_node`); at an input edge
-that test is a bit of the entry, set when the grammar was compiled
-(`CoverageEntry.edge`).
+before any other test.  For a node made at an input edge, that test is
+one bit of each coverage entry, set when the grammar was compiled
+(`CoverageEntry.edge`): an entry without it is stillborn in every form of
+its nullable expansion, and none of them is keyed or spawned (`add_node`).
 `Chart.__init__` builds every form, never stillborn, in batch phases, as
 AC-4 initializes (Mohr & Henderson 1986): it admits every lexical node
 and sets the CaDs' lexical masks and lexical reach; builds every form
@@ -365,41 +361,19 @@ class Chart:
             return
         ends = (fbp, lbp)
         # An entry's forms (its dots out to `CoverageEntry.lo`/`hi`) share the
-        # node's CaDs, so a form's evidence on a side depends only on its dot
-        # there, and what the dot waits for is read from the rhs.  An entry
-        # with a side where no dot has support and none can have a fusion
-        # partner (no dot is open, or no open extreme faces it) has no form
-        # that would be born: all count as stillborn, none is keyed or
-        # spawned.  Each derivation holds the new node, so none was met
-        # before in this action; a live form lacks evidence on that side too
-        # (a support bit or fusion link passes the test), so the drain
-        # deletes it with whatever is packed into it.  At an input edge the
-        # test is the entry's edge bit.  A one-form entry passes its bits on.
+        # node's CaDs.  At an input edge, each form of an entry without the
+        # edge bit of that side is open there or closed there with an lhs
+        # that may not stand there: no such form is ever live, and each
+        # derivation holds the new node, so none was met before in this
+        # action.  All count as stillborn, none is keyed or spawned.
+        # `_new_event` decides the birth of every other entry's forms.
         at_edge = (fbp == 0) | (lbp == self.n) << 1
-        facing = (self.cads[fbp].open[RIGHT], self.cads[lbp].open[LEFT])
         for entry in self.compiled.coverage[symbol]:
-            production, position, lo, hi = entry.production, entry.position, entry.lo, entry.hi
+            production, position = entry.production, entry.position
             if not at_edge & ~entry.edge:
-                rhs, lhs, size = production.rhs, production.lhs.id, len(production.rhs)
-                supported = []
-                # per side, the rhs index of the symbol each dot waits for,
-                # nearest first; the outermost is off the rhs if it is closed
-                for side, step, outer in ((LEFT, -1, lo - 1), (RIGHT, 1, hi)):
-                    held = at_edge >> side & 1
-                    if not held:
-                        for i in range(position + step, outer + step, step):
-                            held = self._support(ends[side], side,
-                                                 rhs[i].id if 0 <= i < size else None, lhs)
-                            if held:
-                                break
-                        if not (held or 0 <= position + step < size and facing[side]):
-                            break
-                    supported.append(held)
-                else:
-                    one_form = lo == position and hi == position + 1
-                    self._new_event(production, (position, position + 1), ends, (node,),
-                                    supported if one_form else None)
-                    continue
+                self._new_event(production, (position, position + 1), ends, (node,))
+                continue
+            lo, hi = entry.lo, entry.hi
             self.stats["stillborn"] += (position - lo + 1) * (hi - position)
             if self.tracing:
                 # in spawn order (`_spawn_epsilon_variants`): the right dot
@@ -419,7 +393,7 @@ class Chart:
                 pos = c.lbp
         assert pos == lbp, "children spans must tile the parent span"
 
-    def _new_event(self, production, dot, cad, children, supported=None, alts=None):
+    def _new_event(self, production, dot, cad, children, alts=None):
         """Create the event of this form holding these derivations (children,
         then alts, if any), unless the derivation was found stillborn in
         this action; if the form is live or has fired, pack the derivation
@@ -431,8 +405,7 @@ class Chart:
         pair, so they face the way it does; a closed extreme's support is
         fixed when it arrives; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
-        all the same.  supported, when given, holds the form's support per
-        side (`_support`).  During `Chart.__init__` every form is built; one
+        all the same.  During `Chart.__init__` every form is built; one
         with an extreme that can never have evidence (the bound at
         `_support`) is retired: keyed, so a later derivation packs into it,
         never wired, and deleted at the end of init; the others are only
@@ -454,10 +427,9 @@ class Chart:
                     or cad[RIGHT] == self.n and need[RIGHT] is not None):
                 born = False  # an extreme open at its own input edge faces nothing
             else:
-                if supported is None:
-                    lhs = production.lhs.id
-                    supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
-                                 self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
+                lhs = production.lhs.id
+                supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
+                             self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
                 if not (supported[LEFT] and supported[RIGHT]):
                     partners = [None, None]
                     for side in (LEFT, RIGHT):

@@ -2,6 +2,7 @@ import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
 from scparse import engine, relations
+from scparse.bench import suite_grammar, suite_input
 from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
 from scparse.forest import (FINITE, INFINITE, build_forest, count_trees, enumerate_trees,
@@ -635,11 +636,12 @@ def test_fusion_links_join_meeting_dots(monkeypatch):
 
 
 @pytest.mark.parametrize("seeds,limits", [(range(500, 800), None),
-                                          (range(40, 140), CaseLimits(max_input=24))],
-                         ids=["500-799", "long-40-139"])
+                                          (range(40, 140), CaseLimits(max_input=24)),
+                                          (range(40), CaseLimits(max_input=48))],
+                         ids=["500-799", "long-40-139", "long48-0-39"])
 def test_tree_counts_match_earley_beyond_the_gate(seeds, limits):
     # the acceptance gate covers random_case(0..499) only; these seeds, and
-    # inputs of up to 24 tokens, exercise the nullable handling further
+    # inputs of up to 24 and 48 tokens, exercise the nullable handling further
     wrong = []
     for seed in seeds:
         grammar, lattice = random_case(seed, limits)
@@ -734,8 +736,9 @@ def mirrored(grammar, lattice):
 
 
 @pytest.mark.parametrize("seeds,limits", [(range(500), None),
-                                          (range(40), CaseLimits(max_input=24))],
-                         ids=["0-499", "long-0-39"])
+                                          (range(40), CaseLimits(max_input=24)),
+                                          (range(40), CaseLimits(max_input=48))],
+                         ids=["0-499", "long-0-39", "long48-0-39"])
 def test_mirror_image_parses_to_the_mirrored_forest(seeds, limits):
     # the engine treats both directions alike: parsing the mirror image
     # yields as many trees and the mirrored nodes (counters may differ, as
@@ -902,6 +905,74 @@ def test_side_with_only_a_fusion_partner_is_not_stillborn():
     assert "link fusion e2.R <-> e3.L" in chart.trace_lines
     assert chart.stats["stillborn"] == 0 and chart.stats["fusions"] == 1
     assert count_trees(build_forest(chart)).value == 1
+
+
+def counters(events_created, events_deleted, events_run, fusions, stale_fusions,
+             epsilon_expansions, links, nodes, packed, packed_derivations, stillborn):
+    return dict(locals())
+
+
+# Counters and stillborn forms, in trace order, of parses where nodes made
+# off both input edges have coverage entries none of whose forms has
+# evidence: `_new_event` finds each form stillborn, spawning its siblings.
+OFF_EDGE_STILLBORN = {
+    "recursive/4": (counters(16, 12, 4, 3, 0, 0, 22, 8, 0, 0, 3), [
+        "S -> . A1 . b @ [2,3]", "S -> . A1 . b @ [1,3]", "A1 -> a . A1 . @ [0,3]",
+    ]),
+    "local/4": (counters(9, 3, 6, 3, 0, 0, 21, 10, 0, 0, 3), [
+        "S -> . P . @ [0,2]", "S -> . P . S @ [2,4]", "S -> P . S . @ [0,4]",
+    ]),
+    13: (counters(164, 150, 14, 8, 2, 4, 69, 32, 1, 0, 39), [
+        "N4 -> t2 . N2 . t1 @ [0,1]", "N2 -> N4 . N2 . t2 N3 @ [0,1]",
+        "N1 -> . N2 . t2 t2 @ [0,1]", "N0 -> t2 . N3 . @ [0,1]", "N1 -> . N3 . t0 @ [0,1]",
+        "N2 -> N4 N2 t2 . N3 . @ [0,1]", "N0 -> . N3 . N1 t0 @ [0,1]",
+        "N0 -> . N3 N1 . t0 @ [0,1]", "N4 -> t2 . N2 . t1 @ [2,3]",
+        "N2 -> N4 . N2 . t2 N3 @ [2,3]", "N1 -> . N2 . t2 t2 @ [2,3]",
+        "N4 -> t2 . N2 . t1 @ [4,5]", "N2 -> N4 . N2 . t2 N3 @ [4,5]",
+        "N1 -> . N2 . t2 t2 @ [4,5]", "N0 -> N3 . N1 . t0 @ [5,6]",
+        "N0 -> . N3 N1 . t0 @ [5,6]", "N2 -> N4 . N2 . t2 N3 @ [5,6]",
+        "N1 -> . N2 . t2 t2 @ [5,6]", "N0 -> t2 . N3 . @ [5,6]", "N1 -> . N3 . t0 @ [5,6]",
+        "N2 -> N4 N2 t2 . N3 . @ [5,6]", "N0 -> . N3 . N1 t0 @ [5,6]",
+        "N0 -> . N3 N1 . t0 @ [5,6]", "N2 -> N4 . N2 . t2 N3 @ [6,7]",
+        "N1 -> . N2 . t2 t2 @ [6,7]", "N4 -> t2 . N2 . t1 @ [8,9]",
+        "N2 -> N4 . N2 . t2 N3 @ [8,9]", "N1 -> . N2 . t2 t2 @ [8,9]",
+        "N0 -> N3 . N1 . t0 @ [0,2]", "N0 -> . N3 N1 . t0 @ [0,2]",
+        "N0 -> N3 . N1 . t0 @ [5,8]", "N0 -> . N3 N1 . t0 @ [5,8]",
+        "N1 -> t1 t2 . N4 . t2 @ [4,8]", "N4 -> t2 . N4 . @ [4,8]",
+        "N2 -> . N4 . N2 t2 N3 @ [4,8]", "N0 -> t0 . N4 . @ [4,8]",
+        "N1 -> t1 t2 . N4 . t2 @ [5,8]", "N2 -> . N4 . N2 t2 N3 @ [5,8]",
+        "N0 -> t0 . N4 . @ [5,8]",
+    ]),
+    17: (counters(90, 72, 18, 13, 4, 0, 87, 35, 0, 0, 21), [
+        "N1 -> N0 t1 . N4 . @ [3,4]", "N1 -> N0 t1 . N4 . @ [5,6]",
+        "N1 -> N0 t1 . N4 . @ [6,7]", "N1 -> N0 t1 . N4 . @ [8,9]",
+        "N1 -> N0 t1 . N4 . @ [9,10]", "N0 -> N5 . N1 . @ [2,4]",
+        "N0 -> t0 . N0 . t0 @ [2,4]", "N1 -> . N0 . t1 N4 @ [2,4]",
+        "N1 -> N0 t1 . N4 . @ [3,5]", "N0 -> N5 . N1 . @ [5,7]",
+        "N0 -> t0 . N0 . t0 @ [5,7]", "N1 -> . N0 . t1 N4 @ [5,7]",
+        "N1 -> N0 t1 . N4 . @ [6,8]", "N0 -> t0 . N0 . t0 @ [0,3]",
+        "N1 -> . N0 . t1 N4 @ [0,3]", "N0 -> t0 . N0 . t0 @ [3,6]",
+        "N0 -> N5 . N1 . @ [3,9]", "N0 -> . N5 N1 . @ [3,9]", "N0 -> N5 . N1 . @ [3,8]",
+        "N0 -> t0 . N0 . t0 @ [3,8]", "N1 -> . N0 . t1 N4 @ [3,8]",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_EDGE_STILLBORN))
+def test_off_edge_entries_without_evidence_are_stillborn_form_by_form(case):
+    if isinstance(case, int):
+        grammar, lattice = random_case(case)
+    else:
+        suite, w = case.split("/")
+        grammar, lattice = suite_grammar(suite), tokenize_plain(suite_input(suite, int(w)))
+    chart = parse(compile_grammar(grammar), lattice, trace=True)
+    stats, forms = OFF_EDGE_STILLBORN[case]
+    assert chart.stats == stats
+    assert [line for line in chart.trace_lines if line.startswith("stillborn")] == \
+        [f"stillborn {form}" for form in forms]
+    mine = count_trees(build_forest(chart))
+    theirs = earley_count_trees(grammar, lattice)
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value)
 
 
 def test_epsilon_nodes_are_shared_by_the_sessions_of_a_grammar():
