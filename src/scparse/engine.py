@@ -46,9 +46,12 @@ test: its symbol in the facing `reach` (open), or its lhs in `closable`
 open extremes it is compatible with gain support; when one vanishes, the
 facing open extremes whose symbol the remaining `reach` no longer covers
 lose it, and their events may starve in turn: that is the delete
-cascade, and it runs through open extremes only.  Fusion links, which
-`fuse` looks up and counts, are the exception: they are kept explicitly,
-per side and keyed by partner id, on both events.
+cascade, and it runs through open extremes only.  A run's vanished
+classes are judged once its node's events are in, so a bit the node
+covers again never goes off (`_starve`).  Fusion links, which `fuse`
+looks up and counts, are the exception: they are kept explicitly, per
+side and keyed by partner id, on both events.  A status is recomputed
+only where an extreme may have gained or lost its last evidence.
 
 An event is its form: production, dots and CaDs (`event_key`).  Status,
 link analysis and fusion read only the form, never the children between
@@ -654,23 +657,25 @@ class Chart:
             if sym is not None and cad.open[other]:
                 for q in self._facing(cad, side, sym):
                     self._support_on(q, other)
-                    self._refresh_status(q)
+                    if not q.fusion[other]:
+                        self._refresh_status(q)
         if ev.need[side] is None:
             return
         if partners is None:
             if not cad.open[other]:
                 return
             partners = self._partners(ev.production, ev.dot, cad.index, side)
-        # each partner gains support and is refreshed (without that when
-        # ev's right extreme is analyzed, random_case(396) counts 10 trees
-        # instead of 12); ev's refresh in mid-analysis on the left side only
-        # sets where it enters the queues, which the event counts depend on.
+        # a partner without evidence on that side gains it and is refreshed;
+        # ev's refresh at its first link on the left only sets where it
+        # enters the queues, which the event counts depend on.
         for p in partners:
             e1, e2 = (p, ev) if side == LEFT else (ev, p)
+            held = p.support[other] or p.fusion[other]
             self._add_fusion(e1, e2)
-            if side == LEFT:
+            if side == LEFT and len(ev.fusion[LEFT]) == 1:
                 self._refresh_status(ev)
-            self._refresh_status(p)
+            if not held:
+                self._refresh_status(p)
 
     def _facing(self, cad: CaD, side: int, sym: int):
         """The unsupported open extremes at cad facing side that the closed
@@ -682,14 +687,12 @@ class Chart:
             if not q.support[other] and pd >> q.need[other] & 1:
                 yield q
 
-    def _detach(self, ev: Event, side: int, lost: list[Event]):
+    def _detach(self, ev: Event, side: int):
         """Unwire ev's extreme on side from its CaD: an open one from its
-        list, a closed one from its class count.  When a closed class
-        vanishes there, the facing open extremes it was compatible with
-        (there are some only if it had support) whose symbol the remaining
-        `reach` does not cover lose their bit and go on `lost`.  An open
-        extreme takes no support away: the closed extremes facing it take
-        theirs from the lexical items (`_support`)."""
+        list, a closed one from its class count.  It takes no support away
+        here: an open extreme gives none (the closed extremes facing it take
+        theirs from the lexical items, `_support`), and the open extremes a
+        vanished closed class leaves without it are found by `_starve`."""
         cad = self.cads[ev.cad[side]]
         if ev.need[side] is not None:
             del cad.open[side][ev.id]
@@ -699,17 +702,36 @@ class Chart:
         n = counts.pop(sym) - 1
         if n:
             counts[sym] = n
-            return
-        cad.reach[side] = None
-        other = 1 - side
-        if not (ev.support[side] and cad.open[other]):
-            return
-        starved = self.pd[side][sym] & ~self._reach(cad, side)
-        if starved:
-            for q in cad.open[other].values():
-                if starved >> q.need[other] & 1:
-                    self._support_off(q, other)
-                    lost.append(q)
+        else:
+            cad.reach[side] = None
+
+    def _starve(self, ev: Event):
+        """Take away the evidence ev gave once it has left its CaDs, and
+        refresh each event left without any on a side.  Per side, its fusion
+        partners drop their links with it; if its closed class is gone from
+        its CaD now, the facing open extremes the class was compatible with
+        (there are some only if it had support) whose symbol the `reach`
+        there does not cover lose their bit, if it is still on: an extreme
+        that arrived since took its bit from this reach."""
+        lost = []
+        for side in (LEFT, RIGHT):
+            other = 1 - side
+            for p in ev.fusion[side].values():
+                links = p.fusion[other]
+                del links[ev.id]
+                if not (links or p.support[other]):
+                    lost.append(p)
+            cad, sym = self.cads[ev.cad[side]], ev.production.lhs.id
+            if (ev.need[side] is None and ev.support[side] and cad.open[other]
+                    and sym not in cad.n_closed[side]):
+                starved = self.pd[side][sym] & ~self._reach(cad, side)
+                for q in cad.open[other].values() if starved else ():
+                    if q.support[other] and starved >> q.need[other] & 1:
+                        self._support_off(q, other)
+                        if not q.fusion[other]:
+                            lost.append(q)
+        for q in lost:
+            self._refresh_status(q)
 
     def _add_fusion(self, e1: Event, e2: Event):
         """Link e1's open right extreme with e2's open left one and put the
@@ -721,20 +743,12 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
-    def _release(self, ev: Event) -> list[Event]:
-        """Take ev out of the live events and its CaDs: the facing open
-        extremes left without support lose their bit, and its fusion partners
-        drop their links with it.  Returns those extremes' events and the
-        partners, whose status may have changed."""
+    def _release(self, ev: Event):
+        """Take ev out of the live events and its CaDs (`_detach`)."""
         ev.alive = False
         del self.events[ev.id]
-        partners = []
-        for side in (LEFT, RIGHT):
-            self._detach(ev, side, partners)
-            for p in ev.fusion[side].values():
-                del p.fusion[1 - side][ev.id]
-                partners.append(p)
-        return partners
+        self._detach(ev, LEFT)
+        self._detach(ev, RIGHT)
 
     # -- step 5: the logical status machine --------------------------------
 
@@ -776,34 +790,32 @@ class Chart:
     # -- step 6 actions -----------------------------------------------------
 
     def delete_event(self, ev: Event):
-        """Remove an event; the extremes left without support get their
-        status recomputed (the constraint-propagation cascade)."""
+        """Remove an event; the events it leaves without evidence get their
+        status recomputed at once (the constraint-propagation cascade)."""
         if self.event_index.get(ev.key) is ev:
             del self.event_index[ev.key]
         self.stats["events_deleted"] += 1
         if self.tracing:
             self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
-        for partner in self._release(ev):
-            self._refresh_status(partner)
+        self._release(ev)
+        self._starve(ev)
 
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
         resulting node, with one analysis per derivation.  The event leaves
-        its CaDs but its key stays indexed.  The extremes it leaves without
-        support lose their bit before the node is admitted, and their status
-        is refreshed after, once the node and its events have given what
-        support they can."""
+        its CaDs but its key stays indexed.  Its vanished classes are judged
+        only once the node and its events are in (`_starve`): an extreme
+        that they cover again keeps its bit and its status."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
-        partners = self._release(ev)
+        self._release(ev)
         production, lhs = ev.production, ev.production.lhs.id
         self.add_node(lhs, *ev.cad, Analysis(production, ev.children))
         if ev.alts:
             for children in ev.alts:
                 self.add_node(lhs, *ev.cad, Analysis(production, children))
-        for partner in partners:
-            self._refresh_status(partner)
+        self._starve(ev)
 
     def _join(self, e1: Event, e2: Event) -> tuple:
         """The dots and CaDs of the merge of e1 with e2, its right partner."""
@@ -828,6 +840,10 @@ class Chart:
             merged = [a + b for a in e1.derivations() for b in e2.derivations()]
         if self.tracing:
             self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {e1.cad[RIGHT]}")
+        # does either extreme meeting here hold evidence besides this link?
+        pair = (e1, e2)
+        held = [e.support[1 - s] or len(e.fusion[1 - s]) > 1
+                for s, e in enumerate(pair)]
         key = event_key(prod, dot, cad)
         ev = self.event_index.get(key)
         if ev is not None:
@@ -836,14 +852,11 @@ class Chart:
                 # the merged form already holds them all; just consume the link
                 del e1.fusion[RIGHT][e2.id]
                 del e2.fusion[LEFT][e1.id]
-                self._refresh_status(e1)
-                self._refresh_status(e2)
+                for s, e in enumerate(pair):
+                    if not held[s]:
+                        self._refresh_status(e)
                 self.stats["stale_fusions"] += 1
                 return
-        # does either extreme meeting here hold evidence besides this link?
-        pair = (e1, e2)
-        held = [e.support[1 - s] or len(e.fusion[1 - s]) > 1
-                for s, e in enumerate(pair)]
         self.stats["fusions"] += 1
         if ev is not None:
             # the merged form exists with other derivations: these join it
@@ -865,7 +878,6 @@ class Chart:
         # its old form away.
         if held[LEFT] or held[RIGHT]:
             side = LEFT if held[LEFT] else RIGHT
-            self._refresh_status(pair[side])
             mover, gone = pair[1 - side], None
         else:
             side, mover, gone = RIGHT, e1, e2
@@ -882,7 +894,7 @@ class Chart:
         fusion link, so it is open and leaving its CaD takes no support
         away (`_detach`).  fuse found the merged key unindexed."""
         del self.event_index[ev.key]
-        self._detach(ev, side, [])
+        self._detach(ev, side)
         need = needs(ev.production, dot)
         ev.dot, ev.cad, ev.need, ev.key = dot, cad, need, key
         ev.children, ev.alts = merged[0], dict.fromkeys(merged[1:]) if len(merged) > 1 else None
