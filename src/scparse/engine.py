@@ -11,7 +11,11 @@ A status machine classifies every event as RUN / DERIVATION / EPSILON /
 DELETE from the closure state of its extremes and whether each has any
 evidence.  The parsing cycle drains one deletion queue (DELETE and EPSILON
 events), the run queue and the fusion agenda, in that strict priority
-order.
+order.  The agenda keeps one bucket of linked pairs per merged width in
+breaking points and pops the narrowest first (CKY's order by span length):
+an action makes events at least as wide as itself, and any pair they join
+is wider, so the popped width never falls.  A pair that widened while it
+waited (an event of it moved an extreme in another fusion) is requeued.
 
 Nullable symbols are handled in one place.  An open extreme next to a
 nullable symbol has two outcomes: the symbol is realized empty, or real
@@ -64,12 +68,13 @@ for a form that is live or has fired is packed into its event and
 replayed for itself alone, doing what an event of its own would have done
 (`_pack`): a fired event's node takes the analysis at once; a live one
 spawns its epsilon siblings with these children and merges it with every
-derivation of every fusion partner facing it now, linked or not, since
-the pairs fused before it arrived never met it.  When a fusion's merged
-form exists with other derivations, the new ones are packed into it, and
-an event that would have moved to that form is deleted instead (moving
-would have taken its old form away).  So ambiguity costs one tuple per
-derivation, not one event life.
+derivation of every fusion partner facing it now whose pair is not
+pending, as a pending fusion merges it itself; a partner unlinked (the
+merged form held every derivation) or fused with its link kept never met
+it.  When a fusion's merged form exists with other derivations, the new
+ones are packed into it, and an event that would have moved to that form
+is deleted instead (moving would have taken its old form away).  So
+ambiguity costs one tuple per derivation, not one event life.
 
 Once the cycle has started, an event is not built when it would be born
 DELETE or EPSILON: its status is decided from its support bits and a scan
@@ -260,7 +265,11 @@ class Chart:
         # One deletion queue: EPSILON events are deleted like DELETE ones.
         self.delete_queue: deque[int] = deque()
         self.run_queue: deque[int] = deque()
-        self.fusion_agenda: deque[tuple[int, int]] = deque()
+        # The fusion agenda, one bucket of (e1 id, e2 id) pairs per merged width
+        # (`width` is being popped), and the pairs fused with their link kept.
+        self.fusion_agenda: list[list[tuple[int, int]]] = [[] for _ in range(lattice.points)]
+        self.width = 0
+        self.fused: set[tuple[int, int]] = set()
         # (key, children) of the derivations found stillborn (see
         # `_new_event`) in the current action; None until the cycle starts.
         self.stillborn: set[tuple] | None = None
@@ -490,10 +499,11 @@ class Chart:
         ev has fired, its node takes the analysis at once.  Otherwise the
         epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
-        derivation of every fusion partner facing it now, linked or not:
-        the links with ev may have been fused before it arrived, when it did
-        not yet hold it.  Not during `Chart.__init__`, where no pair has
-        fused yet: a fusion merges every derivation of both events."""
+        derivation of every fusion partner facing it now, unless their pair
+        is pending on the fusion agenda, whose fusion merges every
+        derivation of both events: a partner whose link was consumed, or
+        kept in `fused`, met ev before it held this one.  Not during
+        `Chart.__init__`, where every pair is pending."""
         if ev.holds(children):
             return
         if ev.alts is None:
@@ -517,6 +527,8 @@ class Chart:
                 continue
             for p in self._partners(production, dot, ev.cad[side], side):
                 e1, e2 = (p, ev) if side == LEFT else (ev, p)
+                if e2.id in e1.fusion[RIGHT] and (e1.id, e2.id) not in self.fused:
+                    continue  # pending: that fusion merges this derivation too
                 merged_dot, merged_cad = self._join(e1, e2)
                 for kids in p.derivations():
                     merged = kids + children if side == LEFT else children + kids
@@ -735,11 +747,11 @@ class Chart:
 
     def _add_fusion(self, e1: Event, e2: Event):
         """Link e1's open right extreme with e2's open left one and put the
-        pair on the fusion agenda."""
+        pair on the fusion agenda, in the bucket of its merged width."""
         e1.fusion[RIGHT][e2.id] = e2
         e2.fusion[LEFT][e1.id] = e1
         self.stats["links"] += 1
-        self.fusion_agenda.append((e1.id, e2.id))
+        self.fusion_agenda[e2.cad[RIGHT] - e1.cad[LEFT]].append((e1.id, e2.id))
         if self.tracing:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
@@ -826,7 +838,8 @@ class Chart:
         derivation of e1 with every derivation of e2.  The pair is stale
         unless e1 is live and still holds the link (a link only joins open
         extremes whose dots meet, and only extremes without links move), or
-        if the merged form already holds every merged derivation."""
+        if the merged form already holds every merged derivation.  A pair
+        that widened while it waited is queued again at its new width."""
         e1 = self.events.get(left_id)
         if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
@@ -834,6 +847,10 @@ class Chart:
         e2 = e1.fusion[RIGHT][right_id]
         prod = e1.production
         dot, cad = self._join(e1, e2)
+        width = cad[RIGHT] - cad[LEFT]
+        if width > self.width:
+            self.fusion_agenda[width].append((left_id, right_id))
+            return
         if e1.alts is None and e2.alts is None:
             merged = [e1.children + e2.children]
         else:
@@ -868,6 +885,7 @@ class Chart:
         if held[LEFT] and held[RIGHT]:
             # both extremes carry further evidence: e1 and e2 stay, the
             # merged event is alongside them
+            self.fused.add((left_id, right_id))
             return
         del e1.fusion[RIGHT][e2.id]
         del e2.fusion[LEFT][e1.id]
@@ -914,10 +932,26 @@ class Chart:
 
     def parse_cycle(self):
         """Drain the deletion queue, the run queue and the fusion agenda,
-        in that strict priority order, until nothing is pending.  Each run
-        or fusion action starts with no stillborn keys: the drain after an
-        action would have deleted its stillborn events, keys and all."""
+        in that strict priority order, the agenda's buckets narrowest first,
+        until nothing is pending.  Each run or fusion action starts with no
+        stillborn keys: the drain after an action would have deleted its
+        stillborn events, keys and all."""
         stillborn = self.stillborn = set()
+        self._drain()
+        for width, bucket in enumerate(self.fusion_agenda):
+            self.width = width  # no pair joins this bucket or a narrower one now
+            for pair in bucket:
+                stillborn.clear()
+                self.fuse(*pair)
+                self._drain()
+            bucket.clear()
+        if self.debug:
+            self.check_invariants()
+        return self
+
+    def _drain(self):
+        """Empty the deletion queue, then the run queue, deletions first."""
+        stillborn = self.stillborn
         while True:
             if self.delete_queue:
                 ev = self.events.get(self.delete_queue.popleft())
@@ -932,29 +966,24 @@ class Chart:
                     stillborn.clear()
                     self.run_event(ev)
                 continue
-            if self.fusion_agenda:
-                stillborn.clear()
-                self.fuse(*self.fusion_agenda.popleft())
-                continue
-            break
-        if self.debug:
-            self.check_invariants()
-        return self
+            return
 
     def check_invariants(self):
         """Debug check of the chart's bookkeeping, then of the fixpoint.
         Bookkeeping: every live event's key indexes it, the CaD lists hold
         exactly the live events' open extremes, fusion links are symmetric
-        between live events and join open extremes of one production whose
-        dots meet at one CaD, and every CaD's closed class counts, closed
-        support mask, lexical reach and (where not stale) reach agree with a
-        recount from the live events' closed extremes, the lexical items and
-        the adjacency and boundary tables, the reach within the lexical
-        reach.  Fixpoint: no live extreme is ruled out by the bound at
-        `_support`, every extreme's support bit equals a scan of its CaD for
-        anything compatible (every node, closed and open extreme, or the
-        input boundary), and every live event's stored status is current."""
+        between live events, join open extremes of one production whose dots
+        meet at one CaD and are queued on the fusion agenda or fused with the
+        link kept, and every CaD's closed class counts, closed support mask,
+        lexical reach and (where not stale) reach agree with a recount from
+        the live events' closed extremes, the lexical items and the
+        adjacency and boundary tables, the reach within the lexical reach.
+        Fixpoint: no live extreme is ruled out by the bound at `_support`,
+        every extreme's support bit equals a scan of its CaD for anything
+        compatible (every node, closed and open extreme, or the input
+        boundary), and every live event's stored status is current."""
         closed = {}  # (CaD index, side) -> the lhs of each live closed extreme there
+        queued = {pair for bucket in self.fusion_agenda for pair in bucket}
         for ev in self.events.values():
             assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
             for side in (LEFT, RIGHT):
@@ -972,6 +1001,8 @@ class Chart:
                         and None not in (ev.need[RIGHT], p.need[LEFT])
                         and ev.dot[RIGHT] == p.dot[LEFT]), \
                     f"e{ev.id}.R: fusion link with e{p.id} joins dots that do not meet"
+                assert (ev.id, p.id) in queued or (ev.id, p.id) in self.fused, \
+                    f"e{ev.id}.R: fusion link with e{p.id} is neither queued nor fused"
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 for i, ev in cad.open[side].items():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
@@ -202,6 +204,69 @@ def test_late_derivation_meets_partners_fused_before_it(monkeypatch, seed, limit
     theirs = earley_count_trees(grammar, lattice, cap=10000)
     assert fused_before
     assert (mine.kind, mine.value) == (theirs.kind, theirs.value)
+
+
+@pytest.mark.parametrize("seed,limits", [(120, CaseLimits(max_input=24)), (536, None)],
+                         ids=["long-120", "536"])
+def test_late_derivation_is_replayed_to_partners_fused_with_their_link_kept(
+        monkeypatch, seed, limits):
+    # in span order a late derivation still meets a partner whose pair was
+    # fused while both extremes held further evidence, which kept the link;
+    # a partner whose pair is still queued is left to that fusion
+    kept, pending = [], []
+    pack = engine.Chart._pack
+
+    def spy(chart, ev, children):
+        if ev.alive and not ev.holds(children) and chart.stillborn is not None:
+            queued = {pair for bucket in chart.fusion_agenda for pair in bucket}
+            for side in (LEFT, RIGHT):
+                if ev.need[side] is not None:
+                    for p in chart._partners(ev.production, ev.dot, ev.cad[side], side):
+                        e1, e2 = (p, ev) if side == LEFT else (ev, p)
+                        if (e1.id, e2.id) in chart.fused:
+                            kept.append((e1.id, e2.id))
+                        elif e2.id in e1.fusion[RIGHT]:
+                            assert (e1.id, e2.id) in queued
+                            pending.append((e1.id, e2.id))
+        pack(chart, ev, children)
+
+    monkeypatch.setattr(engine.Chart, "_pack", spy)
+    grammar, lattice = random_case(seed, limits)
+    mine = count_trees(build_forest(parse(compile_grammar(grammar), lattice)), cap=10000)
+    theirs = earley_count_trees(grammar, lattice, cap=10000)
+    assert kept and pending
+    assert (mine.kind, mine.value) == (theirs.kind, theirs.value)
+
+
+def test_fusions_run_narrowest_first(monkeypatch):
+    # the agenda pops its buckets narrowest first and puts a pair that
+    # widened while it waited back at its new width, so within a parse the
+    # width of the fusions executed never falls
+    fuse = engine.Chart.fuse
+    widths, requeued = [], [0]
+
+    def spy(chart, left_id, right_id):
+        e1 = chart.events.get(left_id)
+        e2 = e1.fusion[RIGHT].get(right_id) if e1 is not None else None
+        width = e2.cad[RIGHT] - e1.cad[LEFT] if e2 is not None else None
+        fusions = chart.stats["fusions"]
+        fuse(chart, left_id, right_id)
+        if chart.stats["fusions"] > fusions:
+            assert width == chart.width
+            widths.append(width)
+        elif width is not None and width > chart.width:
+            requeued[0] += 1
+
+    monkeypatch.setattr(engine.Chart, "fuse", spy)
+    fused = 0
+    for seed, limits in [*((s, None) for s in range(200)),
+                         *((s, CaseLimits(max_input=24)) for s in range(40))]:
+        widths.clear()
+        chart = parse_case(seed, limits)
+        assert widths == sorted(widths), (seed, limits)
+        assert not any(chart.fusion_agenda), (seed, limits)  # no pair left behind
+        fused += len(widths)
+    assert fused and requeued[0]
 
 
 def test_ambiguous_input_builds_fewer_events_than_analyses():
@@ -681,6 +746,29 @@ def test_invariant_check_catches_a_fusion_link_out_of_order():
         chart.check_invariants()
 
 
+def test_invariant_check_catches_a_link_neither_queued_nor_fused():
+    # after init every link is queued; at the fixpoint the agenda is empty
+    # and every live link was fused with both extremes holding evidence
+    grammar, lattice = random_case(2)
+    chart = init_session(compile_grammar(grammar), lattice)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    partner = next(iter(ev.fusion[RIGHT].values()))
+    bucket = chart.fusion_agenda[partner.cad[RIGHT] - ev.cad[LEFT]]
+    bucket.remove((ev.id, partner.id))
+    with pytest.raises(AssertionError,
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} is neither queued nor fused"):
+        chart.check_invariants()
+    chart = parse_case(2)
+    chart.check_invariants()
+    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    partner = next(iter(ev.fusion[RIGHT].values()))
+    chart.fused.remove((ev.id, partner.id))
+    with pytest.raises(AssertionError,
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} is neither queued nor fused"):
+        chart.check_invariants()
+
+
 def test_fusion_links_join_meeting_dots(monkeypatch):
     # a fusion joins only extremes whose dots meet; a nullable gap between
     # two events is crossed by their epsilon siblings, never by the link
@@ -763,6 +851,59 @@ def test_tree_counts_match_earley_on_large_dense_grammars():
     assert not wrong
 
 
+def with_extra_items(seed, limits=None):
+    """random_case's grammar and input, with 1 to 2n extra items of span 2
+    to 4 over the input (n its last breaking point), each of a random
+    terminal; none on inputs shorter than 2."""
+    grammar, lattice = random_case(seed, limits)
+    rng = random.Random(seed)
+    n, items, terminals = lattice.n, list(lattice.items), grammar.terminals
+    for _ in range(rng.randint(1, 2 * n) if n >= 2 else 0):
+        span = rng.randint(2, min(4, n))
+        start = rng.randint(0, n - span)
+        items.append(LexicalItem(f"x{start}_{start + span}", rng.choice(terminals).name,
+                                 start, start + span))
+    return grammar, InputLattice(lattice.points, items)
+
+
+def closable_from_multi_point_items_only(chart):
+    """Whether some closed extreme's support comes from a multi-point item
+    alone: its lhs is in `CaD.closable` there but in no mask built from
+    the one-point items and the input boundary."""
+    la, ra = chart.adj
+    unit = {(0, LEFT): chart.bound[LEFT], (chart.n, RIGHT): chart.bound[RIGHT]}
+    for nd in chart.node_list:
+        if nd.origin == "lexical" and nd.lbp - nd.fbp == 1:
+            unit[nd.fbp, RIGHT] = unit.get((nd.fbp, RIGHT), 0) | la[nd.symbol]
+            unit[nd.lbp, LEFT] = unit.get((nd.lbp, LEFT), 0) | ra[nd.symbol]
+    # every closed extreme of an indexed (live or fired) event has support
+    return any(ev.need[side] is None
+               and not unit.get((ev.cad[side], side), 0) >> ev.production.lhs.id & 1
+               for ev in chart.event_index.values() for side in (LEFT, RIGHT))
+
+
+@pytest.mark.parametrize("seeds,limits", [(range(300), None),
+                                          (range(30), CaseLimits(max_input=24)),
+                                          (range(60), DENSE_40)],
+                         ids=["0-299", "long-0-29", "dense-0-59"])
+def test_tree_counts_match_earley_on_word_lattices(seeds, limits):
+    # random_case adds at most one two-point item to its linear backbone;
+    # here items of span 2 to 4 cross it, where a width in breaking points
+    # is not a token count, and some closed extremes take their support
+    # from such an item alone (the lemma at Chart._support)
+    wrong, multi = [], 0
+    for seed in seeds:
+        grammar, lattice = with_extra_items(seed, limits)
+        chart = parse(compile_grammar(grammar), lattice)
+        multi += closable_from_multi_point_items_only(chart)
+        mine = count_trees(build_forest(chart), cap=10000)
+        theirs = earley_count_trees(grammar, lattice, cap=10000)
+        if (mine.kind, mine.value) != (theirs.kind, theirs.value):
+            wrong.append(seed)
+    assert not wrong
+    assert multi
+
+
 def roots_and_counts(compiled, lattice):
     """The accepted roots (symbol and span) and the tree count of a parse."""
     chart = parse(compiled, lattice)
@@ -799,17 +940,22 @@ def mirrored(grammar, lattice):
     return Grammar(grammar.symbols, productions, grammar.roots), InputLattice(lattice.points, items)
 
 
-@pytest.mark.parametrize("seeds,limits", [(range(500), None),
-                                          (range(40), CaseLimits(max_input=24)),
-                                          (range(40), CaseLimits(max_input=48))],
-                         ids=["0-499", "long-0-39", "long48-0-39"])
-def test_mirror_image_parses_to_the_mirrored_forest(seeds, limits):
+@pytest.mark.parametrize("seeds,limits,case", [
+    (range(500), None, random_case),
+    (range(40), CaseLimits(max_input=24), random_case),
+    (range(40), CaseLimits(max_input=48), random_case),
+    (range(300), None, with_extra_items),
+    (range(30), CaseLimits(max_input=24), with_extra_items),
+    (range(60), DENSE_40, with_extra_items),
+], ids=["0-499", "long-0-39", "long48-0-39", "lattice-0-299", "lattice-long-0-29",
+        "lattice-dense-0-59"])
+def test_mirror_image_parses_to_the_mirrored_forest(seeds, limits, case):
     # the engine treats both directions alike: parsing the mirror image
     # yields as many trees and the mirrored nodes (counters may differ, as
     # the queues see the events in another order)
     wrong = []
     for seed in seeds:
-        grammar, lattice = random_case(seed, limits)
+        grammar, lattice = case(seed, limits)
         n = lattice.n
         chart = parse(compile_grammar(grammar), lattice)
         mirror_grammar, mirror_lattice = mirrored(grammar, lattice)
@@ -1002,10 +1148,10 @@ OFF_EDGE_STILLBORN = {
         "N2 -> N4 . N2 . t2 N3 @ [8,9]", "N1 -> . N2 . t2 t2 @ [8,9]",
         "N0 -> N3 . N1 . t0 @ [0,2]", "N0 -> . N3 N1 . t0 @ [0,2]",
         "N0 -> N3 . N1 . t0 @ [5,8]", "N0 -> . N3 N1 . t0 @ [5,8]",
-        "N1 -> t1 t2 . N4 . t2 @ [4,8]", "N4 -> t2 . N4 . @ [4,8]",
-        "N2 -> . N4 . N2 t2 N3 @ [4,8]", "N0 -> t0 . N4 . @ [4,8]",
         "N1 -> t1 t2 . N4 . t2 @ [5,8]", "N2 -> . N4 . N2 t2 N3 @ [5,8]",
-        "N0 -> t0 . N4 . @ [5,8]",
+        "N0 -> t0 . N4 . @ [5,8]", "N1 -> t1 t2 . N4 . t2 @ [4,8]",
+        "N4 -> t2 . N4 . @ [4,8]", "N2 -> . N4 . N2 t2 N3 @ [4,8]",
+        "N0 -> t0 . N4 . @ [4,8]",
     ]),
     17: (counters(90, 72, 18, 13, 4, 0, 83, 35, 0, 0, 21), [
         "N1 -> N0 t1 . N4 . @ [3,4]", "N1 -> N0 t1 . N4 . @ [5,6]",
@@ -1016,8 +1162,8 @@ OFF_EDGE_STILLBORN = {
         "N0 -> t0 . N0 . t0 @ [5,7]", "N1 -> . N0 . t1 N4 @ [5,7]",
         "N1 -> N0 t1 . N4 . @ [6,8]", "N0 -> t0 . N0 . t0 @ [0,3]",
         "N1 -> . N0 . t1 N4 @ [0,3]", "N0 -> t0 . N0 . t0 @ [3,6]",
-        "N0 -> N5 . N1 . @ [3,9]", "N0 -> . N5 N1 . @ [3,9]", "N0 -> N5 . N1 . @ [3,8]",
-        "N0 -> t0 . N0 . t0 @ [3,8]", "N1 -> . N0 . t1 N4 @ [3,8]",
+        "N0 -> N5 . N1 . @ [3,8]", "N0 -> t0 . N0 . t0 @ [3,8]",
+        "N1 -> . N0 . t1 N4 @ [3,8]", "N0 -> N5 . N1 . @ [3,9]", "N0 -> . N5 N1 . @ [3,9]",
     ]),
 }
 
