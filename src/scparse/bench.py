@@ -91,8 +91,10 @@ class BenchRecord:
 
 
 def run_point(compiled: CompiledGrammar, suite: str, w: int, reps: int = 1) -> BenchRecord:
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, not {reps}")
     best = None
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         lat = tokenize_plain(suite_input(suite, w))
         t0 = time.perf_counter()
         chart = init_session(compiled, lat)

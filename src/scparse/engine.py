@@ -46,8 +46,9 @@ Mohr & Henderson 1986, lifted from values to classes), and `reach`, the
 union of the closed classes' partial-derivability rows, is derived from
 the counts when read.  Each extreme keeps one support bit, set by one bit
 test: its symbol in the facing `reach` (open), or its lhs in `closable`
-(closed).  When a closed class appears at a CaD, the unsupported facing
-open extremes it is compatible with gain support; when one vanishes, the
+(closed).  Once the cycle runs, support is only lost: a closed class that
+appears at a CaD finds the facing open extremes it is compatible with
+supported already (the lemma at `_support`); when one vanishes, the
 facing open extremes whose symbol the remaining `reach` no longer covers
 lose it, and their events may starve in turn: that is the delete
 cascade, and it runs through open extremes only.  A run's vanished
@@ -417,11 +418,16 @@ class Chart:
         pair, so they face the way it does; a closed extreme's support is
         fixed when it arrives; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
-        all the same.  During `Chart.__init__` every form is built; one
-        with an extreme that can never have evidence (the bound at
-        `_support`) is retired: keyed, so a later derivation packs into it,
-        never wired, and deleted at the end of init; the others are only
-        wired (`_wire`), and analyzed once all are built."""
+        all the same.  A form given alts is never stillborn, so no alt
+        needs a stillborn key: alts come only from the both-held path of
+        `fuse`, where the form's outer extremes are e1's left and e2's
+        right, each with evidence when the action started and none lost
+        since, a support bit `_support` finds again or a partner
+        `_partners` finds again.  During `Chart.__init__` every form is
+        built; one with an extreme that can never have evidence (the bound
+        at `_support`) is retired: keyed, so a later derivation packs into
+        it, never wired, and deleted at the end of init; the others are
+        only wired (`_wire`), and analyzed once all are built."""
         key = event_key(production, dot, cad)
         if key in self.event_index:
             self._pack(self.event_index[key], children)
@@ -482,8 +488,6 @@ class Chart:
                 self._refresh_status(ev)
         else:
             stillborn.add((key, children))
-            if alts:
-                stillborn.update((key, kids) for kids in alts)
             self.stats["stillborn"] += 1
             if self.tracing:
                 self.trace_lines.append(f"stillborn {render(production, dot, cad)}")
@@ -616,7 +620,50 @@ class Chart:
         CaD whose pd row holds X: X is in the facing `CaD.lexical`, or the
         extreme never has evidence.  A nullable X has no such bound, since a
         partner may hold it empty; at the input edge on its own side an open
-        extreme faces nothing at all."""
+        extreme faces nothing at all.
+
+        In the cycle an open extreme's support is only lost (`_starve`): a
+        closed class new at a CaD finds no unsupported live open extreme
+        facing it that waits for a symbol in its pd row.  A closed extreme
+        arrives in the cycle in one of three ways, and by induction over the
+        arrivals only the first brings a new class.
+        (1) As a form of the coverage of the node N a run has just made, at
+        N's end.  N's symbol Y is a corner of its lhs on that side, so the
+        lhs's pd row is within Y's, and the run's event, closed there with
+        class Y, was wired when the action started: every live open extreme
+        facing it that waits for a symbol in the row had its bit.  Bits go
+        off only in `_starve`, after `add_node`, and no open extreme facing
+        N's ends arrives in a run: every form taken there spans N or more.
+        (2) As a copy of a live event's closed extreme: a merged form's
+        outer extremes are e1's left and e2's right, and a moved extreme
+        takes its stayer's place.  Its class is there.
+        (3) As the closure, over the nullable symbols left on that side, of
+        a live event G's open extreme, in G itself or in a form that copies
+        it.  G's closure G' (that dot at the rhs end, G's other extreme) was
+        built when G took its form, with G's evidence at the other extreme
+        (no action gives a stillborn form evidence, `_new_event`), and while
+        G' stays, so does its class.  If G is closed at the other extreme,
+        G' fired and stays keyed, and the closure taken has the form of G'.
+        Otherwise G' leaves only through a fusion with a partner y there, or
+        once its evidence there is gone, which, as G keeps its own, means
+        that such a fusion consumed a link that G had too; either way it
+        leaves without support there.  Such a fusion leaves join(y, G')
+        keyed (its form held every derivation, or G' or y moved into it, or
+        was deleted as it existed), and it is wider than G, so G takes no
+        derivation after it: the agenda never pops a narrower width.  So the
+        closure comes from join(x, G), x a partner of G.  Follow x's extreme
+        there back through the live events it copies to a coverage form.  If
+        one of them met G' (one did if the first came before G' left), the
+        merges of G' with the same partners, pair by pair at the widths of
+        x's, were keyed as their pairs were consumed, each keeping its
+        partner's evidence until a wider width pops, or a pair is still
+        pending and its merge live: the closure is packed, or its class is
+        there.  Otherwise that coverage form came after G' left, so its node
+        was made by a run whose event's class covers the symbol G' waits for
+        (or, where the form crosses nullable symbols, the one the sibling of
+        G' it meets waits for, built with G' or stillborn for want of such a
+        class).  That class would be new there after none was, which by (1)
+        needs one there already: it never comes."""
         # a fresh reach is read in place: this runs for every form and entry
         at = self.cads[index]
         if need is None:
@@ -636,68 +683,56 @@ class Chart:
         return [p for p in self.cads[index].open[other].values()
                 if p.production is production and p.dot[other] == dot[side]]
 
-    def _wire(self, ev: Event, side: int) -> int | None:
+    def _wire(self, ev: Event, side: int):
         """Wire ev's extreme on side into its CaD: an open one into its
-        list, a closed one into its class count; returns its class (lhs) if
-        it is closed and its class is new at the CaD, else None."""
+        list, a closed one into its class count, marking the reach stale if
+        its class is new there.  A new class gives no facing extreme
+        support that it lacks (the lemma at `_support`)."""
         cad = self.cads[ev.cad[side]]
         if ev.need[side] is not None:
             cad.open[side][ev.id] = ev
-            return None
+            return
         sym = ev.production.lhs.id
         counts = cad.n_closed[side]
         n = counts.get(sym, 0)
         counts[sym] = n + 1
-        if n:
-            return None
-        cad.reach[side] = None
-        return sym
+        if not n:
+            cad.reach[side] = None
 
     def _analyze_extreme(self, ev: Event, side: int, supported, partners=None):
         """Link analysis of an extreme as it arrives at its CaD, given its
         support (`_support`) and, if it is open, its fusion partners
-        (`_partners`, found here when None): wire it (`_wire`) and set its
-        support bit.  A closed class new at the CaD gives support to the
-        unsupported facing open extremes it is compatible with; each of them
-        would support it in turn, so there are some only if it has support
-        itself.  Then link up with the fusion partners."""
+        (`_partners`, found here when None): wire it (`_wire`), set its
+        support bit and link up with the fusion partners.  A new closed
+        class gives no facing extreme support it lacked (the lemma at
+        `_support`), and a link gives a partner no evidence it lacked:
+        during any link analysis, every live extreme facing the one
+        analyzed has evidence.  The drain before an action leaves no live
+        event without evidence; an event built in the action has evidence
+        on both sides once analyzed, and a moved extreme takes the place of
+        its stayer's, which has evidence; and within an action evidence is
+        lost only in `_starve`, after every extreme of the action has been
+        analyzed, and in the link `fuse` consumes, which belongs to an
+        extreme that moves away or is deleted, or which ends the action
+        where the merged form held every derivation."""
         other = 1 - side
         cad = self.cads[ev.cad[side]]
-        sym = self._wire(ev, side)
+        self._wire(ev, side)
         if supported:
             self._support_on(ev, side)
-            if sym is not None and cad.open[other]:
-                for q in self._facing(cad, side, sym):
-                    self._support_on(q, other)
-                    if not q.fusion[other]:
-                        self._refresh_status(q)
         if ev.need[side] is None:
             return
         if partners is None:
             if not cad.open[other]:
                 return
             partners = self._partners(ev.production, ev.dot, cad.index, side)
-        # a partner without evidence on that side gains it and is refreshed;
         # ev's refresh at its first link on the left only sets where it
         # enters the queues, which the event counts depend on.
         for p in partners:
             e1, e2 = (p, ev) if side == LEFT else (ev, p)
-            held = p.support[other] or p.fusion[other]
             self._add_fusion(e1, e2)
             if side == LEFT and len(ev.fusion[LEFT]) == 1:
                 self._refresh_status(ev)
-            if not held:
-                self._refresh_status(p)
-
-    def _facing(self, cad: CaD, side: int, sym: int):
-        """The unsupported open extremes at cad facing side that the closed
-        class sym is compatible with: those waiting for a symbol in its
-        pd row."""
-        other = 1 - side
-        pd = self.pd[side][sym]
-        for q in cad.open[other].values():
-            if not q.support[other] and pd >> q.need[other] & 1:
-                yield q
 
     def _detach(self, ev: Event, side: int):
         """Unwire ev's extreme on side from its CaD: an open one from its
@@ -722,9 +757,14 @@ class Chart:
         refresh each event left without any on a side.  Per side, its fusion
         partners drop their links with it; if its closed class is gone from
         its CaD now, the facing open extremes the class was compatible with
-        (there are some only if it had support) whose symbol the `reach`
-        there does not cover lose their bit, if it is still on: an extreme
-        that arrived since took its bit from this reach."""
+        whose symbol the `reach` there does not cover lose their bit, if it
+        is still on: an extreme that arrived since took its bit from this
+        reach.  Support is lost here only: a class new at a CaD in the
+        cycle gives none (the lemma at `_support`).  ev's closed extreme
+        had its bit, as every closed extreme of a live or fired event has:
+        init phase 3 sets it, and in the cycle `_new_event` builds no form
+        with a closed extreme without support, and a moved closed extreme
+        takes the place of its stayer's."""
         lost = []
         for side in (LEFT, RIGHT):
             other = 1 - side
@@ -734,8 +774,7 @@ class Chart:
                 if not (links or p.support[other]):
                     lost.append(p)
             cad, sym = self.cads[ev.cad[side]], ev.production.lhs.id
-            if (ev.need[side] is None and ev.support[side] and cad.open[other]
-                    and sym not in cad.n_closed[side]):
+            if ev.need[side] is None and cad.open[other] and sym not in cad.n_closed[side]:
                 starved = self.pd[side][sym] & ~self._reach(cad, side)
                 for q in cad.open[other].values() if starved else ():
                     if q.support[other] and starved >> q.need[other] & 1:
@@ -787,8 +826,11 @@ class Chart:
         return status
 
     def _refresh_status(self, ev: Event):
-        if not ev.alive:
-            return
+        """Recompute the status of ev, which is live, and queue ev where it
+        changed.  Every caller passes a live event: one it has just built,
+        moved or looked up among the live ones, or one that a fusion link or
+        a CaD list holds, and links join live events and CaD lists hold
+        only live events (`check_invariants` asserts both)."""
         status = self.compute_status(ev)
         if status != ev.status:
             ev.status = status
@@ -803,9 +845,10 @@ class Chart:
 
     def delete_event(self, ev: Event):
         """Remove an event; the events it leaves without evidence get their
-        status recomputed at once (the constraint-propagation cascade)."""
-        if self.event_index.get(ev.key) is ev:
-            del self.event_index[ev.key]
+        status recomputed at once (the constraint-propagation cascade).  Its
+        key goes with it: every live event's key indexes it
+        (`check_invariants` asserts it)."""
+        del self.event_index[ev.key]
         self.stats["events_deleted"] += 1
         if self.tracing:
             self.trace_lines.append(f"delete e{ev.id} {ev.render()}")

@@ -138,6 +138,12 @@ def test_bench_bad_lengths(capsys):
     assert main(["bench", "--suite", "recursive", "--lengths", "x"]) == 2
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_reps_below_one_is_a_usage_error(capsys, reps):
+    assert main(["bench", "--suite", "recursive", "--lengths", "8", "--reps", reps]) == 2
+    assert "reps must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("engine", ["scp", "earley"])
 def test_parse_unknown_preterminal(tmp_path, capsys, engine):
     g = tmp_path / "g.g"
