@@ -72,9 +72,13 @@ spawns its epsilon siblings with these children and merges it with every
 derivation of every fusion partner facing it now whose pair is not
 pending, as a pending fusion merges it itself; a partner unlinked (the
 merged form held every derivation) or fused with its link kept never met
-it.  When a fusion's merged form exists with other derivations, the new
-ones are packed into it, and an event that would have moved to that form
-is deleted instead (moving would have taken its old form away).  So
+it.  A form closed on both sides whose node a run has already made is
+never built in the cycle: its event would only fire into that node, so
+its derivations become the node's analyses at once (the lemma at
+`_new_event`).  When a fusion's merged form exists with other
+derivations, as an event or as such a node, the new ones are packed into
+it, and an event that would have moved to that form is deleted instead
+(moving would have taken its old form away, or only fired).  So
 ambiguity costs one tuple per derivation, not one event life.
 
 Once the cycle has started, an event is not built when it would be born
@@ -277,8 +281,8 @@ class Chart:
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
             "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
-            "links": 0, "nodes": 0, "packed": 0, "packed_derivations": 0,
-            "stillborn": 0,
+            "links": 0, "nodes": 0, "packed": 0, "packed_at_once": 0,
+            "packed_derivations": 0, "stillborn": 0,
         }
         # Every trace line is built behind `if self.tracing`, so an
         # untraced parse formats nothing.
@@ -344,11 +348,8 @@ class Chart:
         key = (symbol, fbp, lbp)
         existing = self.nodes.get(key)
         if existing is not None:
-            if analysis is not None and existing.add_analysis(analysis):
-                self.stats["packed"] += 1
-                if self.tracing:
-                    self.trace_lines.append(f"pack {self._sym_name(symbol)} [{fbp},{lbp}] "
-                                            f"analysis {analysis.production.id}")
+            if analysis is not None:
+                self._pack_node(existing, analysis)
             return None
         node = Node(self._next_node_id, symbol, fbp, lbp, origin)
         self._next_node_id += 1
@@ -363,6 +364,16 @@ class Chart:
             self.trace_lines.append(f"node {node.id} {self._sym_name(symbol)} "
                                     f"[{fbp},{lbp}] {origin}")
         return node
+
+    def _pack_node(self, node: Node, analysis: Analysis) -> bool:
+        """Pack an analysis onto an existing node; whether it was new there."""
+        if not node.add_analysis(analysis):
+            return False
+        self.stats["packed"] += 1
+        if self.tracing:
+            self.trace_lines.append(f"pack {self._sym_name(node.symbol)} [{node.fbp},{node.lbp}] "
+                                    f"analysis {analysis.production.id}")
+        return True
 
     def add_node(self, symbol: int, fbp: int, lbp: int, analysis: Analysis):
         """Admit a (symbol, span) node made in the cycle; pack the analysis
@@ -398,6 +409,12 @@ class Chart:
                 for dot in dots:
                     self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
 
+    def _run_node(self, lhs: int, cad: tuple) -> Node | None:
+        """The node of an lhs form closed on both sides at cad, if a run has
+        made it."""
+        node = self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
+        return node if node is not None and node.origin == "derived" else None
+
     def _assert_tiling(self, fbp, lbp, children):
         pos = fbp
         for c in children:
@@ -419,15 +436,61 @@ class Chart:
         fixed when it arrives; deletions only take support away.  A
         stillborn form is not built, and its epsilon siblings are spawned
         all the same.  A form given alts is never stillborn, so no alt
-        needs a stillborn key: alts come only from the both-held path of
-        `fuse`, where the form's outer extremes are e1's left and e2's
-        right, each with evidence when the action started and none lost
-        since, a support bit `_support` finds again or a partner
-        `_partners` finds again.  During `Chart.__init__` every form is
-        built; one with an extreme that can never have evidence (the bound
-        at `_support`) is retired: keyed, so a later derivation packs into
-        it, never wired, and deleted at the end of init; the others are
-        only wired (`_wire`), and analyzed once all are built."""
+        needs a stillborn key: alts come only from `fuse`, where the form's
+        node is in (below), or on the both-held path, where the form's
+        outer extremes are e1's left and e2's right, each with evidence
+        when the action started and none lost since, a support bit
+        `_support` finds again or a partner `_partners` finds again.
+        During `Chart.__init__` every form is built; one with an extreme
+        that can never have evidence (the bound at `_support`) is retired:
+        keyed, so a later derivation packs into it, never wired, and
+        deleted at the end of init; the others are only wired (`_wire`),
+        and analyzed once all are built.
+
+        In the cycle, a form closed on both sides whose node a run has made
+        (`_run_node`) is not built either: its derivations become the
+        node's analyses at once (`packed_at_once`), with no event, key,
+        wiring, support bit, status, queue entry or run.  Built, it would
+        only have packed them later in the same drain, and skipping it
+        changes no node and no analysis:
+        (a) Its only fate is to fire.  The node's run was of an event of
+        the same lhs and CaDs, so the form's closed support, which is fixed,
+        holds.  It has no open extreme, so no link, fusion or move: it is
+        RUN from birth and fires before the drain of its action ends.
+        (b) Its run makes no node: every derivation packs onto the node.  So
+        it brings no class, spawns no form and links nothing; besides
+        packing, it only takes its classes away (`_starve`).
+        (c) While it waits, its class at its two CaDs gives no support: it
+        arrives as a closed extreme, and by the lemma at `_support` finds no
+        unsupported facing extreme that it covers.
+        (d) So its class can only hold off, until it fires, the starving of
+        an open extreme Q whose need X at one of its CaDs c it alone covers
+        once the action that took Q's other cover away has starved (a run's
+        class is judged after its node is in, `_starve`): a Q found
+        supported, or one arriving in the wait that takes its bit from it.
+        Such an arrival is stillborn here, or built without the bit on the
+        fusion partners it arrives with, which `_partners` finds here too.
+        Fusions wait until the drain is over, when Q's bit is off either
+        way, and Q gains no new partner in the window; so the run takes its
+        bit and, unless Q arrived with partners, its life, as happens here
+        at once.  A new partner of Q at c would begin there with real
+        material, a node M of X ending (on Q's left) or starting (on its
+        right) at c, made in the window: no fusion runs in the drain, and
+        the forms of a run are coverage forms of its node or merges of live
+        events (`_pack`), whose extremes at c copy live ones that were no
+        partner of Q.  M's run fired an event of lhs X closed at c, whose
+        class X covers X there, and by case (1) at `_support` such a class
+        arrives only with the node of a run whose event's class covers X at
+        c already: a chain of runs that starts at a class covering X at c
+        when the window opened.  Only the waiting form's did, and its run,
+        which makes no node, starts no chain.  Where the partner crosses X
+        empty (the nullable crossing), its first real child is a node of a
+        later symbol X2 and it meets Q over X's zero-width node.  It is
+        then the epsilon sibling of a form that meets Q's sibling across X,
+        spawned with Q whether Q was built or stillborn, and their merge is
+        the very derivation of the partner's merge with Q: the fusion is
+        made from the siblings (by induction over the symbols crossed, as
+        the sibling's need X2 is in the same case as X)."""
         key = event_key(production, dot, cad)
         if key in self.event_index:
             self._pack(self.event_index[key], children)
@@ -446,6 +509,16 @@ class Chart:
                 born = False  # an extreme open at its own input edge faces nothing
             else:
                 lhs = production.lhs.id
+                if need[LEFT] is None and need[RIGHT] is None:
+                    node = self._run_node(lhs, cad)
+                    if node is not None:
+                        derivations = (children, *alts) if alts else (children,)
+                        if self.debug:
+                            self._assert_form_tiling(production, dot, cad, derivations)
+                        for kids in derivations:
+                            self.stats["packed_at_once"] += self._pack_node(
+                                node, Analysis(production, kids))
+                        return
                 supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                              self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
                 if not (supported[LEFT] and supported[RIGHT]):
@@ -464,7 +537,7 @@ class Chart:
             self.event_index[key] = ev
             self.stats["events_created"] += 1
             if self.debug:
-                self._assert_event_tiling(ev)
+                self._assert_form_tiling(ev.production, ev.dot, ev.cad, ev.derivations())
             if self.tracing:
                 self.trace_lines.append(f"create e{ev.id} {ev.render()}")
             if stillborn is None:
@@ -499,8 +572,11 @@ class Chart:
         """A derivation of ev's form that ev does not hold yet joins it, and
         is replayed for itself alone, doing what an event of its own would
         have done.  (No derivation of a form found stillborn in this action
-        comes here: nothing in the action can give the form evidence.)  If
-        ev has fired, its node takes the analysis at once.  Otherwise the
+        comes here: nothing in the action can give the form evidence.  Nor
+        does one of a cycle form closed on both sides whose node was in when
+        it came: it has no event, and `_new_event` gives the node every
+        such derivation at once.)  If ev has fired, its node takes the
+        analysis at once.  Otherwise the
         epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, unless their pair
@@ -515,7 +591,7 @@ class Chart:
         ev.alts[children] = None
         self.stats["packed_derivations"] += 1
         if self.debug:
-            self._assert_event_tiling(ev)
+            self._assert_form_tiling(ev.production, ev.dot, ev.cad, ev.derivations())
         if self.tracing:
             self.trace_lines.append(f"pack e{ev.id} {ev.render()}")
         production, dot, need = ev.production, ev.dot, ev.need
@@ -558,12 +634,12 @@ class Chart:
                 sibling, kids = (ldot - 1, rdot), (eps,) + children
             self._new_event(production, sibling, cad, kids)
 
-    def _assert_event_tiling(self, ev: Event):
-        ldot, rdot = ev.dot
-        assert 0 <= ldot < rdot <= len(ev.production.rhs)
-        for children in ev.derivations():
+    def _assert_form_tiling(self, production, dot, cad, derivations):
+        ldot, rdot = dot
+        assert 0 <= ldot < rdot <= len(production.rhs)
+        for children in derivations:
             assert len(children) == rdot - ldot
-            self._assert_tiling(*ev.cad, children)
+            self._assert_tiling(*cad, children)
 
     # -- step 4: link analyses --------------------------------------------
 
@@ -858,9 +934,12 @@ class Chart:
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
         resulting node, with one analysis per derivation.  The event leaves
-        its CaDs but its key stays indexed.  Its vanished classes are judged
-        only once the node and its events are in (`_starve`): an extreme
-        that they cover again keeps its bit and its status."""
+        its CaDs but its key stays indexed.  The node is new, lexical or
+        made after the event was built: in the cycle, a form closed on both
+        sides whose node a run has made is not built (`_new_event`).  Its
+        vanished classes are judged only once the node and its events are
+        in (`_starve`): an extreme that they cover again keeps its bit and
+        its status."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
@@ -882,7 +961,13 @@ class Chart:
         unless e1 is live and still holds the link (a link only joins open
         extremes whose dots meet, and only extremes without links move), or
         if the merged form already holds every merged derivation.  A pair
-        that widened while it waited is queued again at its new width."""
+        that widened while it waited is queued again at its new width.
+        Where the merged form has no event but is closed on both sides and
+        its node is in (`_run_node`), the node stands for it: the fusion is
+        stale if the node has every merged analysis; otherwise the new ones
+        become its analyses at once (`_new_event`), and an event that would
+        have moved to the form is deleted instead, since the moved event
+        would only have fired into the node (the lemma at `_new_event`)."""
         e1 = self.events.get(left_id)
         if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
@@ -906,23 +991,28 @@ class Chart:
                 for s, e in enumerate(pair)]
         key = event_key(prod, dot, cad)
         ev = self.event_index.get(key)
+        node = None
         if ev is not None:
             merged = [children for children in merged if not ev.holds(children)]
-            if not merged:
-                # the merged form already holds them all; just consume the link
-                del e1.fusion[RIGHT][e2.id]
-                del e2.fusion[LEFT][e1.id]
-                for s, e in enumerate(pair):
-                    if not held[s]:
-                        self._refresh_status(e)
-                self.stats["stale_fusions"] += 1
-                return
+        elif dot[LEFT] == 0 and dot[RIGHT] == len(prod.rhs):
+            node = self._run_node(prod.lhs.id, cad)
+            if node is not None:
+                merged = [children for children in merged if not node.holds(prod, children)]
+        if not merged:
+            # the merged form already holds them all; just consume the link
+            del e1.fusion[RIGHT][e2.id]
+            del e2.fusion[LEFT][e1.id]
+            for s, e in enumerate(pair):
+                if not held[s]:
+                    self._refresh_status(e)
+            self.stats["stale_fusions"] += 1
+            return
         self.stats["fusions"] += 1
         if ev is not None:
             # the merged form exists with other derivations: these join it
             for children in merged:
                 self._pack(ev, children)
-        elif held[LEFT] and held[RIGHT]:
+        elif held[LEFT] and held[RIGHT] or node is not None:
             self._new_event(prod, dot, cad, merged[0],
                             alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
         if held[LEFT] and held[RIGHT]:
@@ -936,13 +1026,13 @@ class Chart:
         # other absorbs the merge, moving its extreme on the stayer's side.
         # If neither has, e1 absorbs and e2 goes away.  Where the merged form
         # exists, the absorber is deleted instead: a move would have taken
-        # its old form away.
+        # its old form away, or, where its node stands for it, only fired.
         if held[LEFT] or held[RIGHT]:
             side = LEFT if held[LEFT] else RIGHT
             mover, gone = pair[1 - side], None
         else:
             side, mover, gone = RIGHT, e1, e2
-        if ev is None:
+        if ev is None and node is None:
             self._mutate(mover, side, dot, cad, merged, key)
         else:
             self.delete_event(mover)
@@ -961,7 +1051,7 @@ class Chart:
         ev.children, ev.alts = merged[0], dict.fromkeys(merged[1:]) if len(merged) > 1 else None
         self.event_index[key] = ev
         if self.debug:
-            self._assert_event_tiling(ev)
+            self._assert_form_tiling(ev.production, ev.dot, ev.cad, ev.derivations())
         if self.tracing:
             self.trace_lines.append(f"mutate e{ev.id} {ev.render()}")
         self._analyze_extreme(ev, side, self._support(cad[side], side, need[side],

@@ -102,42 +102,78 @@ def count_trees(forest: Forest, cap: int = 10000) -> TreeCount:
 def enumerate_trees(forest: Forest, limit: int) -> list[tuple]:
     """Up to `limit` concrete trees, lexicographic by analysis index.
     Trees are (symbol-name, fbp, lbp, children) tuples; a tree never
-    revisits a node on its own ancestor path, so cycles are safe."""
+    revisits a node on its own ancestor path, so cycles are safe.
+
+    A tree is its choice of analysis at each node in pre-order, and
+    comparing those choice sequences orders trees as a product over
+    children, first child slowest, would.  So the search is depth-first
+    over the choices with an explicit stack, and works on trees of any
+    depth.  A search state is the nodes still to expand, each with its
+    ancestors' ids, and the choices made (each node with the children of
+    its analysis), newest first: cons lists (head, tail) that the states
+    branching from one node share."""
     names = {s.id: s.name for s in forest.grammar.symbols}
     out: list[tuple] = []
-
-    def expand(node: Node, path: frozenset[int]):
-        if node.id in path:
-            return
-        if not node.analyses:
-            yield (names[node.symbol], node.fbp, node.lbp, ())
-            return
-        sub = path | {node.id}
-        for a in node.analyses:
-            for kids in _product(a.children, sub, expand):
-                yield (names[node.symbol], node.fbp, node.lbp, kids)
-
-    def _product(children, path, rec, idx=0):
-        if idx == len(children):
-            yield ()
-            return
-        for head in rec(children[idx], path):
-            for rest in _product(children, path, rec, idx + 1):
-                yield (head,) + rest
-
     for root in forest.roots:
-        for tree in expand(root, frozenset()):
-            out.append(tree)
-            if len(out) >= limit:
-                return out
+        stack = [(((root, frozenset()), None), None)]
+        while stack:
+            todo, made = stack.pop()
+            while todo is not None:
+                (node, path), todo = todo
+                if node.id in path:
+                    break
+                if not node.analyses:
+                    made = ((node, ()), made)
+                    continue
+                sub = path | {node.id}
+                branches = []
+                for a in node.analyses:
+                    rest = todo
+                    for child in reversed(a.children):
+                        rest = ((child, sub), rest)
+                    branches.append((rest, ((node, a.children), made)))
+                stack.extend(reversed(branches[1:]))
+                todo, made = branches[0]
+            else:
+                out.append(_build_tree(made, names))
+                if len(out) >= limit:
+                    return out
     return out
 
 
+def _build_tree(made, names) -> tuple:
+    """The tree of a complete choice list, newest choice first: in reverse
+    pre-order every node comes after its subtrees, its first child's last."""
+    built: list[tuple] = []
+    while made is not None:
+        (node, children), made = made
+        k = len(built) - len(children)
+        kids = tuple(reversed(built[k:]))
+        del built[k:]
+        built.append((names[node.symbol], node.fbp, node.lbp, kids))
+    return built[0]
+
+
 def render_tree(tree: tuple) -> str:
-    name, _, _, children = tree
-    if not children:
-        return name
-    return f"{name}({','.join(render_tree(c) for c in children)})"
+    """`S(A(a),b)`: each symbol name, with its children's renderings in
+    parentheses unless it is a leaf.  Iterative, for trees of any depth."""
+    out = []
+    todo = [tree]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        name, _, _, children = item
+        out.append(name)
+        if children:
+            out.append("(")
+            todo.append(")")
+            for i in range(len(children) - 1, -1, -1):
+                todo.append(children[i])
+                if i:
+                    todo.append(",")
+    return "".join(out)
 
 
 def reachable_nodes(forest: Forest) -> set[Node]:

@@ -81,6 +81,12 @@ class Node:
         analyses.append(analysis)
         return True
 
+    def holds(self, production: Production, children: tuple) -> bool:
+        """Whether it has the analysis of production over these children."""
+        if self._akeys is not None:
+            return (production.id, children) in self._akeys
+        return any(a.production is production and a.children == children for a in self.analyses)
+
 
 @dataclass(slots=True)  # never changed; not frozen, which makes building one 3x slower
 class Analysis:

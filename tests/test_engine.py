@@ -444,12 +444,15 @@ def test_invariants_hold_at_fixpoint(seed, limits):
     # debug mode runs check_invariants when the cycle stops
     chart = parse_case(seed, limits, debug=True)
     # a fired event's key stays indexed, so no closed form fires twice: the
-    # indexed events that are not live are exactly those run, and each of
-    # their derivations is a distinct analysis of a derived node
+    # indexed events that are not live are exactly those run.  Each of their
+    # derivations is a distinct analysis of a derived node, and so is each
+    # one packed at once, with no event, where a run had made the node: the
+    # two make up every analysis of a derived node
     fired = [ev for ev in chart.event_index.values() if not ev.alive]
     assert len(fired) == chart.stats["events_run"]
     derived = [n for n in chart.node_list if n.origin == "derived"]
-    assert sum(len(ev.derivations()) for ev in fired) == sum(len(n.analyses) for n in derived)
+    assert (sum(len(ev.derivations()) for ev in fired) + chart.stats["packed_at_once"]
+            == sum(len(n.analyses) for n in derived))
 
 
 def suite_cases(widths):
@@ -547,6 +550,50 @@ def test_a_closed_class_new_in_the_cycle_finds_no_unsupported_extreme_it_support
                              *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60))]:
         parse(compile_grammar(grammar), lattice)
     assert facing_unsupported[0] > 200
+
+
+def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
+    # the lemma at Chart._new_event: in the cycle, a form closed on both
+    # sides whose node a run has made is neither built nor moved into; its
+    # derivations become the node's analyses at once, and the trees stay
+    # Earley's
+    new_event, mutate = engine.Chart._new_event, engine.Chart._mutate
+    at_once = [0]
+
+    def run_node(chart, production, dot, cad):
+        if chart.stillborn is None or dot != (0, len(production.rhs)):
+            return None
+        node = chart.nodes.get((production.lhs.id, *cad))
+        return node if node is not None and node.origin == "derived" else None
+
+    def new_event_spy(chart, production, dot, cad, children, alts=None):
+        node = run_node(chart, production, dot, cad)
+        keyed = engine.event_key(production, dot, cad) in chart.event_index
+        created = chart.stats["events_created"]
+        new_event(chart, production, dot, cad, children, alts)
+        if node is not None and not keyed:
+            at_once[0] += 1
+            assert chart.stats["events_created"] == created, \
+                f"{engine.render(production, dot, cad)} built with its node in"
+            assert all(node.holds(production, kids) for kids in (children, *(alts or ())))
+
+    def mutate_spy(chart, ev, side, dot, cad, merged, key):
+        assert run_node(chart, ev.production, dot, cad) is None, \
+            f"e{ev.id} moved to {engine.render(ev.production, dot, cad)} with its node in"
+        mutate(chart, ev, side, dot, cad, merged, key)
+
+    monkeypatch.setattr(engine.Chart, "_new_event", new_event_spy)
+    monkeypatch.setattr(engine.Chart, "_mutate", mutate_spy)
+    wrong = []
+    for grammar, lattice in [*(random_case(s, NULLABLE_HEAVY) for s in range(60)),
+                             *(random_case(s, DENSE_40) for s in range(60)),
+                             *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60))]:
+        mine = count_trees(build_forest(parse(compile_grammar(grammar), lattice)))
+        theirs = earley_count_trees(grammar, lattice)
+        if (mine.kind, mine.value) != (theirs.kind, theirs.value):
+            wrong.append((grammar, lattice))
+    assert not wrong
+    assert at_once[0] > 100
 
 
 def closed_support_by_scan(chart, index, side, lhs):
@@ -1152,7 +1199,8 @@ def test_side_with_only_a_fusion_partner_is_not_stillborn():
 
 
 def counters(events_created, events_deleted, events_run, fusions, stale_fusions,
-             epsilon_expansions, links, nodes, packed, packed_derivations, stillborn):
+             epsilon_expansions, links, nodes, packed, packed_at_once, packed_derivations,
+             stillborn):
     return dict(locals())
 
 
@@ -1160,13 +1208,13 @@ def counters(events_created, events_deleted, events_run, fusions, stale_fusions,
 # off both input edges have coverage entries none of whose forms has
 # evidence: `_new_event` finds each form stillborn, spawning its siblings.
 OFF_EDGE_STILLBORN = {
-    "recursive/4": (counters(16, 12, 4, 3, 0, 0, 20, 8, 0, 0, 3), [
+    "recursive/4": (counters(16, 12, 4, 3, 0, 0, 20, 8, 0, 0, 0, 3), [
         "S -> . A1 . b @ [2,3]", "S -> . A1 . b @ [1,3]", "A1 -> a . A1 . @ [0,3]",
     ]),
-    "local/4": (counters(9, 3, 6, 3, 0, 0, 19, 10, 0, 0, 3), [
+    "local/4": (counters(9, 3, 6, 3, 0, 0, 19, 10, 0, 0, 0, 3), [
         "S -> . P . @ [0,2]", "S -> . P . S @ [2,4]", "S -> P . S . @ [0,4]",
     ]),
-    13: (counters(164, 150, 14, 8, 2, 4, 69, 32, 1, 0, 39), [
+    13: (counters(164, 151, 13, 8, 2, 4, 68, 32, 1, 1, 0, 39), [
         "N4 -> t2 . N2 . t1 @ [0,1]", "N2 -> N4 . N2 . t2 N3 @ [0,1]",
         "N1 -> . N2 . t2 t2 @ [0,1]", "N0 -> t2 . N3 . @ [0,1]", "N1 -> . N3 . t0 @ [0,1]",
         "N2 -> N4 N2 t2 . N3 . @ [0,1]", "N0 -> . N3 . N1 t0 @ [0,1]",
@@ -1187,7 +1235,7 @@ OFF_EDGE_STILLBORN = {
         "N4 -> t2 . N4 . @ [4,8]", "N2 -> . N4 . N2 t2 N3 @ [4,8]",
         "N0 -> t0 . N4 . @ [4,8]",
     ]),
-    17: (counters(90, 72, 18, 13, 4, 0, 83, 35, 0, 0, 21), [
+    17: (counters(90, 72, 18, 13, 4, 0, 83, 35, 0, 0, 0, 21), [
         "N1 -> N0 t1 . N4 . @ [3,4]", "N1 -> N0 t1 . N4 . @ [5,6]",
         "N1 -> N0 t1 . N4 . @ [6,7]", "N1 -> N0 t1 . N4 . @ [8,9]",
         "N1 -> N0 t1 . N4 . @ [9,10]", "N0 -> N5 . N1 . @ [2,4]",

@@ -1,4 +1,7 @@
+import pytest
+
 from scparse import compile_grammar, load_grammar, tokenize_plain
+from scparse.bench import suite_grammar, suite_input
 from scparse.engine import init_session
 from scparse.forest import (TreeCount, build_forest, count_trees, dump_forest,
                             enumerate_trees, reachable_nodes, render_tree,
@@ -91,3 +94,22 @@ def test_epsilon_children_render_as_leaves():
     f = forest_for("%root S\nS -> a B ;\nB -> ;", "a")
     [tree] = enumerate_trees(f, 5)
     assert render_tree(tree) == "S(a,B)"
+
+
+
+def suite_rendering(suite, words):
+    """The one tree of a `recursive` or `local` suite input, rendered."""
+    if suite == "recursive":  # a ... a b
+        return "S(" + "A1(a," * (len(words) - 2) + "A1(a" + ")" * (len(words) - 1) + ",b)"
+    pairs = [f"P(P{a[1:]}({a},{b}))" for a, b in zip(words[::2], words[1::2])]
+    return "".join(f"S({p}," for p in pairs[:-1]) + f"S({pairs[-1]})" + ")" * (len(pairs) - 1)
+
+
+@pytest.mark.parametrize("suite", ["recursive", "local"])
+@pytest.mark.parametrize("w", [8, 1024])
+def test_trees_deeper_than_the_recursion_limit_enumerate_and_render(suite, w):
+    # at W=1024 the one tree nests 1023 (recursive) or 512 (local) deep
+    words = suite_input(suite, w)
+    chart = init_session(compile_grammar(suite_grammar(suite)), tokenize_plain(words))
+    trees = enumerate_trees(build_forest(chart.parse_cycle()), 10)
+    assert [render_tree(t) for t in trees] == [suite_rendering(suite, words.split())]
