@@ -55,7 +55,9 @@ cascade, and it runs through open extremes only.  A run's vanished
 classes are judged once its node's events are in, so a bit the node
 covers again never goes off (`_starve`).  Fusion links, which `fuse`
 looks up and counts, are the exception: they are kept explicitly, per
-side and keyed by partner id, on both events.  A status is recomputed
+side and keyed by partner id, on both events.  Every fusion consumes its
+link, so a link means exactly that its pair is on the agenda, and the
+cycle stops with no event live (`parse_cycle`).  A status is recomputed
 only where an extreme may have gained or lost its last evidence.
 
 An event is its form: production, dots and CaDs (`event_key`).  Status,
@@ -65,21 +67,22 @@ ambiguity packing, Tomita 1986; Billot & Lang 1989): its first in
 `children`, the others in `alts`, None on unambiguous input.  A fusion
 merges every derivation of one event with every derivation of the other;
 a run gives the node one analysis per derivation.  A derivation arriving
-for a form that is live or has fired is packed into its event and
-replayed for itself alone, doing what an event of its own would have done
-(`_pack`): a fired event's node takes the analysis at once; a live one
-spawns its epsilon siblings with these children and merges it with every
-derivation of every fusion partner facing it now whose pair is not
-pending, as a pending fusion merges it itself; a partner unlinked (the
-merged form held every derivation) or fused with its link kept never met
-it.  A form closed on both sides whose node a run has already made is
+for a live form is packed into its event and replayed for itself alone,
+doing what an event of its own would have done (`_pack`): it spawns its
+epsilon siblings with these children and is merged with every derivation
+of every fusion partner facing it now whose pair is not pending, as a
+pending fusion merges it itself; any other partner met the event in a
+fusion, before the event held it.  `event_index` holds the live events
+only: a run releases its event's key, and the node stands for the form
+from then on.  A form closed on both sides whose node a run has made is
 never built in the cycle: its event would only fire into that node, so
-its derivations become the node's analyses at once (the lemma at
-`_new_event`).  When a fusion's merged form exists with other
-derivations, as an event or as such a node, the new ones are packed into
-it, and an event that would have moved to that form is deleted instead
-(moving would have taken its old form away, or only fired).  So
-ambiguity costs one tuple per derivation, not one event life.
+its derivations, a fired form's later ones among them, become the node's
+analyses at once (the lemma at `_new_event`).  When a fusion's merged
+form exists with other derivations, as an event or as such a node, the
+new ones are packed into it, and an event that would have moved to that
+form is deleted instead (moving would have taken its old form away, or
+only fired).  So ambiguity costs one tuple per derivation, not one event
+life.
 
 Once the cycle has started, an event is not built when it would be born
 DELETE or EPSILON: its status is decided from its support bits and a scan
@@ -126,7 +129,7 @@ from collections import deque
 
 from .lattice import InputLattice
 from .relations import CompiledGrammar
-from .grammar import Analysis, Grammar, Node, Production
+from .grammar import TERMINAL, Analysis, Grammar, Node, Production
 
 # Event statuses.  DERIVATION is a resting state: such events move only
 # through fusion or when deletion propagation starves them.
@@ -235,13 +238,19 @@ class CaD:
 
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
     """The symbol id of every lattice item's preterminal, in item order;
-    EngineError if one is not in the grammar."""
+    EngineError if one is not a terminal of the grammar.  A nonterminal
+    item's node may also be made by a run, and the forest would count its
+    analyses but not its lexical reading; the item would also give an init
+    form a second derivation (the lemma at `_pack`)."""
     ids = []
     for it in lattice.items:
         sym = grammar.by_name.get(it.preterminal)
         if sym is None:
             raise EngineError(f"lexical item {it.unit!r}: preterminal "
                               f"{it.preterminal!r} is not in the grammar")
+        if sym.kind != TERMINAL:
+            raise EngineError(f"lexical item {it.unit!r}: preterminal "
+                              f"{it.preterminal!r} is a nonterminal")
         ids.append(sym.id)
     return ids
 
@@ -263,18 +272,17 @@ class Chart:
         self.nodes: dict[tuple[int, int, int], Node] = {}
         self.node_list: list[Node] = []
         self.events: dict[int, Event] = {}
-        # Keys of live events and of fired ones: a fired event's key stays,
-        # so a closed form is never created and fired again (a later
-        # derivation of it goes straight to its node, see `_pack`).
+        # The keys of the live events (and, during init, of the retired
+        # ones): a fired event's key goes, as its node stands for its form
+        # (`_run_node`).
         self.event_index: dict[tuple, Event] = {}
         # One deletion queue: EPSILON events are deleted like DELETE ones.
         self.delete_queue: deque[int] = deque()
         self.run_queue: deque[int] = deque()
         # The fusion agenda, one bucket of (e1 id, e2 id) pairs per merged width
-        # (`width` is being popped), and the pairs fused with their link kept.
+        # (`width` is being popped).  A link stands for its pair on it.
         self.fusion_agenda: list[list[tuple[int, int]]] = [[] for _ in range(lattice.points)]
         self.width = 0
-        self.fused: set[tuple[int, int]] = set()
         # (key, children) of the derivations found stillborn (see
         # `_new_event`) in the current action; None until the cycle starts.
         self.stillborn: set[tuple] | None = None
@@ -411,9 +419,9 @@ class Chart:
 
     def _run_node(self, lhs: int, cad: tuple) -> Node | None:
         """The node of an lhs form closed on both sides at cad, if a run has
-        made it."""
-        node = self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
-        return node if node is not None and node.origin == "derived" else None
+        made it.  Every lexical node is a terminal's (`lexical_symbols`)
+        and no terminal is an lhs, so a run made any node of an lhs."""
+        return self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
 
     def _assert_tiling(self, fbp, lbp, children):
         pos = fbp
@@ -426,21 +434,27 @@ class Chart:
     def _new_event(self, production, dot, cad, children, alts=None):
         """Create the event of this form holding these derivations (children,
         then alts, if any), unless the derivation was found stillborn in
-        this action; if the form is live or has fired, pack the derivation
-        into its event instead (`_pack`).  Once the cycle has started, a
-        form with an extreme lacking evidence (no support, and no fusion
-        partner if open) is stillborn: its status would be DELETE or
-        EPSILON, and until the deletion drain after this action nothing can
-        give it evidence.  The other events of the action share its CaD
-        pair, so they face the way it does; a closed extreme's support is
-        fixed when it arrives; deletions only take support away.  A
-        stillborn form is not built, and its epsilon siblings are spawned
-        all the same.  A form given alts is never stillborn, so no alt
-        needs a stillborn key: alts come only from `fuse`, where the form's
-        node is in (below), or on the both-held path, where the form's
-        outer extremes are e1's left and e2's right, each with evidence
-        when the action started and none lost since, a support bit
-        `_support` finds again or a partner `_partners` finds again.
+        this action; if the form is live, pack the derivation into its
+        event instead (`_pack`).  Once the cycle has started, a form with
+        an extreme lacking evidence (no support, and no fusion partner if
+        open) is stillborn: its status would be DELETE or EPSILON, and until
+        the deletion drain after this action nothing can give it evidence.
+        The other events of the action share its CaD pair, so they face the
+        way it does; a closed extreme's support is fixed when it arrives;
+        deletions only take support away.  A stillborn form is not built,
+        and its epsilon siblings are spawned all the same.  Its key and
+        children are kept until the action ends, as a built event's key
+        would have been, and that is what keeps the cycle polynomial: the
+        siblings of a form cross its nullable symbols one per spawn, so a
+        form a dot moves left and b right away is reached by C(a+b, a) spawn
+        paths, one per order of the moves, and without the key each path
+        would test it and spawn its siblings again.  A form given alts is
+        never stillborn, so no alt needs a stillborn key: alts come only
+        from `fuse`, where the form's node is in (below), or on the
+        both-held path, where the form's outer extremes are e1's left and
+        e2's right, each with evidence when the action started and none lost
+        since (the consumed link was at the CaD where they meet), a support
+        bit `_support` finds again or a partner `_partners` finds again.
         During `Chart.__init__` every form is built; one with an extreme
         that can never have evidence (the bound at `_support`) is retired:
         keyed, so a later derivation packs into it, never wired, and
@@ -571,19 +585,29 @@ class Chart:
     def _pack(self, ev: Event, children: tuple):
         """A derivation of ev's form that ev does not hold yet joins it, and
         is replayed for itself alone, doing what an event of its own would
-        have done.  (No derivation of a form found stillborn in this action
-        comes here: nothing in the action can give the form evidence.  Nor
-        does one of a cycle form closed on both sides whose node was in when
-        it came: it has no event, and `_new_event` gives the node every
-        such derivation at once.)  If ev has fired, its node takes the
-        analysis at once.  Otherwise the
+        have done.  ev is live: the index holds only live events, as a run
+        releases its event's key (`run_event`).  (No derivation of a form
+        found stillborn in this action comes here: nothing in the action can
+        give the form evidence.  Nor does one of a cycle form closed on both
+        sides whose node is in, a fired form's among them: it has no event,
+        and `_new_event` gives the node every such derivation at once.)  The
         epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, unless their pair
         is pending on the fusion agenda, whose fusion merges every
-        derivation of both events: a partner whose link was consumed, or
-        kept in `fused`, met ev before it held this one.  Not during
-        `Chart.__init__`, where every pair is pending."""
+        derivation of both events: every fusion consumes its link, so a
+        partner without one met ev in a fusion before ev held this one.
+
+        Only the cycle gets this far: no init form takes a second
+        derivation, so in `Chart.__init__`, where every pair is pending and
+        none may be merged, every derivation that comes here is held
+        already.  An init form holds one real node, its anchor, and epsilon
+        nodes: it is a coverage form of a lexical node, or a sibling of one.
+        The anchor is a terminal's (`lexical_symbols`), and a terminal is
+        never nullable, so it is the one symbol between the form's dots not
+        realized empty: the dots fix its position, the CaDs its span and so
+        its node, and the epsilon nodes are the grammar's own.  The form has
+        one child tuple."""
         if ev.holds(children):
             return
         if ev.alts is None:
@@ -595,19 +619,14 @@ class Chart:
         if self.tracing:
             self.trace_lines.append(f"pack e{ev.id} {ev.render()}")
         production, dot, need = ev.production, ev.dot, ev.need
-        if not ev.alive:
-            self.add_node(production.lhs.id, *ev.cad, Analysis(production, children))
-            return
         if need[LEFT] in self.eps_nodes or need[RIGHT] in self.eps_nodes:
             self._spawn_epsilon_variants(production, dot, ev.cad, children, need)
-        if self.stillborn is None:
-            return
         for side in (LEFT, RIGHT):
             if need[side] is None:
                 continue
             for p in self._partners(production, dot, ev.cad[side], side):
                 e1, e2 = (p, ev) if side == LEFT else (ev, p)
-                if e2.id in e1.fusion[RIGHT] and (e1.id, e2.id) not in self.fused:
+                if e2.id in e1.fusion[RIGHT]:
                     continue  # pending: that fusion merges this derivation too
                 merged_dot, merged_cad = self._join(e1, e2)
                 for kids in p.derivations():
@@ -719,7 +738,8 @@ class Chart:
         built when G took its form, with G's evidence at the other extreme
         (no action gives a stillborn form evidence, `_new_event`), and while
         G' stays, so does its class.  If G is closed at the other extreme,
-        G' fired and stays keyed, and the closure taken has the form of G'.
+        G' fired, and the closure taken has the form of G', whose node
+        stands for it (`_run_node`): it packs onto the node, with no class.
         Otherwise G' leaves only through a fusion with a partner y there, or
         once its evidence there is gone, which, as G keeps its own, means
         that such a fusion consumed a link that G had too; either way it
@@ -789,8 +809,9 @@ class Chart:
         its stayer's, which has evidence; and within an action evidence is
         lost only in `_starve`, after every extreme of the action has been
         analyzed, and in the link `fuse` consumes, which belongs to an
-        extreme that moves away or is deleted, or which ends the action
-        where the merged form held every derivation."""
+        extreme that moves away or is deleted, or joins two extremes that
+        both keep other evidence, or ends the action where the merged form
+        held every derivation."""
         other = 1 - side
         cad = self.cads[ev.cad[side]]
         self._wire(ev, side)
@@ -871,9 +892,11 @@ class Chart:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
     def _release(self, ev: Event):
-        """Take ev out of the live events and its CaDs (`_detach`)."""
+        """Take ev out of the live events, the index and its CaDs
+        (`_detach`)."""
         ev.alive = False
         del self.events[ev.id]
+        del self.event_index[ev.key]
         self._detach(ev, LEFT)
         self._detach(ev, RIGHT)
 
@@ -922,9 +945,7 @@ class Chart:
     def delete_event(self, ev: Event):
         """Remove an event; the events it leaves without evidence get their
         status recomputed at once (the constraint-propagation cascade).  Its
-        key goes with it: every live event's key indexes it
-        (`check_invariants` asserts it)."""
-        del self.event_index[ev.key]
+        key goes with it (`_release`)."""
         self.stats["events_deleted"] += 1
         if self.tracing:
             self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
@@ -934,12 +955,15 @@ class Chart:
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
         resulting node, with one analysis per derivation.  The event leaves
-        its CaDs but its key stays indexed.  The node is new, lexical or
-        made after the event was built: in the cycle, a form closed on both
-        sides whose node a run has made is not built (`_new_event`).  Its
-        vanished classes are judged only once the node and its events are
-        in (`_starve`): an extreme that they cover again keeps its bit and
-        its status."""
+        its CaDs and its key leaves the index (`_release`): from now on the
+        node stands for its form, and a later derivation of the form becomes
+        the node's analysis at once (`_new_event`, `fuse`), so no closed
+        form fires twice.  The node is new or made after the event was
+        built: in the cycle, a form closed on both sides whose node a run
+        has made is not built, and no lexical node is an lhs's
+        (`_run_node`).  Its vanished classes are judged only once the node
+        and its events are in (`_starve`): an extreme that they cover again
+        keeps its bit and its status."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
@@ -956,18 +980,54 @@ class Chart:
         return (e1.dot[LEFT], e2.dot[RIGHT]), (e1.cad[LEFT], e2.cad[RIGHT])
 
     def fuse(self, left_id: int, right_id: int):
-        """Merge two same-production events whose dots meet at a CaD: every
-        derivation of e1 with every derivation of e2.  The pair is stale
-        unless e1 is live and still holds the link (a link only joins open
-        extremes whose dots meet, and only extremes without links move), or
-        if the merged form already holds every merged derivation.  A pair
-        that widened while it waited is queued again at its new width.
+        """Merge two same-production events whose dots meet at a CaD c:
+        every derivation of e1 with every derivation of e2.  The pair is
+        stale unless e1 is live and still holds the link (a link only joins
+        open extremes whose dots meet, and only extremes without links
+        move).  A pair that widened while it waited is queued again at its
+        new width.  Otherwise the fusion consumes the link, whatever
+        follows, so a link means exactly that its pair is on the agenda; it
+        is stale if the merged form already holds every merged derivation.
         Where the merged form has no event but is closed on both sides and
         its node is in (`_run_node`), the node stands for it: the fusion is
         stale if the node has every merged analysis; otherwise the new ones
         become its analyses at once (`_new_event`), and an event that would
         have moved to the form is deleted instead, since the moved event
-        would only have fired into the node (the lemma at `_new_event`)."""
+        would only have fired into the node (the lemma at `_new_event`).
+
+        Where both extremes meeting at c hold other evidence, e1 and e2
+        stay, the merged form M = e1+e2 is built or packed beside them, and
+        the link goes too.  Either may then lose its other evidence at c and
+        be deleted, where a kept link would have held the two alive, and
+        kept alive, such an extreme may still gain partners.  Whatever a
+        kept link would have let through reaches the forest anyway.  Take
+        e2's left extreme L at c (e1's right mirrors it) once it has no
+        other evidence there, so that its event is deleted where the kept
+        link would have held it.  What L would still have met is a
+        derivation arriving later with an extreme at c facing L whose dot
+        meets L's: a new partner's, or a late one of e1's form, which
+        `_pack` would have replayed to e2.  By induction over the arrivals,
+        that extreme came in one of three ways.
+        (1) As a copy of a live extreme at c: its form is a merge q+E whose
+        right extreme is E's, or E itself after a move of its left one.  E's
+        extreme at c is the arriving one, so E arrived earlier and met L's
+        event as this derivation would have, and the merge E+e2 (M, where E
+        is e1) carries E's left extreme and e2's right one.  q, a partner of
+        E at E's left CaD, meets that merge there, and q+(E+e2) holds every
+        derivation of (q+E)+e2.
+        (2) As a coverage form of a node N newly made at c: N is the child
+        left of its dot at c, so N's symbol Y is what L waits for.  N's run
+        fired an event of lhs Y closed at c, whose class covers Y there, and
+        by case (1) at `_support` such a class arrives only where a class
+        covering Y is already.  That class set L's support bit, which goes
+        off only as the last such class leaves, and none comes back after
+        it.  So L still had its bit: this way never reaches such an L.
+        (3) Across nullable symbols: its dot crossed empty symbols to meet
+        L's.  It is then the epsilon sibling of a form that meets L's
+        sibling across them, spawned with L's event whether that was built
+        or stillborn, and the merge of the two siblings is the very
+        derivation it would have made with L (the nullable crossing in the
+        lemma at `_new_event`)."""
         e1 = self.events.get(left_id)
         if e1 is None or right_id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
@@ -985,10 +1045,11 @@ class Chart:
             merged = [a + b for a in e1.derivations() for b in e2.derivations()]
         if self.tracing:
             self.trace_lines.append(f"fuse e{e1.id} + e{e2.id} @ {e1.cad[RIGHT]}")
-        # does either extreme meeting here hold evidence besides this link?
+        del e1.fusion[RIGHT][e2.id]
+        del e2.fusion[LEFT][e1.id]
+        # does either extreme meeting here hold evidence still?
         pair = (e1, e2)
-        held = [e.support[1 - s] or len(e.fusion[1 - s]) > 1
-                for s, e in enumerate(pair)]
+        held = [e.support[1 - s] or bool(e.fusion[1 - s]) for s, e in enumerate(pair)]
         key = event_key(prod, dot, cad)
         ev = self.event_index.get(key)
         node = None
@@ -999,9 +1060,7 @@ class Chart:
             if node is not None:
                 merged = [children for children in merged if not node.holds(prod, children)]
         if not merged:
-            # the merged form already holds them all; just consume the link
-            del e1.fusion[RIGHT][e2.id]
-            del e2.fusion[LEFT][e1.id]
+            # the merged form already holds them all
             for s, e in enumerate(pair):
                 if not held[s]:
                     self._refresh_status(e)
@@ -1016,12 +1075,7 @@ class Chart:
             self._new_event(prod, dot, cad, merged[0],
                             alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
         if held[LEFT] and held[RIGHT]:
-            # both extremes carry further evidence: e1 and e2 stay, the
-            # merged event is alongside them
-            self.fused.add((left_id, right_id))
-            return
-        del e1.fusion[RIGHT][e2.id]
-        del e2.fusion[LEFT][e1.id]
+            return  # e1 and e2 stay, the merged form alongside them
         # the event whose extreme has other evidence stays as it is; the
         # other absorbs the merge, moving its extreme on the stayer's side.
         # If neither has, e1 absorbs and e2 goes away.  Where the merged form
@@ -1068,7 +1122,15 @@ class Chart:
         in that strict priority order, the agenda's buckets narrowest first,
         until nothing is pending.  Each run or fusion action starts with no
         stillborn keys: the drain after an action would have deleted its
-        stillborn events, keys and all."""
+        stillborn events, keys and all.
+
+        It stops with no event live.  The agenda is empty, and every link
+        is queued, so no extreme holds a link, and the queues are empty, so
+        every live event would be DERIVATION: supported on both sides and
+        open on one, say its right at c.  Its bit there needs a live event
+        closed on its left at c, which is DERIVATION too and so open on its
+        right, further right than c.  Such a chain of events would go on
+        forever across finitely many CaDs."""
         stillborn = self.stillborn = set()
         self._drain()
         for width, bucket in enumerate(self.fusion_agenda):
@@ -1103,11 +1165,12 @@ class Chart:
 
     def check_invariants(self):
         """Debug check of the chart's bookkeeping, then of the fixpoint.
-        Bookkeeping: every live event's key indexes it, the CaD lists hold
-        exactly the live events' open extremes, fusion links are symmetric
-        between live events, join open extremes of one production whose dots
-        meet at one CaD and are queued on the fusion agenda or fused with the
-        link kept, and every CaD's closed class counts, closed support mask,
+        Bookkeeping: the index holds exactly the live events' keys (once
+        init has deleted the retired events), the CaD lists hold exactly the
+        live events' open extremes, fusion links are symmetric between live
+        events, join open extremes of one production whose dots meet at one
+        CaD and are queued on the fusion agenda (every fusion consumes its
+        link), and every CaD's closed class counts, closed support mask,
         lexical reach and (where not stale) reach agree with a recount from
         the live events' closed extremes, the lexical items and the
         adjacency and boundary tables, the reach within the lexical reach.
@@ -1134,8 +1197,9 @@ class Chart:
                         and None not in (ev.need[RIGHT], p.need[LEFT])
                         and ev.dot[RIGHT] == p.dot[LEFT]), \
                     f"e{ev.id}.R: fusion link with e{p.id} joins dots that do not meet"
-                assert (ev.id, p.id) in queued or (ev.id, p.id) in self.fused, \
-                    f"e{ev.id}.R: fusion link with e{p.id} is neither queued nor fused"
+                assert (ev.id, p.id) in queued, \
+                    f"e{ev.id}.R: fusion link with e{p.id} is not queued"
+        assert len(self.event_index) == len(self.events), "the index holds keys of dead events"
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 for i, ev in cad.open[side].items():

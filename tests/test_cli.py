@@ -89,7 +89,9 @@ def test_parse_stats_show_packed_derivations(tmp_path, capsys):
     path = tmp_path / "catalan.g"
     path.write_text("%root S\nS -> S S | a ;\n")
     assert main(["parse", "-g", str(path), "a a a a", "--stats"]) == 0
-    assert "packed_derivations=4" in capsys.readouterr().out.splitlines()
+    # every later derivation is of a closed form whose node a run made
+    out = capsys.readouterr().out.splitlines()
+    assert "packed_derivations=0" in out and "packed_at_once=4" in out
 
 
 def test_parse_trace(g2_file, capsys):
@@ -150,6 +152,16 @@ def test_parse_unknown_preterminal(tmp_path, capsys, engine):
     g.write_text("%root S\nS -> a ;")
     assert main(["parse", "-g", str(g), "zz", "--engine", engine]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["scp", "earley"])
+def test_parse_nonterminal_preterminal(tmp_path, capsys, engine):
+    g = tmp_path / "g.g"
+    g.write_text("%root S\nS -> X ;\nX -> a a ;")
+    lat = tmp_path / "in.lat"
+    lat.write_text('%points 3\n0 2 "xx" X\n0 1 "x" a\n1 2 "x" a\n')
+    assert main(["parse", "-g", str(g), "--lattice", str(lat), "--engine", engine]) == 2
+    assert "preterminal 'X' is a nonterminal" in capsys.readouterr().err
 
 
 def test_bench_constant_events_per_word(capsys):

@@ -114,24 +114,14 @@ def test_debug_init_checks_invariants_before_the_cycle(monkeypatch, g2_compiled)
     assert stats["events_run"] == stats["fusions"] == 0
 
 
-def test_form_packed_in_init_before_its_partner_is_built():
-    # S -> . M N . C @ [0,1] takes its second derivation (empty M, then N)
-    # in init before its fusion partner S -> M N . C . @ [1,2] is built; init
-    # merges nothing, and the fusion in the cycle merges both derivations
-    cg = compile_grammar(load_grammar(
-        "%root S\nS -> M N C ;\nM -> m | ;\nN -> n | ;\nC -> c ;\n%terminal m n c"))
-    lat = InputLattice(3, [LexicalItem("x", "M", 0, 1), LexicalItem("x", "N", 0, 1),
-                           LexicalItem("y", "C", 1, 2)])
-    chart = init_session(cg, lat, trace=True, debug=True)
-    [pack] = [i for i, line in enumerate(chart.trace_lines) if line.startswith("pack")]
-    assert chart.trace_lines[pack].endswith("S -> . M N . C @ [0,1]")
-    [partner] = [i for i, line in enumerate(chart.trace_lines)
-                 if line.startswith("create") and line.endswith("S -> M N . C . @ [1,2]")]
-    assert pack < partner
-    chart.parse_cycle()
-    mine = count_trees(build_forest(chart))
-    theirs = earley_count_trees(cg.grammar, lat)
-    assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 2)
+def test_nonterminal_preterminal_rejected():
+    # an item of X over [0,2] would be a leaf where a run also makes X
+    # [0,2] from a a, and the forest would count one tree instead of two
+    cg = compile_grammar(load_grammar("%root S\nS -> X ;\nX -> a a ;"))
+    lat = InputLattice(3, [LexicalItem("xx", "X", 0, 2), LexicalItem("x", "a", 0, 1),
+                           LexicalItem("x", "a", 1, 2)])
+    with pytest.raises(EngineError, match="lexical item 'xx': preterminal 'X' is a nonterminal"):
+        init_session(cg, lat)
 
 
 # -- node packing ---------------------------------------------------------------
@@ -165,14 +155,15 @@ def catalan_counts(text, **kwargs):
 
 def test_derivation_after_its_form_fired_lands_in_the_node():
     # S -> . S S . @ [0,3] fires with S[0,2] S[2,3]; S[0,1] S[1,3] arrives
-    # later, and its form's node takes the analysis at once
+    # later from a fusion, and its form's node takes the analysis at once,
+    # with no event of the form to pack it into: the run released its key
     chart, mine, theirs = catalan_counts("a a a a", trace=True)
     form = "S -> . S S . @ [0,3]"
     [run_line] = [line for line in chart.trace_lines if line.startswith("run") and form in line]
-    eid = run_line.split()[1]
-    pack_line = f"pack {eid} {form}"
-    assert chart.trace_lines.index(pack_line) > chart.trace_lines.index(run_line)
-    assert chart.trace_lines[chart.trace_lines.index(pack_line) + 1] == "pack S [0,3] analysis 0"
+    pack = chart.trace_lines.index("pack S [0,3] analysis 0")
+    assert pack > chart.trace_lines.index(run_line)
+    assert chart.trace_lines[pack - 1].startswith("fuse ")
+    assert not [line for line in chart.trace_lines if line.startswith("pack e")]
     s03 = chart.nodes[(chart.compiled.grammar.symbol("S").id, 0, 3)]
     assert len(s03.analyses) == 2
     assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 5)
@@ -206,33 +197,43 @@ def test_late_derivation_meets_partners_fused_before_it(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed,limits", [(120, CaseLimits(max_input=24)), (536, None)],
                          ids=["long-120", "536"])
-def test_late_derivation_is_replayed_to_partners_fused_with_their_link_kept(
+def test_late_derivation_is_replayed_to_every_partner_whose_link_is_gone(
         monkeypatch, seed, limits):
-    # in span order a late derivation still meets a partner whose pair was
-    # fused while both extremes held further evidence, which kept the link;
-    # a partner whose pair is still queued is left to that fusion
-    kept, pending = [], []
-    pack = engine.Chart._pack
+    # in span order a late derivation is merged with every partner facing
+    # it whose link a fusion consumed, since no pending fusion merges the
+    # two; a partner whose pair is still queued is left to that fusion
+    replayed, pending, offered = [], [], []
+    pack, new_event = engine.Chart._pack, engine.Chart._new_event
 
-    def spy(chart, ev, children):
-        if ev.alive and not ev.holds(children) and chart.stillborn is not None:
+    def pack_spy(chart, ev, children):
+        expected = []
+        if not ev.holds(children):
             queued = {pair for bucket in chart.fusion_agenda for pair in bucket}
             for side in (LEFT, RIGHT):
                 if ev.need[side] is not None:
                     for p in chart._partners(ev.production, ev.dot, ev.cad[side], side):
                         e1, e2 = (p, ev) if side == LEFT else (ev, p)
-                        if (e1.id, e2.id) in chart.fused:
-                            kept.append((e1.id, e2.id))
-                        elif e2.id in e1.fusion[RIGHT]:
+                        if e2.id in e1.fusion[RIGHT]:
                             assert (e1.id, e2.id) in queued
                             pending.append((e1.id, e2.id))
+                        else:
+                            expected += [kids + children if side == LEFT else children + kids
+                                         for kids in p.derivations()]
+        start = len(offered)
         pack(chart, ev, children)
+        assert set(expected) <= set(offered[start:])
+        replayed.extend(expected)
 
-    monkeypatch.setattr(engine.Chart, "_pack", spy)
+    def new_event_spy(chart, production, dot, cad, children, alts=None):
+        offered.append(children)
+        new_event(chart, production, dot, cad, children, alts)
+
+    monkeypatch.setattr(engine.Chart, "_pack", pack_spy)
+    monkeypatch.setattr(engine.Chart, "_new_event", new_event_spy)
     grammar, lattice = random_case(seed, limits)
     mine = count_trees(build_forest(parse(compile_grammar(grammar), lattice)), cap=10000)
     theirs = earley_count_trees(grammar, lattice, cap=10000)
-    assert kept and pending
+    assert replayed and pending
     assert (mine.kind, mine.value) == (theirs.kind, theirs.value)
 
 
@@ -271,7 +272,7 @@ def test_ambiguous_input_builds_fewer_events_than_analyses():
     chart, mine, theirs = catalan_counts(" ".join(["a"] * 10))
     analyses = sum(len(n.analyses) for n in chart.node_list)
     assert chart.stats["events_created"] < analyses
-    assert chart.stats["packed_derivations"] > 0
+    assert chart.stats["packed_at_once"] > 0
     assert (mine.kind, mine.value) == (theirs.kind, theirs.value) == ("finite", 4862)
 
 
@@ -440,19 +441,28 @@ NULLABLE_HEAVY = CaseLimits(max_nonterminals=12, max_productions=50, eps_probabi
                          + [(474, None), (18, CaseLimits(max_input=24)),
                             (120, CaseLimits(max_input=24))]
                          + [(s, NULLABLE_HEAVY) for s in range(60)])
-def test_invariants_hold_at_fixpoint(seed, limits):
+def test_invariants_hold_at_fixpoint(monkeypatch, seed, limits):
     # debug mode runs check_invariants when the cycle stops
+    fired = []  # the form and derivations of each event run
+    run_event = engine.Chart.run_event
+
+    def spy(chart, ev):
+        fired.append((ev.key, ev.derivations()))
+        run_event(chart, ev)
+
+    monkeypatch.setattr(engine.Chart, "run_event", spy)
     chart = parse_case(seed, limits, debug=True)
-    # a fired event's key stays indexed, so no closed form fires twice: the
-    # indexed events that are not live are exactly those run.  Each of their
-    # derivations is a distinct analysis of a derived node, and so is each
-    # one packed at once, with no event, where a run had made the node: the
-    # two make up every analysis of a derived node
-    fired = [ev for ev in chart.event_index.values() if not ev.alive]
-    assert len(fired) == chart.stats["events_run"]
+    # no closed form fires twice: a later derivation of a fired form goes to
+    # its node at once.  Each fired derivation is a distinct analysis of a
+    # derived node, and so is each one packed at once, with no event, where
+    # a run had made the node: the two make up every analysis of a derived
+    # node
+    assert len(fired) == len({key for key, _ in fired}) == chart.stats["events_run"]
     derived = [n for n in chart.node_list if n.origin == "derived"]
-    assert (sum(len(ev.derivations()) for ev in fired) + chart.stats["packed_at_once"]
+    assert (sum(len(derivations) for _, derivations in fired) + chart.stats["packed_at_once"]
             == sum(len(n.analyses) for n in derived))
+    # with every link queued and the agenda empty, no event is left
+    assert not chart.events and not chart.event_index
 
 
 def suite_cases(widths):
@@ -717,36 +727,67 @@ def test_retired_init_events_never_had_evidence(monkeypatch):
     assert retired > 1000
 
 
-def test_invariant_check_catches_a_flipped_support_bit():
-    chart = parse_case(474)
+def init_case(seed, limits=None):
+    """The chart of a random case right after init: the parse cycle leaves
+    no event live (see test_invariants_hold_at_fixpoint), so the states
+    these tests corrupt exist only before it."""
+    grammar, lattice = random_case(seed, limits)
+    chart = init_session(compile_grammar(grammar), lattice)
     chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.cad[LEFT] > 0 and e.support[LEFT])
+    return chart
+
+
+def some_event(chart, test):
+    """The first live event that passes the test; there must be one."""
+    found = [ev for ev in chart.events.values() if test(ev)]
+    assert found, "no live event in the state to corrupt"
+    return found[0]
+
+
+def test_invariant_check_catches_a_flipped_support_bit():
+    chart = init_case(474)
+    ev = some_event(chart, lambda e: e.cad[LEFT] > 0 and e.support[LEFT])
     ev.support[LEFT] = False
     with pytest.raises(AssertionError, match=f"e{ev.id}.L: support bit is stale"):
         chart.check_invariants()
 
 
 def test_invariant_check_catches_an_unindexed_event():
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(iter(chart.events.values()))
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: True)
     del chart.event_index[ev.key]
     with pytest.raises(AssertionError, match=f"e{ev.id}: key not indexed"):
         chart.check_invariants()
 
 
-def test_invariant_check_catches_an_extreme_on_the_wrong_side():
+def test_invariant_check_catches_a_released_key_left_indexed(monkeypatch):
+    fired = []
+    run_event = engine.Chart.run_event
+
+    def spy(chart, ev):
+        fired.append(ev)
+        run_event(chart, ev)
+
+    monkeypatch.setattr(engine.Chart, "run_event", spy)
     chart = parse_case(2)
     chart.check_invariants()
+    assert fired
+    chart.event_index[fired[0].key] = fired[0]
+    with pytest.raises(AssertionError, match="the index holds keys of dead events"):
+        chart.check_invariants()
+
+
+def test_invariant_check_catches_an_extreme_on_the_wrong_side():
+    chart = init_case(2)
     # a closed extreme listed open
-    ev = next(e for e in chart.events.values() if e.need[LEFT] is None)
+    ev = some_event(chart, lambda e: e.need[LEFT] is None)
     chart.cads[ev.cad[LEFT]].open[LEFT][ev.id] = ev
     with pytest.raises(AssertionError, match=f"e{ev.id}.L: listed open at CaD {ev.cad[LEFT]}"):
         chart.check_invariants()
     del chart.cads[ev.cad[LEFT]].open[LEFT][ev.id]
     chart.check_invariants()
     # an open extreme missing from its list
-    ev = next(e for e in chart.events.values() if e.need[RIGHT] is not None)
+    ev = some_event(chart, lambda e: e.need[RIGHT] is not None)
     del chart.cads[ev.cad[RIGHT]].open[RIGHT][ev.id]
     with pytest.raises(AssertionError, match=f"e{ev.id}.R: not in its CaD list"):
         chart.check_invariants()
@@ -762,9 +803,8 @@ def test_invariant_check_catches_a_dead_event_in_a_cad_list():
 
 
 def test_invariant_check_catches_a_dropped_class_count():
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.need[RIGHT] is None)
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: e.need[RIGHT] is None)
     cad = chart.cads[ev.cad[RIGHT]]
     del cad.n_closed[RIGHT][ev.production.lhs.id]
     with pytest.raises(AssertionError, match=f"CaD {cad.index}.R: class counts differ"):
@@ -772,9 +812,8 @@ def test_invariant_check_catches_a_dropped_class_count():
 
 
 def test_invariant_check_catches_reach_beyond_the_lexical_reach():
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.need[RIGHT] is None)
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: e.need[RIGHT] is None)
     cad = chart.cads[ev.cad[RIGHT]]
     cad.lexical[RIGHT] = 0
     with pytest.raises(AssertionError, match=f"CaD {cad.index}.R: reach exceeds its lexical reach"):
@@ -806,9 +845,8 @@ def test_invariant_check_catches_a_live_event_that_can_never_have_evidence(g2_co
 
 
 def test_invariant_check_catches_a_one_sided_fusion_link():
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: e.fusion[RIGHT])
     partner = next(iter(ev.fusion[RIGHT].values()))
     del partner.fusion[LEFT][ev.id]
     with pytest.raises(AssertionError,
@@ -817,9 +855,8 @@ def test_invariant_check_catches_a_one_sided_fusion_link():
 
 
 def test_invariant_check_catches_a_fusion_link_out_of_order():
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: e.fusion[RIGHT])
     partner = next(iter(ev.fusion[RIGHT].values()))
     ev.dot = (ev.dot[LEFT], partner.dot[LEFT] + 1)  # ev's right dot past partner's left one
     with pytest.raises(AssertionError,
@@ -827,26 +864,16 @@ def test_invariant_check_catches_a_fusion_link_out_of_order():
         chart.check_invariants()
 
 
-def test_invariant_check_catches_a_link_neither_queued_nor_fused():
-    # after init every link is queued; at the fixpoint the agenda is empty
-    # and every live link was fused with both extremes holding evidence
-    grammar, lattice = random_case(2)
-    chart = init_session(compile_grammar(grammar), lattice)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
+def test_invariant_check_catches_a_link_not_queued():
+    # a link stands for its pair on the fusion agenda: every fusion
+    # consumes it
+    chart = init_case(2)
+    ev = some_event(chart, lambda e: e.fusion[RIGHT])
     partner = next(iter(ev.fusion[RIGHT].values()))
     bucket = chart.fusion_agenda[partner.cad[RIGHT] - ev.cad[LEFT]]
     bucket.remove((ev.id, partner.id))
     with pytest.raises(AssertionError,
-                       match=f"e{ev.id}.R: fusion link with e{partner.id} is neither queued nor fused"):
-        chart.check_invariants()
-    chart = parse_case(2)
-    chart.check_invariants()
-    ev = next(e for e in chart.events.values() if e.fusion[RIGHT])
-    partner = next(iter(ev.fusion[RIGHT].values()))
-    chart.fused.remove((ev.id, partner.id))
-    with pytest.raises(AssertionError,
-                       match=f"e{ev.id}.R: fusion link with e{partner.id} is neither queued nor fused"):
+                       match=f"e{ev.id}.R: fusion link with e{partner.id} is not queued"):
         chart.check_invariants()
 
 
@@ -957,10 +984,13 @@ def closable_from_multi_point_items_only(chart):
         if nd.origin == "lexical" and nd.lbp - nd.fbp == 1:
             unit[nd.fbp, RIGHT] = unit.get((nd.fbp, RIGHT), 0) | la[nd.symbol]
             unit[nd.lbp, LEFT] = unit.get((nd.lbp, LEFT), 0) | ra[nd.symbol]
-    # every closed extreme of an indexed (live or fired) event has support
-    return any(ev.need[side] is None
-               and not unit.get((ev.cad[side], side), 0) >> ev.production.lhs.id & 1
-               for ev in chart.event_index.values() for side in (LEFT, RIGHT))
+    # every closed extreme of a live or fired event has support; a derived
+    # node carries its run's lhs and CaDs, the fired event's closed extremes
+    closed = [(ev.cad[side], side, ev.production.lhs.id)
+              for ev in chart.events.values() for side in (LEFT, RIGHT) if ev.need[side] is None]
+    closed += [(end, side, nd.symbol) for nd in chart.node_list if nd.origin == "derived"
+               for side, end in enumerate((nd.fbp, nd.lbp))]
+    return any(not unit.get((index, side), 0) >> lhs & 1 for index, side, lhs in closed)
 
 
 @pytest.mark.parametrize("seeds,limits", [(range(300), None),
@@ -1083,6 +1113,20 @@ def test_untraced_stillborn_form_renders_nothing(monkeypatch):
     monkeypatch.setattr(engine, "render", boom)
     chart = run(OPTIONAL_ENDS, "a b c")
     assert chart.stats["stillborn"] == 1 and not chart.trace_lines
+
+
+def test_stillborn_keys_stop_the_epsilon_sibling_lattice():
+    # B [1,2] anchors T -> A^k . B . A^k q.  Each of its (k+1)^2 nullable
+    # expansions waits at 2 for A or q, where only w follows, so each is
+    # stillborn, and each is reached by as many spawn paths as there are
+    # orders of its dot moves, C(a+b, a) for a moves left and b right.
+    # The stillborn key makes each form one test; without it this parse
+    # counted 705,431 stillborn forms.
+    k = 10
+    chart = run(f"%root S\nS -> w B w | w T w ;\nB -> y ;\nT -> {' A' * k} B {' A' * k} q ;\n"
+                "A -> | a ;", "w y w")
+    assert chart.stats["stillborn"] == (k + 1) ** 2
+    assert count_trees(build_forest(chart)).value == 1
 
 
 DEAD_EXPANSION = """
