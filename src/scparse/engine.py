@@ -58,7 +58,9 @@ looks up and counts, are the exception: they are kept explicitly, per
 side and keyed by partner id, on both events.  Every fusion consumes its
 link, so a link means exactly that its pair is on the agenda, and the
 cycle stops with no event live (`parse_cycle`).  A status is recomputed
-only where an extreme may have gained or lost its last evidence.
+only where an extreme may have gained or lost its last evidence, and once
+the cycle runs it only falls (`_drain`): the queues and the agenda hold
+the events themselves, and only a deletion entry can find its event dead.
 
 An event is its form: production, dots and CaDs (`event_key`).  Status,
 link analysis and fusion read only the form, never the children between
@@ -72,8 +74,8 @@ doing what an event of its own would have done (`_pack`): it spawns its
 epsilon siblings with these children and is merged with every derivation
 of every fusion partner facing it now whose pair is not pending, as a
 pending fusion merges it itself; any other partner met the event in a
-fusion, before the event held it.  `event_index` holds the live events
-only: a run releases its event's key, and the node stands for the form
+fusion, before the event held it.  `Chart.events` holds the live events
+by form: a run releases its event's key, and the node stands for the form
 from then on.  A form closed on both sides whose node a run has made is
 never built in the cycle: its event would only fire into that node, so
 its derivations, a fired form's later ones among them, become the node's
@@ -177,14 +179,14 @@ class Event:
     __slots__ = ("id", "production", "dot", "cad", "need", "children", "alts", "key",
                  "support", "fusion", "status", "alive")
 
-    def __init__(self, eid, production, dot, cad, children, key, need=None, alts=None):
+    def __init__(self, eid, production, dot, cad, children, key, need, alts=None):
         self.id = eid
         self.production = production
         # Its form, which a fusion may give it anew: the (LEFT, RIGHT) dots
         # and CaD indices, the `needs` of the dots and the key they make.
         self.dot = dot
         self.cad = cad
-        self.need = needs(production, dot) if need is None else need
+        self.need = need
         self.key = key
         # The children between the dots: its first child tuple, and the
         # other derivations of its form packed into it (a dict used as an
@@ -271,17 +273,16 @@ class Chart:
         self.cads = [CaD(i) for i in range(lattice.points)]
         self.nodes: dict[tuple[int, int, int], Node] = {}
         self.node_list: list[Node] = []
-        self.events: dict[int, Event] = {}
-        # The keys of the live events (and, during init, of the retired
-        # ones): a fired event's key goes, as its node stands for its form
-        # (`_run_node`).
-        self.event_index: dict[tuple, Event] = {}
+        # The live events by form (`event_key`; during init, the retired
+        # ones too, until every form is built): a fired event's key goes, as
+        # its node stands for its form (`_run_node`).
+        self.events: dict[tuple, Event] = {}
         # One deletion queue: EPSILON events are deleted like DELETE ones.
-        self.delete_queue: deque[int] = deque()
-        self.run_queue: deque[int] = deque()
-        # The fusion agenda, one bucket of (e1 id, e2 id) pairs per merged width
+        self.delete_queue: deque[Event] = deque()
+        self.run_queue: deque[Event] = deque()
+        # The fusion agenda, one bucket of (e1, e2) pairs per merged width
         # (`width` is being popped).  A link stands for its pair on it.
-        self.fusion_agenda: list[list[tuple[int, int]]] = [[] for _ in range(lattice.points)]
+        self.fusion_agenda: list[list[tuple[Event, Event]]] = [[] for _ in range(lattice.points)]
         self.width = 0
         # (key, children) of the derivations found stillborn (see
         # `_new_event`) in the current action; None until the cycle starts.
@@ -299,8 +300,6 @@ class Chart:
         self.debug = debug
         self.status_audit: list[tuple] = []
         self.eps_nodes = compiled.eps_nodes
-        self._next_node_id = len(self.eps_nodes)
-        self._next_event_id = 0
         self.retired: list[Event] | None = []  # init events never wired, None after init
 
         # the batch phases of init (see the module docstring)
@@ -318,6 +317,8 @@ class Chart:
             for entry in compiled.coverage[node.symbol]:
                 self._new_event(entry.production, (entry.position, entry.position + 1), ends,
                                 (node,))
+        for ev in self.retired:
+            del self.events[ev.key]
         links = 0
         for ev in self.events.values():
             # a closed side passed the bound in `_new_event`: it has support
@@ -335,7 +336,6 @@ class Chart:
         for ev in self.events.values():
             self._refresh_status(ev)
         for ev in self.retired:
-            del self.event_index[ev.key]
             self.stats["events_deleted"] += 1
             if self.tracing:
                 self.trace_lines.append(f"delete e{ev.id} {ev.render()}")
@@ -359,8 +359,7 @@ class Chart:
             if analysis is not None:
                 self._pack_node(existing, analysis)
             return None
-        node = Node(self._next_node_id, symbol, fbp, lbp, origin)
-        self._next_node_id += 1
+        node = Node(len(self.eps_nodes) + self.stats["nodes"], symbol, fbp, lbp, origin)
         if analysis is not None:
             node.add_analysis(analysis)
         if self.debug and analysis is not None:
@@ -450,11 +449,12 @@ class Chart:
         paths, one per order of the moves, and without the key each path
         would test it and spawn its siblings again.  A form given alts is
         never stillborn, so no alt needs a stillborn key: alts come only
-        from `fuse`, where the form's node is in (below), or on the
-        both-held path, where the form's outer extremes are e1's left and
-        e2's right, each with evidence when the action started and none lost
-        since (the consumed link was at the CaD where they meet), a support
-        bit `_support` finds again or a partner `_partners` finds again.
+        from `fuse`'s both-held path, where the form's outer extremes are
+        e1's left and e2's right, each with evidence when the action started
+        and none lost since (the consumed link was at the CaD where they
+        meet), a support bit `_support` finds again or a partner `_partners`
+        finds again.  Nor is such a form's node in: `fuse` packs onto the
+        node itself.
         During `Chart.__init__` every form is built; one with an extreme
         that can never have evidence (the bound at `_support`) is retired:
         keyed, so a later derivation packs into it, never wired, and
@@ -506,8 +506,9 @@ class Chart:
         made from the siblings (by induction over the symbols crossed, as
         the sibling's need X2 is in the same case as X)."""
         key = event_key(production, dot, cad)
-        if key in self.event_index:
-            self._pack(self.event_index[key], children)
+        ev = self.events.get(key)
+        if ev is not None:
+            self._pack(ev, children)
             return
         stillborn = self.stillborn
         if stillborn and (key, children) in stillborn:
@@ -526,12 +527,10 @@ class Chart:
                 if need[LEFT] is None and need[RIGHT] is None:
                     node = self._run_node(lhs, cad)
                     if node is not None:
-                        derivations = (children, *alts) if alts else (children,)
                         if self.debug:
-                            self._assert_form_tiling(production, dot, cad, derivations)
-                        for kids in derivations:
-                            self.stats["packed_at_once"] += self._pack_node(
-                                node, Analysis(production, kids))
+                            self._assert_form_tiling(production, dot, cad, (children,))
+                        self.stats["packed_at_once"] += self._pack_node(
+                            node, Analysis(production, children))
                         return
                 supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                              self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
@@ -546,9 +545,8 @@ class Chart:
                             born = False
                             break
         if born:
-            ev = Event(self._next_event_id, production, dot, cad, children, key, need, alts)
-            self._next_event_id += 1
-            self.event_index[key] = ev
+            ev = self.events[key] = Event(self.stats["events_created"], production, dot, cad,
+                                          children, key, need, alts)
             self.stats["events_created"] += 1
             if self.debug:
                 self._assert_form_tiling(ev.production, ev.dot, ev.cad, ev.derivations())
@@ -563,13 +561,11 @@ class Chart:
                         else left.lexical[RIGHT] >> xl & 1 or lo != 0 and xl in eps) and (
                         right.closable[RIGHT] >> lhs & 1 if xr is None
                         else right.lexical[LEFT] >> xr & 1 or hi != self.n and xr in eps):
-                    self.events[ev.id] = ev
                     self._wire(ev, LEFT)
                     self._wire(ev, RIGHT)
                 else:
                     self.retired.append(ev)
             else:
-                self.events[ev.id] = ev
                 for side in (LEFT, RIGHT):
                     self._analyze_extreme(ev, side, supported[side], partners[side])
                 self._refresh_status(ev)
@@ -585,12 +581,14 @@ class Chart:
     def _pack(self, ev: Event, children: tuple):
         """A derivation of ev's form that ev does not hold yet joins it, and
         is replayed for itself alone, doing what an event of its own would
-        have done.  ev is live: the index holds only live events, as a run
-        releases its event's key (`run_event`).  (No derivation of a form
-        found stillborn in this action comes here: nothing in the action can
-        give the form evidence.  Nor does one of a cycle form closed on both
-        sides whose node is in, a fired form's among them: it has no event,
-        and `_new_event` gives the node every such derivation at once.)  The
+        have done; whether it was new to ev.  ev is live: `Chart.events`
+        holds only live events, as a run releases its event's key
+        (`run_event`).  (No derivation of a form found stillborn in this
+        action comes here: nothing in the action can give the form
+        evidence.  Nor does one of a cycle form closed on both sides whose
+        node is in, a fired form's among them: it has no event, and
+        `_new_event` or `fuse` gives the node every such derivation at
+        once.)  The
         epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, unless their pair
@@ -609,7 +607,7 @@ class Chart:
         its node, and the epsilon nodes are the grammar's own.  The form has
         one child tuple."""
         if ev.holds(children):
-            return
+            return False
         if ev.alts is None:
             ev.alts = {}
         ev.alts[children] = None
@@ -632,6 +630,7 @@ class Chart:
                 for kids in p.derivations():
                     merged = kids + children if side == LEFT else children + kids
                     self._new_event(production, merged_dot, merged_cad, merged)
+        return True
 
     def _spawn_epsilon_variants(self, production, dot, cad, children, need):
         """The engine's one nullable step.  For each open extreme of the
@@ -823,13 +822,9 @@ class Chart:
             if not cad.open[other]:
                 return
             partners = self._partners(ev.production, ev.dot, cad.index, side)
-        # ev's refresh at its first link on the left only sets where it
-        # enters the queues, which the event counts depend on.
         for p in partners:
             e1, e2 = (p, ev) if side == LEFT else (ev, p)
             self._add_fusion(e1, e2)
-            if side == LEFT and len(ev.fusion[LEFT]) == 1:
-                self._refresh_status(ev)
 
     def _detach(self, ev: Event, side: int):
         """Unwire ev's extreme on side from its CaD: an open one from its
@@ -887,16 +882,15 @@ class Chart:
         e1.fusion[RIGHT][e2.id] = e2
         e2.fusion[LEFT][e1.id] = e1
         self.stats["links"] += 1
-        self.fusion_agenda[e2.cad[RIGHT] - e1.cad[LEFT]].append((e1.id, e2.id))
+        self.fusion_agenda[e2.cad[RIGHT] - e1.cad[LEFT]].append((e1, e2))
         if self.tracing:
             self.trace_lines.append(f"link fusion e{e1.id}.R <-> e{e2.id}.L")
 
     def _release(self, ev: Event):
-        """Take ev out of the live events, the index and its CaDs
-        (`_detach`)."""
+        """Take ev out of the live events, its key with it, and out of its
+        CaDs (`_detach`)."""
         ev.alive = False
-        del self.events[ev.id]
-        del self.event_index[ev.key]
+        del self.events[ev.key]
         self._detach(ev, LEFT)
         self._detach(ev, RIGHT)
 
@@ -926,19 +920,22 @@ class Chart:
 
     def _refresh_status(self, ev: Event):
         """Recompute the status of ev, which is live, and queue ev where it
-        changed.  Every caller passes a live event: one it has just built,
-        moved or looked up among the live ones, or one that a fusion link or
-        a CaD list holds, and links join live events and CaD lists hold
-        only live events (`check_invariants` asserts both)."""
+        changed.  Every caller passes a live event: one it has just built or
+        moved, one of a live fusion pair, or one that a fusion link or a CaD
+        list holds, and links join live events and CaD lists hold only live
+        events (`check_invariants` asserts both).  In the cycle it is called
+        once an event is fully analyzed, and a status only falls (`_drain`):
+        a built or moved event is RUN or DERIVATION, and any later change
+        is to DELETE or EPSILON, or from EPSILON to DELETE."""
         status = self.compute_status(ev)
         if status != ev.status:
             ev.status = status
             if self.tracing:
                 self.trace_lines.append(f"status e{ev.id} {status} {ev.render()}")
             if status == RUN:
-                self.run_queue.append(ev.id)
+                self.run_queue.append(ev)
             elif status != DERIVATION:
-                self.delete_queue.append(ev.id)
+                self.delete_queue.append(ev)
 
     # -- step 6 actions -----------------------------------------------------
 
@@ -955,12 +952,12 @@ class Chart:
     def run_event(self, ev: Event):
         """Fire a closed-closed event: apply the production and admit the
         resulting node, with one analysis per derivation.  The event leaves
-        its CaDs and its key leaves the index (`_release`): from now on the
-        node stands for its form, and a later derivation of the form becomes
-        the node's analysis at once (`_new_event`, `fuse`), so no closed
-        form fires twice.  The node is new or made after the event was
-        built: in the cycle, a form closed on both sides whose node a run
-        has made is not built, and no lexical node is an lhs's
+        its CaDs and the live events, its key with it (`_release`): from now
+        on the node stands for its form, and a later derivation of the form
+        becomes the node's analysis at once (`_new_event`, `fuse`), so no
+        closed form fires twice.  The node is new or made after the event
+        was built: in the cycle, a form closed on both sides whose node a
+        run has made is not built, and no lexical node is an lhs's
         (`_run_node`).  Its vanished classes are judged only once the node
         and its events are in (`_starve`): an extreme that they cover again
         keeps its bit and its status."""
@@ -979,7 +976,7 @@ class Chart:
         """The dots and CaDs of the merge of e1 with e2, its right partner."""
         return (e1.dot[LEFT], e2.dot[RIGHT]), (e1.cad[LEFT], e2.cad[RIGHT])
 
-    def fuse(self, left_id: int, right_id: int):
+    def fuse(self, e1: Event, e2: Event):
         """Merge two same-production events whose dots meet at a CaD c:
         every derivation of e1 with every derivation of e2.  The pair is
         stale unless e1 is live and still holds the link (a link only joins
@@ -991,7 +988,8 @@ class Chart:
         Where the merged form has no event but is closed on both sides and
         its node is in (`_run_node`), the node stands for it: the fusion is
         stale if the node has every merged analysis; otherwise the new ones
-        become its analyses at once (`_new_event`), and an event that would
+        become its analyses at once (`packed_at_once`, the lemma at
+        `_new_event`), and an event that would
         have moved to the form is deleted instead, since the moved event
         would only have fired into the node (the lemma at `_new_event`).
 
@@ -1028,16 +1026,14 @@ class Chart:
         or stillborn, and the merge of the two siblings is the very
         derivation it would have made with L (the nullable crossing in the
         lemma at `_new_event`)."""
-        e1 = self.events.get(left_id)
-        if e1 is None or right_id not in e1.fusion[RIGHT]:
+        if not e1.alive or e2.id not in e1.fusion[RIGHT]:
             self.stats["stale_fusions"] += 1
             return
-        e2 = e1.fusion[RIGHT][right_id]
         prod = e1.production
         dot, cad = self._join(e1, e2)
         width = cad[RIGHT] - cad[LEFT]
         if width > self.width:
-            self.fusion_agenda[width].append((left_id, right_id))
+            self.fusion_agenda[width].append((e1, e2))
             return
         if e1.alts is None and e2.alts is None:
             merged = [e1.children + e2.children]
@@ -1051,14 +1047,19 @@ class Chart:
         pair = (e1, e2)
         held = [e.support[1 - s] or bool(e.fusion[1 - s]) for s, e in enumerate(pair)]
         key = event_key(prod, dot, cad)
-        ev = self.event_index.get(key)
+        ev = self.events.get(key)
         node = None
         if ev is not None:
-            merged = [children for children in merged if not ev.holds(children)]
+            # the merged form exists: the derivations it lacks join it
+            merged = [children for children in merged if self._pack(ev, children)]
         elif dot[LEFT] == 0 and dot[RIGHT] == len(prod.rhs):
             node = self._run_node(prod.lhs.id, cad)
             if node is not None:
-                merged = [children for children in merged if not node.holds(prod, children)]
+                # its node stands for it: the analyses it lacks join it at once
+                if self.debug:
+                    self._assert_form_tiling(prod, dot, cad, merged)
+                merged = [c for c in merged if self._pack_node(node, Analysis(prod, c))]
+                self.stats["packed_at_once"] += len(merged)
         if not merged:
             # the merged form already holds them all
             for s, e in enumerate(pair):
@@ -1067,14 +1068,10 @@ class Chart:
             self.stats["stale_fusions"] += 1
             return
         self.stats["fusions"] += 1
-        if ev is not None:
-            # the merged form exists with other derivations: these join it
-            for children in merged:
-                self._pack(ev, children)
-        elif held[LEFT] and held[RIGHT] or node is not None:
-            self._new_event(prod, dot, cad, merged[0],
-                            alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
         if held[LEFT] and held[RIGHT]:
+            if ev is None and node is None:
+                self._new_event(prod, dot, cad, merged[0],
+                                alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
             return  # e1 and e2 stay, the merged form alongside them
         # the event whose extreme has other evidence stays as it is; the
         # other absorbs the merge, moving its extreme on the stayer's side.
@@ -1097,13 +1094,13 @@ class Chart:
         """Give a surviving event the merged form and derivations, which
         moves its extreme on side.  The moved extreme held the consumed
         fusion link, so it is open and leaving its CaD takes no support
-        away (`_detach`).  fuse found the merged key unindexed."""
-        del self.event_index[ev.key]
+        away (`_detach`).  `fuse` found no event of the merged form."""
+        del self.events[ev.key]
         self._detach(ev, side)
         need = needs(ev.production, dot)
         ev.dot, ev.cad, ev.need, ev.key = dot, cad, need, key
         ev.children, ev.alts = merged[0], dict.fromkeys(merged[1:]) if len(merged) > 1 else None
-        self.event_index[key] = ev
+        self.events[key] = ev
         if self.debug:
             self._assert_form_tiling(ev.production, ev.dot, ev.cad, ev.derivations())
         if self.tracing:
@@ -1135,9 +1132,9 @@ class Chart:
         self._drain()
         for width, bucket in enumerate(self.fusion_agenda):
             self.width = width  # no pair joins this bucket or a narrower one now
-            for pair in bucket:
+            for e1, e2 in bucket:
                 stillborn.clear()
-                self.fuse(*pair)
+                self.fuse(e1, e2)
                 self._drain()
             bucket.clear()
         if self.debug:
@@ -1145,43 +1142,62 @@ class Chart:
         return self
 
     def _drain(self):
-        """Empty the deletion queue, then the run queue, deletions first."""
-        stillborn = self.stillborn
+        """Empty the deletion queue, then the run queue, deletions first,
+        checking no status: once the cycle runs, a status only falls.
+        (a) An event queued DELETE or EPSILON stays doomed until it is
+        deleted.  EPSILON may still fall to DELETE, which queues the event a
+        second time; that pop finds it dead.
+        (b) An event queued RUN fires without changing status.  It is closed
+        on both sides, so it has no link and never moves, and its closed
+        support is fixed (the lemma at `_support`).  Only this drain deletes
+        it: the events `fuse` deletes are open where the consumed link was.
+        Why it holds: an extreme gains evidence only as it arrives, built or
+        moved, and the event then has evidence on both sides.  A support bit
+        is set only then and is afterwards only lost (`_support`); a link
+        gives the partner it reaches no evidence it lacked
+        (`_analyze_extreme`); every form built in the cycle has evidence on
+        both sides (`_new_event`) and gets its status only once both are
+        analyzed; and a moved extreme takes its stayer's evidence (`fuse`).
+        So an event whose status says that a side lacks evidence never
+        regains it there.  Init gives each event one status, against the
+        final counts."""
         while True:
             if self.delete_queue:
-                ev = self.events.get(self.delete_queue.popleft())
-                if ev is not None and ev.status in (DELETE, EPSILON):
+                ev = self.delete_queue.popleft()
+                if ev.alive:
                     if ev.status == EPSILON:
                         self.stats["epsilon_expansions"] += 1
                     self.delete_event(ev)
                 continue
             if self.run_queue:
-                ev = self.events.get(self.run_queue.popleft())
-                if ev is not None and ev.status == RUN:
-                    stillborn.clear()
-                    self.run_event(ev)
+                self.stillborn.clear()
+                self.run_event(self.run_queue.popleft())
                 continue
             return
 
     def check_invariants(self):
         """Debug check of the chart's bookkeeping, then of the fixpoint.
-        Bookkeeping: the index holds exactly the live events' keys (once
-        init has deleted the retired events), the CaD lists hold exactly the
-        live events' open extremes, fusion links are symmetric between live
-        events, join open extremes of one production whose dots meet at one
-        CaD and are queued on the fusion agenda (every fusion consumes its
-        link), and every CaD's closed class counts, closed support mask,
-        lexical reach and (where not stale) reach agree with a recount from
-        the live events' closed extremes, the lexical items and the
-        adjacency and boundary tables, the reach within the lexical reach.
-        Fixpoint: no live extreme is ruled out by the bound at `_support`,
-        every extreme's support bit equals a scan of its CaD for anything
-        compatible (every node, closed and open extreme, or the input
-        boundary), and every live event's stored status is current."""
+        Bookkeeping: `events` holds live events only, each under its own
+        form (once init has dropped the retired events' keys); the CaD
+        lists hold exactly the open extremes of the events it holds; fusion
+        links are symmetric between events it holds, join open extremes of
+        one production whose dots meet at one CaD and are queued on the
+        fusion agenda (every fusion consumes its link); and every CaD's
+        closed class counts, closed support mask, lexical reach and (where
+        not stale) reach agree with a recount from the live events' closed
+        extremes, the lexical items and the adjacency and boundary tables,
+        the reach within the lexical reach.  Fixpoint: no live extreme is
+        ruled out by the bound at `_support`, every extreme's support bit
+        equals a scan of its CaD for anything compatible (every node, closed
+        and open extreme, or the input boundary), and every live event's
+        stored status is current.  The cycle stops with no event live
+        (`parse_cycle`), so the fixpoint part bites on the chart after
+        init."""
         closed = {}  # (CaD index, side) -> the lhs of each live closed extreme there
-        queued = {pair for bucket in self.fusion_agenda for pair in bucket}
-        for ev in self.events.values():
-            assert self.event_index.get(ev.key) is ev, f"e{ev.id}: key not indexed"
+        queued = {(e1.id, e2.id) for bucket in self.fusion_agenda for e1, e2 in bucket}
+        for key, ev in self.events.items():
+            assert ev.alive, f"e{ev.id}: the index holds a dead event"
+            assert ev.key == key, f"e{ev.id}: indexed under another form"
             for side in (LEFT, RIGHT):
                 name = f"e{ev.id}.{SIDE_NAMES[side]}"
                 if ev.need[side] is None:
@@ -1190,7 +1206,7 @@ class Chart:
                     assert self.cads[ev.cad[side]].open[side].get(ev.id) is ev, \
                         f"{name}: not in its CaD list"
                 for p in ev.fusion[side].values():
-                    assert self.events.get(p.id) is p and p.fusion[1 - side].get(ev.id) is ev, \
+                    assert self.events.get(p.key) is p and p.fusion[1 - side].get(ev.id) is ev, \
                         f"{name}: fusion link with e{p.id} is one-sided"
             for p in ev.fusion[RIGHT].values():
                 assert (p.production is ev.production and p.cad[LEFT] == ev.cad[RIGHT]
@@ -1199,11 +1215,11 @@ class Chart:
                     f"e{ev.id}.R: fusion link with e{p.id} joins dots that do not meet"
                 assert (ev.id, p.id) in queued, \
                     f"e{ev.id}.R: fusion link with e{p.id} is not queued"
-        assert len(self.event_index) == len(self.events), "the index holds keys of dead events"
         for cad in self.cads:
             for side in (LEFT, RIGHT):
                 for i, ev in cad.open[side].items():
-                    assert self.events.get(i) is ev, "CaD lists hold extremes of dead events"
+                    assert ev.id == i and self.events.get(ev.key) is ev, \
+                        f"e{ev.id}.{SIDE_NAMES[side]}: in a CaD list but not indexed"
                     assert ev.need[side] is not None and ev.cad[side] == cad.index, \
                         f"e{ev.id}.{SIDE_NAMES[side]}: listed open at CaD {cad.index}"
 

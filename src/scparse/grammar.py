@@ -81,12 +81,6 @@ class Node:
         analyses.append(analysis)
         return True
 
-    def holds(self, production: Production, children: tuple) -> bool:
-        """Whether it has the analysis of production over these children."""
-        if self._akeys is not None:
-            return (production.id, children) in self._akeys
-        return any(a.production is production and a.children == children for a in self.analyses)
-
 
 @dataclass(slots=True)  # never changed; not frozen, which makes building one 3x slower
 class Analysis:
@@ -226,10 +220,6 @@ def load_grammar(text: str) -> Grammar:
         kind = NONTERMINAL if name in lhs_names else TERMINAL
         symbols.append(Symbol(len(symbols), name, kind))
     by_name = {s.name: s for s in symbols}
-
-    for r in root_names:
-        if by_name[r].kind != NONTERMINAL:
-            raise GrammarError(f"undeclared symbol: root '{r}' has no productions")
 
     productions = []
     for lhs, rhs, _ in raw_prods:

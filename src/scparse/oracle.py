@@ -18,6 +18,21 @@ from .lattice import InputLattice, LexicalItem
 # -- recognition -------------------------------------------------------------
 
 
+def _lexical(g: Grammar, lat: InputLattice) -> list[tuple[int, int, int]]:
+    """(symbol id, fbp, lbp) of every lattice item whose preterminal is in
+    the grammar, in item order; ValueError if one is a nonterminal."""
+    out = []
+    for it in lat.items:
+        sym = g.by_name.get(it.preterminal)
+        if sym is None:
+            continue
+        if sym.kind != TERMINAL:
+            raise ValueError(f"lexical item {it.unit!r}: preterminal "
+                             f"{it.preterminal!r} is a nonterminal")
+        out.append((sym.id, it.fbp, it.lbp))
+    return out
+
+
 def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
     """Classic Earley over a lattice: the scanner consumes any lexical item
     leaving the current breaking point; epsilon productions complete in
@@ -29,10 +44,9 @@ def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
     prods_by_lhs: dict[int, list[Production]] = {}
     for p in g.productions:
         prods_by_lhs.setdefault(p.lhs.id, []).append(p)
-    items_from: dict[int, list[LexicalItem]] = {}
-    for it in lat.items:
-        items_from.setdefault(it.fbp, []).append(it)
-    by_name = g.by_name
+    items_from: dict[int, list[tuple[int, int]]] = {}  # fbp -> (symbol id, lbp) per item
+    for sid, fbp, lbp in _lexical(g, lat):
+        items_from.setdefault(fbp, []).append((sid, lbp))
 
     charts: list[set] = [set() for _ in range(n + 1)]  # items (prod_id, dot, origin)
     waiting: dict[tuple[int, int], list] = {}          # (pos, symbol id) -> items
@@ -64,10 +78,9 @@ def earley_recognize(g: Grammar, lat: InputLattice) -> bool:
                 if nxt.id in nullable:
                     add(k, (pid, dot + 1, origin), todo)
             else:
-                for it in items_from.get(k, ()):
-                    cat = by_name.get(it.preterminal)
-                    if cat is not None and cat.id == nxt.id:
-                        charts[it.lbp].add((pid, dot + 1, origin))
+                for sid, lbp in items_from.get(k, ()):
+                    if sid == nxt.id:
+                        charts[lbp].add((pid, dot + 1, origin))
     for (pid, dot, origin) in charts[n]:
         prod = g.productions[pid]
         if origin == 0 and dot == len(prod.rhs) and prod.lhs in g.roots:
@@ -94,11 +107,7 @@ def _derivable(g: Grammar, lat: InputLattice) -> set[tuple[int, int, int]]:
     """(symbol id, i, j) spans derivable over the lattice, i < j; zero-width
     derivability is exactly nullability."""
     nullable = _nullable_set(g)
-    spans: set[tuple[int, int, int]] = set()
-    for it in lat.items:
-        sym = g.by_name.get(it.preterminal)
-        if sym is not None:
-            spans.add((sym.id, it.fbp, it.lbp))
+    spans = set(_lexical(g, lat))
     changed = True
     while changed:
         changed = False
@@ -160,8 +169,7 @@ def earley_count_trees(g: Grammar, lat: InputLattice, cap: int = 10000) -> TreeC
     prods_by_lhs: dict[int, list[Production]] = {}
     for p in g.productions:
         prods_by_lhs.setdefault(p.lhs.id, []).append(p)
-    lex = {(g.by_name[it.preterminal].id, it.fbp, it.lbp)
-           for it in lat.items if it.preterminal in g.by_name}
+    lex = set(_lexical(g, lat))
     nonterminal_ids = {s.id for s in g.nonterminals}
 
     INF = "inf"
@@ -232,8 +240,7 @@ def earley_enumerate(g: Grammar, lat: InputLattice, limit: int = 100) -> list[tu
     prods_by_lhs: dict[int, list[Production]] = {}
     for p in g.productions:
         prods_by_lhs.setdefault(p.lhs.id, []).append(p)
-    lex = {(g.by_name[it.preterminal].id, it.fbp, it.lbp)
-           for it in lat.items if it.preterminal in g.by_name}
+    lex = set(_lexical(g, lat))
     names = {s.id: s.name for s in g.symbols}
     nonterminal_ids = {s.id for s in g.nonterminals}
     out: list[tuple] = []

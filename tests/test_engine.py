@@ -1,11 +1,12 @@
 import random
+from collections import deque
 
 import pytest
 
 from scparse import Grammar, Production, compile_grammar, load_grammar, tokenize_plain
 from scparse import engine, relations
 from scparse.bench import suite_grammar, suite_input
-from scparse.engine import (DELETE, LEFT, RIGHT, RUN, EngineError, Event,
+from scparse.engine import (DELETE, DERIVATION, EPSILON, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
 from scparse.forest import (FINITE, INFINITE, build_forest, count_trees, enumerate_trees,
                             render_tree)
@@ -76,7 +77,7 @@ def assert_one_status_or_delete_each(chart):
     # every init event gets exactly one status line, or one delete line if
     # it was retired unwired (Chart._new_event); deleting comes last
     status, deleted = traced_ids(chart, "status"), traced_ids(chart, "delete")
-    assert status == sorted(f"e{eid}" for eid in chart.events)
+    assert status == sorted(f"e{ev.id}" for ev in chart.events.values())
     assert sorted(status + deleted) == sorted(f"e{i}" for i in range(chart.stats["events_created"]))
     assert len(deleted) == chart.stats["events_deleted"]
     phases = [INIT_PHASES[line.split()[0]] for line in chart.trace_lines]
@@ -214,8 +215,8 @@ def test_late_derivation_is_replayed_to_every_partner_whose_link_is_gone(
                     for p in chart._partners(ev.production, ev.dot, ev.cad[side], side):
                         e1, e2 = (p, ev) if side == LEFT else (ev, p)
                         if e2.id in e1.fusion[RIGHT]:
-                            assert (e1.id, e2.id) in queued
-                            pending.append((e1.id, e2.id))
+                            assert (e1, e2) in queued
+                            pending.append((e1, e2))
                         else:
                             expected += [kids + children if side == LEFT else children + kids
                                          for kids in p.derivations()]
@@ -244,12 +245,11 @@ def test_fusions_run_narrowest_first(monkeypatch):
     fuse = engine.Chart.fuse
     widths, requeued = [], [0]
 
-    def spy(chart, left_id, right_id):
-        e1 = chart.events.get(left_id)
-        e2 = e1.fusion[RIGHT].get(right_id) if e1 is not None else None
-        width = e2.cad[RIGHT] - e1.cad[LEFT] if e2 is not None else None
+    def spy(chart, e1, e2):
+        linked = e1.alive and e2.id in e1.fusion[RIGHT]
+        width = e2.cad[RIGHT] - e1.cad[LEFT] if linked else None
         fusions = chart.stats["fusions"]
-        fuse(chart, left_id, right_id)
+        fuse(chart, e1, e2)
         if chart.stats["fusions"] > fusions:
             assert width == chart.width
             widths.append(width)
@@ -462,7 +462,7 @@ def test_invariants_hold_at_fixpoint(monkeypatch, seed, limits):
     assert (sum(len(derivations) for _, derivations in fired) + chart.stats["packed_at_once"]
             == sum(len(n.analyses) for n in derived))
     # with every link queued and the agenda empty, no event is left
-    assert not chart.events and not chart.event_index
+    assert not chart.events
 
 
 def suite_cases(widths):
@@ -529,6 +529,66 @@ def test_statuses_and_bits_are_current_after_every_action(monkeypatch):
     assert actions[0]
 
 
+def test_statuses_only_fall_in_the_cycle(monkeypatch):
+    # the lemma at Chart._drain: once the cycle runs, no event goes from
+    # DELETE or EPSILON to RUN or DERIVATION, so the drain checks no status:
+    # every live event popped from the deletion queue is deleted, and every
+    # event popped from the run queue is live and RUN, and fires
+    log = []  # the queue pops, each with its event's state, and the actions
+
+    class Logged(deque):
+        def popleft(self):
+            ev = super().popleft()
+            log.append((self.name, ev, ev.alive, ev.status))
+            return ev
+
+    def logged(name, action):
+        def wrapper(chart, ev):
+            log.append((name, ev))
+            action(chart, ev)
+        return wrapper
+
+    monkeypatch.setattr(engine.Chart, "delete_event",
+                        logged("deleted", engine.Chart.delete_event))
+    monkeypatch.setattr(engine.Chart, "run_event", logged("ran", engine.Chart.run_event))
+    falls, pops = set(), {"delete": 0, "run": 0}
+    for grammar, lattice in [*(random_case(s) for s in range(200)),
+                             *(random_case(s, CaseLimits(max_input=24)) for s in range(40)),
+                             *(random_case(s, DENSE_40) for s in range(60)),
+                             *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60)),
+                             *suite_cases((16, 32, 96))]:
+        chart = init_session(compile_grammar(grammar), lattice, trace=True)
+        start = len(chart.trace_lines)
+        for name in ("delete", "run"):
+            queue = Logged(getattr(chart, name + "_queue"))
+            queue.name = name
+            setattr(chart, name + "_queue", queue)
+        log.clear()
+        chart.parse_cycle()
+        status = {}  # each event's last status, from init on
+        for i, line in enumerate(chart.trace_lines):
+            if line.startswith("status "):
+                _, eid, new = line.split()[:3]
+                old = status.get(eid)
+                if i >= start and old is not None and old != new:
+                    assert not (old in (DELETE, EPSILON) and new in (RUN, DERIVATION)), \
+                        f"{eid}: {old} -> {new}"
+                    falls.add((old, new))
+                status[eid] = new
+        for i, entry in enumerate(log):
+            if entry[0] not in pops:
+                continue
+            name, ev, alive, st = entry
+            pops[name] += 1
+            if name == "run":
+                assert alive and st == RUN, f"e{ev.id} popped to run {st}, alive {alive}"
+            if alive:
+                assert log[i + 1][:2] == ("deleted" if name == "delete" else "ran", ev), \
+                    f"e{ev.id} popped {st} from the {name} queue and not acted on"
+    assert pops["delete"] and pops["run"]
+    assert (EPSILON, DELETE) in falls
+
+
 # Many productions over few terminals: most nonterminals are nullable.
 DENSE_40 = CaseLimits(max_nonterminals=40, max_terminals=2, max_productions=240, max_input=3)
 
@@ -565,10 +625,10 @@ def test_a_closed_class_new_in_the_cycle_finds_no_unsupported_extreme_it_support
 def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
     # the lemma at Chart._new_event: in the cycle, a form closed on both
     # sides whose node a run has made is neither built nor moved into; its
-    # derivations become the node's analyses at once, and the trees stay
-    # Earley's
-    new_event, mutate = engine.Chart._new_event, engine.Chart._mutate
-    at_once = [0]
+    # derivations become the node's analyses at once, in _new_event or, for
+    # a fusion's merged form, in fuse, and the trees stay Earley's
+    new_event, mutate, fuse = engine.Chart._new_event, engine.Chart._mutate, engine.Chart.fuse
+    at_once = [0, 0]  # forms packed at once by _new_event and by fuse
 
     def run_node(chart, production, dot, cad):
         if chart.stillborn is None or dot != (0, len(production.rhs)):
@@ -578,22 +638,40 @@ def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
 
     def new_event_spy(chart, production, dot, cad, children, alts=None):
         node = run_node(chart, production, dot, cad)
-        keyed = engine.event_key(production, dot, cad) in chart.event_index
+        keyed = engine.event_key(production, dot, cad) in chart.events
         created = chart.stats["events_created"]
         new_event(chart, production, dot, cad, children, alts)
         if node is not None and not keyed:
             at_once[0] += 1
             assert chart.stats["events_created"] == created, \
                 f"{engine.render(production, dot, cad)} built with its node in"
-            assert all(node.holds(production, kids) for kids in (children, *(alts or ())))
+            analyses = {(a.production, a.children) for a in node.analyses}
+            assert all((production, kids) in analyses for kids in (children, *(alts or ())))
 
     def mutate_spy(chart, ev, side, dot, cad, merged, key):
         assert run_node(chart, ev.production, dot, cad) is None, \
             f"e{ev.id} moved to {engine.render(ev.production, dot, cad)} with its node in"
         mutate(chart, ev, side, dot, cad, merged, key)
 
+    def fuse_spy(chart, e1, e2):
+        production, (dot, cad) = e1.production, chart._join(e1, e2)
+        node = None
+        if e1.alive and e2.id in e1.fusion[RIGHT] and cad[RIGHT] - cad[LEFT] <= chart.width:
+            node = run_node(chart, production, dot, cad)
+        keyed = engine.event_key(production, dot, cad) in chart.events
+        merged = [a + b for a in e1.derivations() for b in e2.derivations()]
+        created = chart.stats["events_created"]
+        fuse(chart, e1, e2)
+        if node is not None and not keyed:
+            at_once[1] += 1
+            assert chart.stats["events_created"] == created, \
+                f"{engine.render(production, dot, cad)} built with its node in"
+            analyses = {(a.production, a.children) for a in node.analyses}
+            assert all((production, kids) in analyses for kids in merged)
+
     monkeypatch.setattr(engine.Chart, "_new_event", new_event_spy)
     monkeypatch.setattr(engine.Chart, "_mutate", mutate_spy)
+    monkeypatch.setattr(engine.Chart, "fuse", fuse_spy)
     wrong = []
     for grammar, lattice in [*(random_case(s, NULLABLE_HEAVY) for s in range(60)),
                              *(random_case(s, DENSE_40) for s in range(60)),
@@ -603,7 +681,7 @@ def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
         if (mine.kind, mine.value) != (theirs.kind, theirs.value):
             wrong.append((grammar, lattice))
     assert not wrong
-    assert at_once[0] > 100
+    assert at_once[0] > 100 and at_once[1] > 100
 
 
 def closed_support_by_scan(chart, index, side, lhs):
@@ -717,7 +795,8 @@ def test_retired_init_events_never_had_evidence(monkeypatch):
         wired.clear()
         built.clear()
         chart = init_session(compile_grammar(grammar), lattice)
-        gone = [ev for ev in built if ev.id not in chart.events]
+        # a retired event's key no longer maps to it
+        gone = [ev for ev in built if chart.events.get(ev.key) is not ev]
         assert len(gone) == chart.stats["events_deleted"]
         chart.parse_cycle()
         for ev in gone:
@@ -753,10 +832,12 @@ def test_invariant_check_catches_a_flipped_support_bit():
 
 
 def test_invariant_check_catches_an_unindexed_event():
+    # a live event missing from the index is found through its CaD list
     chart = init_case(2)
-    ev = some_event(chart, lambda e: True)
-    del chart.event_index[ev.key]
-    with pytest.raises(AssertionError, match=f"e{ev.id}: key not indexed"):
+    ev = some_event(chart, lambda e: e.need[LEFT] is None and e.need[RIGHT] is not None
+                    and not e.fusion[RIGHT])
+    del chart.events[ev.key]
+    with pytest.raises(AssertionError, match=f"e{ev.id}.R: in a CaD list but not indexed"):
         chart.check_invariants()
 
 
@@ -772,8 +853,9 @@ def test_invariant_check_catches_a_released_key_left_indexed(monkeypatch):
     chart = parse_case(2)
     chart.check_invariants()
     assert fired
-    chart.event_index[fired[0].key] = fired[0]
-    with pytest.raises(AssertionError, match="the index holds keys of dead events"):
+    # a fired event put back under its key
+    chart.events[fired[0].key] = fired[0]
+    with pytest.raises(AssertionError, match=f"e{fired[0].id}: the index holds a dead event"):
         chart.check_invariants()
 
 
@@ -796,9 +878,11 @@ def test_invariant_check_catches_an_extreme_on_the_wrong_side():
 def test_invariant_check_catches_a_dead_event_in_a_cad_list():
     chart = parse_case(2)
     chart.check_invariants()
-    dead = Event(-1, chart.compiled.grammar.productions[0], (0, 1), (0, 1), (), None)
+    production = chart.compiled.grammar.productions[0]
+    dead = Event(-1, production, (0, 1), (0, 1), (), None, engine.needs(production, (0, 1)))
+    dead.alive = False
     chart.cads[0].open[RIGHT][dead.id] = dead
-    with pytest.raises(AssertionError, match="CaD lists hold extremes of dead events"):
+    with pytest.raises(AssertionError, match="e-1.R: in a CaD list but not indexed"):
         chart.check_invariants()
 
 
@@ -871,7 +955,7 @@ def test_invariant_check_catches_a_link_not_queued():
     ev = some_event(chart, lambda e: e.fusion[RIGHT])
     partner = next(iter(ev.fusion[RIGHT].values()))
     bucket = chart.fusion_agenda[partner.cad[RIGHT] - ev.cad[LEFT]]
-    bucket.remove((ev.id, partner.id))
+    bucket.remove((ev, partner))
     with pytest.raises(AssertionError,
                        match=f"e{ev.id}.R: fusion link with e{partner.id} is not queued"):
         chart.check_invariants()

@@ -67,6 +67,11 @@ def test_root_without_productions_rejected():
         load_grammar("%root T\nS -> a ;")
 
 
+def test_terminal_root_rejected():
+    with pytest.raises(GrammarError, match="undeclared symbol: root 'a' has no productions"):
+        load_grammar("%root a\nS -> a ;")
+
+
 def test_terminal_as_lhs_rejected():
     with pytest.raises(GrammarError):
         load_grammar("%root S\n%terminal a\nS -> a ;\na -> S ;")

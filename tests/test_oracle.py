@@ -1,3 +1,5 @@
+import pytest
+
 from scparse import load_grammar, tokenize_plain
 from scparse.lattice import InputLattice, LexicalItem
 from scparse.oracle import (CaseLimits, derives_exhaustive, earley_count_trees,
@@ -37,6 +39,23 @@ def test_lattice_recognition():
                            LexicalItem("xy", "c", 0, 2)])
     assert earley_recognize(gr, lat)
     assert earley_count_trees(gr, lat).value == 2
+
+
+def test_nonterminal_preterminal_rejected():
+    # X[0,1] b[1,2] would be a leaf X where the grammar derives X from c
+    gr = g("%root S\nS -> X b ;\nX -> c ;")
+    lat = InputLattice(3, [LexicalItem("x", "X", 0, 1), LexicalItem("y", "b", 1, 2)])
+    for entry in (earley_recognize, earley_count_trees, earley_enumerate):
+        with pytest.raises(ValueError, match="lexical item 'x': preterminal 'X' is a nonterminal"):
+            entry(gr, lat)
+
+
+def test_unknown_preterminal_ignored():
+    gr = g("%root S\nS -> a | b ;")
+    lat = InputLattice(2, [LexicalItem("x", "a", 0, 1), LexicalItem("x", "z", 0, 1)])
+    assert earley_recognize(gr, lat)
+    assert earley_count_trees(gr, lat).value == 1
+    assert len(earley_enumerate(gr, lat)) == 1
 
 
 def test_count_catalan():
