@@ -76,15 +76,19 @@ of every fusion partner facing it now whose pair is not pending, as a
 pending fusion merges it itself; any other partner met the event in a
 fusion, before the event held it.  `Chart.events` holds the live events
 by form: a run releases its event's key, and the node stands for the form
-from then on.  A form closed on both sides whose node a run has made is
-never built in the cycle: its event would only fire into that node, so
-its derivations, a fired form's later ones among them, become the node's
-analyses at once (the lemma at `_new_event`).  When a fusion's merged
-form exists with other derivations, as an event or as such a node, the
-new ones are packed into it, and an event that would have moved to that
-form is deleted instead (moving would have taken its old form away, or
-only fired).  So ambiguity costs one tuple per derivation, not one event
-life.
+from then on.  A cycle form closed on both sides is never built either,
+unless it closes by a move (`_mutate`): its event would be RUN from birth
+and only fire.  If its node is in, its derivations, a fired form's later
+ones among them, become the node's analyses at once; otherwise, given
+closed support on both sides, it waits in `Chart.pending`, keyed by
+form, collecting its derivations, and fires from a worklist, first in,
+first out, before the action judges any vanished class (`_fire`; the
+lemma at `_new_event`).  Init forms stay events.  When a fusion's merged
+form exists with other derivations, as an event, a node or a pending
+form, the new ones are packed into it, and an event that would have
+moved to that form is deleted instead (moving would have taken its old
+form away, or only fired).  So ambiguity costs one tuple per derivation,
+not one event life, and a complete constituent costs no event at all.
 
 Once the cycle has started, an event is not built when it would be born
 DELETE or EPSILON: its status is decided from its support bits and a scan
@@ -111,7 +115,8 @@ against the final counts, links each meeting fusion pair once and gives
 each event its status once; then deletes the unwired forms.
 `events_created` and `events_deleted` count built events only, those
 deleted in init included; `epsilon_expansions` counts the EPSILON events
-the cycle deletes; `stillborn` counts the forms not built.
+the cycle deletes; `stillborn` counts the forms not built, and
+`fired_at_once` the pending forms fired.
 
 The two directions mirror each other, so every per-side fact is a pair
 indexed by LEFT (0) or RIGHT (1) and each step is written once for a
@@ -241,9 +246,9 @@ class CaD:
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
     """The symbol id of every lattice item's preterminal, in item order;
     EngineError if one is not a terminal of the grammar.  A nonterminal
-    item's node may also be made by a run, and the forest would count its
-    analyses but not its lexical reading; the item would also give an init
-    form a second derivation (the lemma at `_pack`)."""
+    item's node may also be made by a run or a fire, and the forest would
+    count its analyses but not its lexical reading; the item would also
+    give an init form a second derivation (the lemma at `_pack`)."""
     ids = []
     for it in lattice.items:
         sym = grammar.by_name.get(it.preterminal)
@@ -287,9 +292,14 @@ class Chart:
         # (key, children) of the derivations found stillborn (see
         # `_new_event`) in the current action; None until the cycle starts.
         self.stillborn: set[tuple] | None = None
+        # The cycle forms closed on both sides that fire with no event, by
+        # form: (production, CaDs, derivations as an ordered set), each
+        # waiting on `firing`, first in, first out, until `_fire` fires it.
+        self.pending: dict[tuple, tuple[Production, tuple, dict]] = {}
+        self.firing: deque[tuple] = deque()
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
-            "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
+            "fired_at_once": 0, "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
             "links": 0, "nodes": 0, "packed": 0, "packed_at_once": 0,
             "packed_derivations": 0, "stillborn": 0,
         }
@@ -417,9 +427,10 @@ class Chart:
                     self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
 
     def _run_node(self, lhs: int, cad: tuple) -> Node | None:
-        """The node of an lhs form closed on both sides at cad, if a run has
-        made it.  Every lexical node is a terminal's (`lexical_symbols`)
-        and no terminal is an lhs, so a run made any node of an lhs."""
+        """The node of an lhs form closed on both sides at cad, if a run or a
+        fire (`_fire`) has made it.  Every lexical node is a terminal's
+        (`lexical_symbols`) and no terminal is an lhs, so a run or a fire
+        made any node of an lhs."""
         return self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
 
     def _assert_tiling(self, fbp, lbp, children):
@@ -453,15 +464,15 @@ class Chart:
         e1's left and e2's right, each with evidence when the action started
         and none lost since (the consumed link was at the CaD where they
         meet), a support bit `_support` finds again or a partner `_partners`
-        finds again.  Nor is such a form's node in: `fuse` packs onto the
-        node itself.
+        finds again.  Nor is such a form's node in, nor is it pending:
+        `fuse` packs onto the node or into the pending form itself.
         During `Chart.__init__` every form is built; one with an extreme
         that can never have evidence (the bound at `_support`) is retired:
         keyed, so a later derivation packs into it, never wired, and
         deleted at the end of init; the others are only wired (`_wire`),
         and analyzed once all are built.
 
-        In the cycle, a form closed on both sides whose node a run has made
+        In the cycle, a form closed on both sides whose node is in
         (`_run_node`) is not built either: its derivations become the
         node's analyses at once (`packed_at_once`), with no event, key,
         wiring, support bit, status, queue entry or run.  Built, it would
@@ -504,7 +515,38 @@ class Chart:
         spawned with Q whether Q was built or stillborn, and their merge is
         the very derivation of the partner's merge with Q: the fusion is
         made from the siblings (by induction over the symbols crossed, as
-        the sibling's need X2 is in the same case as X)."""
+        the sibling's need X2 is in the same case as X).
+
+        In the cycle, a form closed on both sides whose node is not in, with
+        closed support on both sides, would be born RUN; it is not built
+        either, but pending (`Chart.pending`): it holds its derivations, a
+        later one joins them (with no open extreme, it has no epsilon
+        sibling and no partner, so `_pack` would only have added it), and
+        `_fire` gives its node one analysis per derivation, with no event,
+        key, wiring, support bit, status, queue entry, release or `_starve`.
+        The worklist is empty at every `_starve` of the action and at its
+        end, so the form waits only within the action that made it.
+        (e) Lemma (a) holds as it stands: the form's only fate is to fire,
+        and the event's run would have given the node the same analyses,
+        each derivation arriving before the fire through the event, each
+        later one at once.  Lemma (c) holds, and more: no open extreme facing its closed
+        extremes arrives while it waits.  Every form an action makes spans
+        the action's width or more (a run's node, a fusion's merged form):
+        coverage forms span their node, merges and moves the pair, siblings
+        share their form's CaDs, and a fired node spans its form.  So does
+        the pending form, and an open extreme facing it would lie on a form
+        ending where it begins or beginning where it ends.  So, as in (d),
+        its class could only have put off a starving: of an open extreme Q
+        whose other cover the action took away (a run's event, or an event
+        `fuse` deletes), until the run, which would have judged Q again once
+        its node's forms were in.  The fire makes that node and those forms
+        before the action judges any vanished class (`_starve` empties the
+        worklist first), so Q is judged once, against the classes the run
+        would have left.  The fire comes before the action's deletions, where the run came after
+        them, so a form it makes may also meet a fusion partner that they
+        take: it is built with evidence where the run's form was stillborn.
+        That only adds a form with evidence, whose merges are real
+        derivations, and it takes no evidence away."""
         key = event_key(production, dot, cad)
         ev = self.events.get(key)
         if ev is not None:
@@ -524,16 +566,26 @@ class Chart:
                 born = False  # an extreme open at its own input edge faces nothing
             else:
                 lhs = production.lhs.id
-                if need[LEFT] is None and need[RIGHT] is None:
+                closed = need[LEFT] is None and need[RIGHT] is None
+                if closed:
+                    if self.debug:
+                        self._assert_form_tiling(production, dot, cad, (children,))
                     node = self._run_node(lhs, cad)
                     if node is not None:
-                        if self.debug:
-                            self._assert_form_tiling(production, dot, cad, (children,))
                         self.stats["packed_at_once"] += self._pack_node(
                             node, Analysis(production, children))
                         return
+                    entry = self.pending.get(key)
+                    if entry is not None:
+                        entry[2][children] = None  # it joins the pending form
+                        return
                 supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                              self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
+                if closed and supported[LEFT] and supported[RIGHT]:
+                    self.pending[key] = (production, cad, {children: None, **alts} if alts
+                                         else {children: None})
+                    self.firing.append(key)
+                    return
                 if not (supported[LEFT] and supported[RIGHT]):
                     partners = [None, None]
                     for side in (LEFT, RIGHT):
@@ -578,6 +630,25 @@ class Chart:
             for kids in (children, *alts) if alts else (children,):
                 self._spawn_epsilon_variants(production, dot, cad, kids, need)
 
+    def _fire(self):
+        """Fire the pending forms, first in, first out: give each form's
+        node one analysis per derivation (`add_node`), in a fresh stillborn
+        scope, as a run does (the lemma at `_new_event`).  A form that a
+        fire makes pending joins the worklist, so a chain of unit forms
+        fires in a loop, never by recursion.  Called before every `_starve`
+        and at the end of every fusion action."""
+        firing, stillborn = self.firing, self.stillborn
+        while firing:
+            production, cad, derivations = self.pending.pop(firing.popleft())
+            self.stats["fired_at_once"] += 1
+            if self.tracing:
+                self.trace_lines.append(
+                    f"fire {render(production, (0, len(production.rhs)), cad)}")
+            stillborn.clear()
+            lhs = production.lhs.id
+            for children in derivations:
+                self.add_node(lhs, *cad, Analysis(production, children))
+
     def _pack(self, ev: Event, children: tuple):
         """A derivation of ev's form that ev does not hold yet joins it, and
         is replayed for itself alone, doing what an event of its own would
@@ -585,10 +656,10 @@ class Chart:
         holds only live events, as a run releases its event's key
         (`run_event`).  (No derivation of a form found stillborn in this
         action comes here: nothing in the action can give the form
-        evidence.  Nor does one of a cycle form closed on both sides whose
-        node is in, a fired form's among them: it has no event, and
-        `_new_event` or `fuse` gives the node every such derivation at
-        once.)  The
+        evidence.  Nor does one of a cycle form closed on both sides, a
+        fired form's among them: it has no event, and `_new_event` or
+        `fuse` gives its node or its pending entry every such derivation
+        at once.)  The
         epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, unless their pair
@@ -728,6 +799,12 @@ class Chart:
         facing it that waits for a symbol in the row had its bit.  Bits go
         off only in `_starve`, after `add_node`, and no open extreme facing
         N's ends arrives in a run: every form taken there spans N or more.
+        If a fire made N, its pending form, closed there with class Y, had
+        arrived in the same action, in one of these three ways: had its
+        class been wired then, it would have found every such extreme with
+        its bit (by induction over the arrivals), and none arrived since nor
+        lost its bit (`_starve` fires the pending forms first; the lemma at
+        `_new_event`).
         (2) As a copy of a live event's closed extreme: a merged form's
         outer extremes are e1's left and e2's right, and a moved extreme
         takes its stayer's place.  Its class is there.
@@ -737,8 +814,9 @@ class Chart:
         built when G took its form, with G's evidence at the other extreme
         (no action gives a stillborn form evidence, `_new_event`), and while
         G' stays, so does its class.  If G is closed at the other extreme,
-        G' fired, and the closure taken has the form of G', whose node
-        stands for it (`_run_node`): it packs onto the node, with no class.
+        G' fired or is pending, and the closure taken has the form of G',
+        whose node or pending entry stands for it: it packs there, with no
+        class.
         Otherwise G' leaves only through a fusion with a partner y there, or
         once its evidence there is gone, which, as G keeps its own, means
         that such a fusion consumed a link that G had too; either way it
@@ -856,7 +934,11 @@ class Chart:
         had its bit, as every closed extreme of a live or fired event has:
         init phase 3 sets it, and in the cycle `_new_event` builds no form
         with a closed extreme without support, and a moved closed extreme
-        takes the place of its stayer's."""
+        takes the place of its stayer's.  The pending forms fire first, so
+        the classes of their nodes' forms are in before any vanished class
+        is judged (the lemma at `_new_event`)."""
+        if self.firing:
+            self._fire()
         lost = []
         for side in (LEFT, RIGHT):
             other = 1 - side
@@ -955,11 +1037,12 @@ class Chart:
         its CaDs and the live events, its key with it (`_release`): from now
         on the node stands for its form, and a later derivation of the form
         becomes the node's analysis at once (`_new_event`, `fuse`), so no
-        closed form fires twice.  The node is new or made after the event
-        was built: in the cycle, a form closed on both sides whose node a
-        run has made is not built, and no lexical node is an lhs's
-        (`_run_node`).  Its vanished classes are judged only once the node
-        and its events are in (`_starve`): an extreme that they cover again
+        closed form fires twice, as an event or pending (`_fire`).  The
+        node is new or made after the event was built: in the cycle, a form
+        closed on both sides whose node is in is not built, and no lexical
+        node is an lhs's (`_run_node`).  Its vanished classes are judged
+        only once the node and its events are in and the forms they made
+        pending have fired (`_starve`): an extreme that they cover again
         keeps its bit and its status."""
         self.stats["events_run"] += 1
         if self.tracing:
@@ -986,12 +1069,13 @@ class Chart:
         follows, so a link means exactly that its pair is on the agenda; it
         is stale if the merged form already holds every merged derivation.
         Where the merged form has no event but is closed on both sides and
-        its node is in (`_run_node`), the node stands for it: the fusion is
-        stale if the node has every merged analysis; otherwise the new ones
-        become its analyses at once (`packed_at_once`, the lemma at
-        `_new_event`), and an event that would
-        have moved to the form is deleted instead, since the moved event
-        would only have fired into the node (the lemma at `_new_event`).
+        its node is in (`_run_node`) or it is pending, the node or the
+        pending form stands for it: the fusion is stale if that holds every
+        merged derivation; otherwise the new ones join it, as the node's
+        analyses at once (`packed_at_once`) or as the pending form's
+        derivations, and an event that would have moved to the form is
+        deleted instead, since the moved event would only have fired into
+        the node (the lemma at `_new_event`).
 
         Where both extremes meeting at c hold other evidence, e1 and e2
         stay, the merged form M = e1+e2 is built or packed beside them, and
@@ -1048,18 +1132,26 @@ class Chart:
         held = [e.support[1 - s] or bool(e.fusion[1 - s]) for s, e in enumerate(pair)]
         key = event_key(prod, dot, cad)
         ev = self.events.get(key)
-        node = None
-        if ev is not None:
-            # the merged form exists: the derivations it lacks join it
+        made = ev is not None  # whether the merged form exists
+        if made:
+            # the derivations it lacks join its event
             merged = [children for children in merged if self._pack(ev, children)]
         elif dot[LEFT] == 0 and dot[RIGHT] == len(prod.rhs):
+            if self.debug:
+                self._assert_form_tiling(prod, dot, cad, merged)
             node = self._run_node(prod.lhs.id, cad)
             if node is not None:
                 # its node stands for it: the analyses it lacks join it at once
-                if self.debug:
-                    self._assert_form_tiling(prod, dot, cad, merged)
+                made = True
                 merged = [c for c in merged if self._pack_node(node, Analysis(prod, c))]
                 self.stats["packed_at_once"] += len(merged)
+            else:
+                entry = self.pending.get(key)
+                if entry is not None:
+                    # it is pending: the derivations it lacks join it
+                    made, held = True, entry[2]
+                    merged = [c for c in merged if c not in held]
+                    held.update(dict.fromkeys(merged))
         if not merged:
             # the merged form already holds them all
             for s, e in enumerate(pair):
@@ -1069,7 +1161,7 @@ class Chart:
             return
         self.stats["fusions"] += 1
         if held[LEFT] and held[RIGHT]:
-            if ev is None and node is None:
+            if not made:
                 self._new_event(prod, dot, cad, merged[0],
                                 alts=dict.fromkeys(merged[1:]) if len(merged) > 1 else None)
             return  # e1 and e2 stay, the merged form alongside them
@@ -1083,7 +1175,7 @@ class Chart:
             mover, gone = pair[1 - side], None
         else:
             side, mover, gone = RIGHT, e1, e2
-        if ev is None and node is None:
+        if not made:
             self._mutate(mover, side, dot, cad, merged, key)
         else:
             self.delete_event(mover)
@@ -1119,7 +1211,9 @@ class Chart:
         in that strict priority order, the agenda's buckets narrowest first,
         until nothing is pending.  Each run or fusion action starts with no
         stillborn keys: the drain after an action would have deleted its
-        stillborn events, keys and all.
+        stillborn events, keys and all.  A fusion action ends by firing the
+        forms it made pending, as a run fires its own before it judges its
+        vanished classes (`_fire`).
 
         It stops with no event live.  The agenda is empty, and every link
         is queued, so no extreme holds a link, and the queues are empty, so
@@ -1135,6 +1229,7 @@ class Chart:
             for e1, e2 in bucket:
                 stillborn.clear()
                 self.fuse(e1, e2)
+                self._fire()
                 self._drain()
             bucket.clear()
         if self.debug:
@@ -1151,6 +1246,8 @@ class Chart:
         on both sides, so it has no link and never moves, and its closed
         support is fixed (the lemma at `_support`).  Only this drain deletes
         it: the events `fuse` deletes are open where the consumed link was.
+        Such an event was built in init or closed by a move (`_mutate`): a
+        form built closed in the cycle is pending instead (`_fire`).
         Why it holds: an extreme gains evidence only as it arrives, built or
         moved, and the event then has evidence on both sides.  A support bit
         is set only then and is afterwards only lost (`_support`); a link
@@ -1193,6 +1290,7 @@ class Chart:
         stored status is current.  The cycle stops with no event live
         (`parse_cycle`), so the fixpoint part bites on the chart after
         init."""
+        assert not (self.pending or self.firing), "a closed form is still pending"
         closed = {}  # (CaD index, side) -> the lhs of each live closed extreme there
         queued = {(e1.id, e2.id) for bucket in self.fusion_agenda for e1, e2 in bucket}
         for key, ev in self.events.items():

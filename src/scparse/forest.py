@@ -16,6 +16,8 @@ from .grammar import Node
 FINITE = "finite"
 CAPPED = "capped"
 INFINITE = "infinite"
+# The span in the key of a zero-width node, which is position-free (`canonical`).
+EPS = "ε"
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,29 @@ def reachable_nodes(forest: Forest) -> set[Node]:
 
 def useless_count(forest: Forest) -> int:
     return len(forest.store) - len(reachable_nodes(forest))
+
+
+def canonical(forest: Forest) -> dict[tuple, frozenset]:
+    """The forest reachable from the roots, free of node ids and of the
+    order analyses arrived in: each node's key, (symbol id, fbp, lbp), or
+    (symbol id, EPS) for a zero-width node, mapped to its analyses as a set
+    of (production id, child keys) (`oracle.earley_forest` gives the same
+    form)."""
+    def key(node: Node) -> tuple:
+        return (node.symbol, node.fbp, node.lbp) if node.fbp >= 0 else (node.symbol, EPS)
+
+    out: dict[tuple, frozenset] = {}
+    todo = list(forest.roots)
+    while todo:
+        node = todo.pop()
+        k = key(node)
+        if k in out:
+            continue
+        out[k] = frozenset((a.production.id, tuple(key(c) for c in a.children))
+                           for a in node.analyses)
+        for a in node.analyses:
+            todo.extend(a.children)
+    return out
 
 
 def dump_forest(forest: Forest) -> str:

@@ -1,7 +1,8 @@
 """Reference implementations for differential testing.
 
-A deliberately naive Earley recognizer and derivation-tree counter over
-lattices, plus a seeded generator of random grammar/input cases.  Nothing
+A deliberately naive Earley recognizer, packed-forest builder and
+derivation-tree counter over lattices, plus a seeded generator of random
+grammar/input cases.  Nothing
 here shares code with the parsing engine or the relation compiler; this
 module is the trusted baseline their behavior is checked against.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .forest import FINITE, INFINITE, TreeCount
+from .forest import EPS, FINITE, INFINITE, TreeCount
 from .grammar import Grammar, NONTERMINAL, Production, Symbol, TERMINAL
 from .lattice import InputLattice, LexicalItem
 
@@ -100,7 +101,7 @@ def _nullable_set(g: Grammar) -> set[int]:
     return nullable
 
 
-# -- derivability table (shared by counting and enumeration) -----------------
+# -- derivability table (shared by the forest, counting and enumeration) ------
 
 
 def _derivable(g: Grammar, lat: InputLattice) -> set[tuple[int, int, int]]:
@@ -155,6 +156,43 @@ def _splits(g: Grammar, spans, nullable, prod: Production, i: int, j: int):
 
     go(0, i, [])
     return results
+
+
+# -- the packed forest ---------------------------------------------------------
+
+def earley_forest(g: Grammar, lat: InputLattice) -> dict[tuple, frozenset]:
+    """The packed forest of every tree under the roots, node by node from
+    the roots down: each node's key, (symbol id, i, j) for a span i < j and
+    (symbol id, EPS) for a zero-width one, mapped to its analyses, a set of
+    (production id, child keys), one per production and split; a lexical
+    item's node has none."""
+    nullable = _nullable_set(g)
+    spans = _derivable(g, lat)
+    prods_by_lhs: dict[int, list[Production]] = {}
+    for p in g.productions:
+        prods_by_lhs.setdefault(p.lhs.id, []).append(p)
+    if lat.n == 0:
+        todo = [(r.id, EPS) for r in g.roots if r.id in nullable]
+    else:
+        todo = [(r.id, 0, lat.n) for r in g.roots if (r.id, 0, lat.n) in spans]
+    forest: dict[tuple, frozenset] = {}
+    while todo:
+        key = todo.pop()
+        if key in forest:
+            continue
+        analyses = set()
+        for p in prods_by_lhs.get(key[0], ()):
+            if key[1] == EPS:
+                if all(s.id in nullable for s in p.rhs):
+                    analyses.add((p.id, tuple((s.id, EPS) for s in p.rhs)))
+                continue
+            for split in _splits(g, spans, nullable, p, key[1], key[2]):
+                analyses.add((p.id, tuple((sid, i, j) if i < j else (sid, EPS)
+                                          for sid, i, j in split)))
+        forest[key] = frozenset(analyses)
+        for _, children in analyses:
+            todo.extend(children)
+    return forest
 
 
 # -- counting -----------------------------------------------------------------

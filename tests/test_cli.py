@@ -89,9 +89,22 @@ def test_parse_stats_show_packed_derivations(tmp_path, capsys):
     path = tmp_path / "catalan.g"
     path.write_text("%root S\nS -> S S | a ;\n")
     assert main(["parse", "-g", str(path), "a a a a", "--stats"]) == 0
-    # every later derivation is of a closed form whose node a run made
+    # every later derivation is of a closed form whose node is in
     out = capsys.readouterr().out.splitlines()
     assert "packed_derivations=0" in out and "packed_at_once=4" in out
+
+
+def test_parse_shows_forms_fired_at_once(tmp_path, capsys):
+    path = tmp_path / "unit.g"
+    path.write_text("%root S\nS -> A ;\nA -> a ;\n")
+    assert main(["parse", "-g", str(path), "a", "--trace", "--stats", "json"]) == 0
+    # A's run makes S -> . A . closed and supported on both sides: it fires
+    # with no event
+    *trace, last = capsys.readouterr().out.splitlines()
+    stats = json.loads(last)
+    assert stats["events_created"] == stats["events_run"] == stats["fired_at_once"] == 1
+    assert trace[trace.index("run e0 A -> . a . @ [0,1]") + 2:] == [
+        "fire S -> . A . @ [0,1]", "node 2 S [0,1] derived"]
 
 
 def test_parse_trace(g2_file, capsys):

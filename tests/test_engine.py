@@ -8,10 +8,10 @@ from scparse import engine, relations
 from scparse.bench import suite_grammar, suite_input
 from scparse.engine import (DELETE, DERIVATION, EPSILON, LEFT, RIGHT, RUN, EngineError, Event,
                             init_session, parse)
-from scparse.forest import (FINITE, INFINITE, build_forest, count_trees, enumerate_trees,
-                            render_tree)
+from scparse.forest import (FINITE, INFINITE, build_forest, canonical, count_trees,
+                            enumerate_trees, render_tree)
 from scparse.lattice import InputLattice, LexicalItem
-from scparse.oracle import CaseLimits, earley_count_trees, random_case
+from scparse.oracle import CaseLimits, earley_count_trees, earley_forest, random_case
 from scparse.relations import CompiledGrammar
 
 
@@ -444,23 +444,36 @@ NULLABLE_HEAVY = CaseLimits(max_nonterminals=12, max_productions=50, eps_probabi
 def test_invariants_hold_at_fixpoint(monkeypatch, seed, limits):
     # debug mode runs check_invariants when the cycle stops
     fired = []  # the form and derivations of each event run
+    at_once = []  # the form and derivations of each form fired at once
     run_event = engine.Chart.run_event
 
     def spy(chart, ev):
         fired.append((ev.key, ev.derivations()))
         run_event(chart, ev)
 
+    class Pending(dict):
+        def pop(self, key):
+            entry = super().pop(key)
+            at_once.append((key, tuple(entry[2])))
+            return entry
+
     monkeypatch.setattr(engine.Chart, "run_event", spy)
-    chart = parse_case(seed, limits, debug=True)
-    # no closed form fires twice: a later derivation of a fired form goes to
-    # its node at once.  Each fired derivation is a distinct analysis of a
-    # derived node, and so is each one packed at once, with no event, where
-    # a run had made the node: the two make up every analysis of a derived
-    # node
-    assert len(fired) == len({key for key, _ in fired}) == chart.stats["events_run"]
+    grammar, lattice = random_case(seed, limits)
+    chart = init_session(compile_grammar(grammar), lattice, debug=True)
+    chart.pending = Pending()
+    chart.parse_cycle()
+    # no closed form fires twice, as an event or at once: a later derivation
+    # of a fired form goes to its node at once.  Each fired derivation is a
+    # distinct analysis of a derived node, and so is each one packed at
+    # once, with no event, where the node was in: the three make up every
+    # analysis of a derived node
+    assert len(fired) == chart.stats["events_run"]
+    assert len(at_once) == chart.stats["fired_at_once"]
+    keys = [key for key, _ in fired + at_once]
+    assert len(keys) == len(set(keys))
     derived = [n for n in chart.node_list if n.origin == "derived"]
-    assert (sum(len(derivations) for _, derivations in fired) + chart.stats["packed_at_once"]
-            == sum(len(n.analyses) for n in derived))
+    assert (sum(len(derivations) for _, derivations in fired + at_once)
+            + chart.stats["packed_at_once"] == sum(len(n.analyses) for n in derived))
     # with every link queued and the agenda empty, no event is left
     assert not chart.events
 
@@ -615,16 +628,18 @@ def test_a_closed_class_new_in_the_cycle_finds_no_unsupported_extreme_it_support
                 f"e{ev.id}.{'LR'[side]}: its class would support an unsupported extreme"
 
     monkeypatch.setattr(engine.Chart, "_wire", spy)
-    for grammar, lattice in [*(random_case(s, NULLABLE_HEAVY) for s in range(60)),
-                             *(random_case(s, DENSE_40) for s in range(60)),
-                             *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60))]:
+    # a form fired at once brings no class, so each family runs to seed
+    # 239: the check then bites about 600 times
+    for grammar, lattice in [*(random_case(s, NULLABLE_HEAVY) for s in range(240)),
+                             *(random_case(s, DENSE_40) for s in range(240)),
+                             *(with_extra_items(s, NULLABLE_HEAVY) for s in range(240))]:
         parse(compile_grammar(grammar), lattice)
     assert facing_unsupported[0] > 200
 
 
 def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
     # the lemma at Chart._new_event: in the cycle, a form closed on both
-    # sides whose node a run has made is neither built nor moved into; its
+    # sides whose node is in is neither built nor moved into; its
     # derivations become the node's analyses at once, in _new_event or, for
     # a fusion's merged form, in fuse, and the trees stay Earley's
     new_event, mutate, fuse = engine.Chart._new_event, engine.Chart._mutate, engine.Chart.fuse
@@ -682,6 +697,65 @@ def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
             wrong.append((grammar, lattice))
     assert not wrong
     assert at_once[0] > 100 and at_once[1] > 100
+
+
+def test_a_closed_form_with_support_and_no_node_fires_at_once(monkeypatch):
+    # in the cycle, a form closed on both sides with closed support on both
+    # and neither a node nor an event when its first derivation arrives is
+    # not built: it waits in the pending map and fires from there with no
+    # event (test_forest_is_earleys checks the forests)
+    new_event = engine.Chart._new_event
+    vetted, fired = set(), []
+
+    def spy(chart, production, dot, cad, children, alts=None):
+        key = engine.event_key(production, dot, cad)
+        lhs, pending = production.lhs.id, key in chart.pending
+        node, event = chart.nodes.get((lhs, *cad)), key in chart.events
+        new_event(chart, production, dot, cad, children, alts)
+        if key in chart.pending and not pending:
+            # the form is closed on both sides, and only the pending map
+            # changed: the scans see the state its derivation arrived in
+            form = engine.render(production, dot, cad)
+            assert chart.stillborn is not None and dot == (0, len(production.rhs)), form
+            assert node is None and not event, f"{form} pending with its node or event"
+            assert all(closed_support_by_scan(chart, cad[side], side, lhs)
+                       for side in (LEFT, RIGHT)), f"{form} pending without support"
+            vetted.add(key)
+
+    class Pending(dict):
+        def pop(self, key):
+            assert key in vetted, f"form {key} fired at once without being vetted"
+            fired.append(key)
+            return super().pop(key)
+
+    monkeypatch.setattr(engine.Chart, "_new_event", spy)
+    total = 0
+    for grammar, lattice in [*(random_case(s) for s in range(200)),
+                             *(random_case(s, DENSE_40) for s in range(60)),
+                             *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60)),
+                             *suite_cases((16,))]:
+        chart = init_session(compile_grammar(grammar), lattice)
+        chart.pending = Pending()
+        vetted.clear()
+        fired.clear()
+        chart.parse_cycle()
+        assert chart.stats["fired_at_once"] == len(fired) == len(set(fired))
+        total += len(fired)
+    assert total > 2000
+
+
+def test_a_deep_unit_chain_fires_in_a_loop():
+    # S -> A1, A1 -> A2, ..., A1000 -> a: the run of A1000 -> a makes each
+    # form of the chain pending in turn, and the forms fire from a
+    # worklist, so the depth of the chain is not the depth of the stack (a
+    # fire recursing through add_node and _new_event, two frames a link,
+    # would pass Python's default limit of 1000 frames)
+    depth = 1000
+    rules = ["%root S", "S -> A1 ;"] + [f"A{i} -> A{i + 1} ;" for i in range(1, depth)]
+    chart = run("\n".join(rules + [f"A{depth} -> a ;"]), "a", debug=True)
+    assert chart.stats["events_run"] == 1 and chart.stats["fired_at_once"] == depth
+    count = count_trees(build_forest(chart))
+    assert (count.kind, count.value) == (FINITE, 1)
 
 
 def closed_support_by_scan(chart, index, side, lhs):
@@ -857,6 +931,17 @@ def test_invariant_check_catches_a_released_key_left_indexed(monkeypatch):
     chart.events[fired[0].key] = fired[0]
     with pytest.raises(AssertionError, match=f"e{fired[0].id}: the index holds a dead event"):
         chart.check_invariants()
+
+
+def test_invariant_check_catches_a_form_left_pending():
+    # after init and when the cycle stops, every pending form has fired
+    for chart in (init_case(2), parse_case(2)):
+        chart.check_invariants()
+        production = chart.compiled.grammar.productions[0]
+        key = engine.event_key(production, (0, len(production.rhs)), (0, 1))
+        chart.pending[key] = (production, (0, 1), {(): None})
+        with pytest.raises(AssertionError, match="a closed form is still pending"):
+            chart.check_invariants()
 
 
 def test_invariant_check_catches_an_extreme_on_the_wrong_side():
@@ -1056,6 +1141,28 @@ def with_extra_items(seed, limits=None):
         items.append(LexicalItem(f"x{start}_{start + span}", rng.choice(terminals).name,
                                  start, start + span))
     return grammar, InputLattice(lattice.points, items)
+
+
+@pytest.mark.parametrize("seeds,limits,case", [
+    (range(300), None, random_case),
+    (range(10), CaseLimits(max_input=48), random_case),
+    (range(60), DENSE_40, random_case),
+    (range(100), NULLABLE_HEAVY, random_case),
+    (range(150), None, with_extra_items),
+    (range(100), NULLABLE_HEAVY, with_extra_items),
+], ids=["0-299", "long48-0-9", "dense-0-59", "nullable-0-99", "lattice-0-149",
+        "lattice-nullable-0-99"])
+def test_forest_is_earleys(seeds, limits, case):
+    # the forest reachable from the roots, node by node with its set of
+    # analyses, is the one the Earley side builds: exact where tree counts
+    # are infinite or capped too, and free of node ids and dump order
+    wrong = []
+    for seed in seeds:
+        grammar, lattice = case(seed, limits)
+        forest = canonical(build_forest(parse(compile_grammar(grammar), lattice)))
+        if forest != earley_forest(grammar, lattice):
+            wrong.append(seed)
+    assert not wrong
 
 
 def closable_from_multi_point_items_only(chart):
@@ -1326,7 +1433,7 @@ def test_side_with_only_a_fusion_partner_is_not_stillborn():
     assert count_trees(build_forest(chart)).value == 1
 
 
-def counters(events_created, events_deleted, events_run, fusions, stale_fusions,
+def counters(events_created, events_deleted, events_run, fired_at_once, fusions, stale_fusions,
              epsilon_expansions, links, nodes, packed, packed_at_once, packed_derivations,
              stillborn):
     return dict(locals())
@@ -1336,13 +1443,13 @@ def counters(events_created, events_deleted, events_run, fusions, stale_fusions,
 # off both input edges have coverage entries none of whose forms has
 # evidence: `_new_event` finds each form stillborn, spawning its siblings.
 OFF_EDGE_STILLBORN = {
-    "recursive/4": (counters(16, 12, 4, 3, 0, 0, 20, 8, 0, 0, 0, 3), [
+    "recursive/4": (counters(16, 12, 4, 0, 3, 0, 0, 20, 8, 0, 0, 0, 3), [
         "S -> . A1 . b @ [2,3]", "S -> . A1 . b @ [1,3]", "A1 -> a . A1 . @ [0,3]",
     ]),
-    "local/4": (counters(9, 3, 6, 3, 0, 0, 19, 10, 0, 0, 0, 3), [
+    "local/4": (counters(6, 3, 3, 3, 3, 0, 0, 13, 10, 0, 0, 0, 3), [
         "S -> . P . @ [0,2]", "S -> . P . S @ [2,4]", "S -> P . S . @ [0,4]",
     ]),
-    13: (counters(164, 151, 13, 8, 2, 4, 68, 32, 1, 1, 0, 39), [
+    13: (counters(164, 151, 13, 0, 8, 2, 4, 68, 32, 1, 1, 0, 39), [
         "N4 -> t2 . N2 . t1 @ [0,1]", "N2 -> N4 . N2 . t2 N3 @ [0,1]",
         "N1 -> . N2 . t2 t2 @ [0,1]", "N0 -> t2 . N3 . @ [0,1]", "N1 -> . N3 . t0 @ [0,1]",
         "N2 -> N4 N2 t2 . N3 . @ [0,1]", "N0 -> . N3 . N1 t0 @ [0,1]",
@@ -1363,7 +1470,7 @@ OFF_EDGE_STILLBORN = {
         "N4 -> t2 . N4 . @ [4,8]", "N2 -> . N4 . N2 t2 N3 @ [4,8]",
         "N0 -> t0 . N4 . @ [4,8]",
     ]),
-    17: (counters(90, 72, 18, 13, 4, 0, 83, 35, 0, 0, 0, 21), [
+    17: (counters(87, 72, 15, 3, 13, 4, 0, 77, 35, 0, 0, 0, 21), [
         "N1 -> N0 t1 . N4 . @ [3,4]", "N1 -> N0 t1 . N4 . @ [5,6]",
         "N1 -> N0 t1 . N4 . @ [6,7]", "N1 -> N0 t1 . N4 . @ [8,9]",
         "N1 -> N0 t1 . N4 . @ [9,10]", "N0 -> N5 . N1 . @ [2,4]",

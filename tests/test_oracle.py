@@ -2,8 +2,9 @@ import pytest
 
 from scparse import load_grammar, tokenize_plain
 from scparse.lattice import InputLattice, LexicalItem
+from scparse.forest import EPS
 from scparse.oracle import (CaseLimits, derives_exhaustive, earley_count_trees,
-                            earley_enumerate, earley_recognize, random_case)
+                            earley_enumerate, earley_forest, earley_recognize, random_case)
 
 
 def g(text):
@@ -45,7 +46,7 @@ def test_nonterminal_preterminal_rejected():
     # X[0,1] b[1,2] would be a leaf X where the grammar derives X from c
     gr = g("%root S\nS -> X b ;\nX -> c ;")
     lat = InputLattice(3, [LexicalItem("x", "X", 0, 1), LexicalItem("y", "b", 1, 2)])
-    for entry in (earley_recognize, earley_count_trees, earley_enumerate):
+    for entry in (earley_recognize, earley_count_trees, earley_enumerate, earley_forest):
         with pytest.raises(ValueError, match="lexical item 'x': preterminal 'X' is a nonterminal"):
             entry(gr, lat)
 
@@ -77,6 +78,36 @@ def test_enumerate_trees_shape():
     gr = g("%root S\nS -> A b ;\nA -> a ;")
     [tree] = earley_enumerate(gr, tokenize_plain("a b"), 10)
     assert tree == ("S", 0, 2, (("A", 0, 1, (("a", 0, 1, ()),)), ("b", 1, 2, ())))
+
+
+def test_forest_of_an_ambiguous_sentence():
+    gr = g("%root S\nS -> S S | a ;")
+    sym = {s.name: s.id for s in gr.symbols}
+    forest = earley_forest(gr, tokenize_plain("a a a"))
+    s, a = sym["S"], sym["a"]
+    # the two splits of [0,3], every node under them, and no other node
+    assert forest[s, 0, 3] == {(0, ((s, 0, 1), (s, 1, 3))), (0, ((s, 0, 2), (s, 2, 3)))}
+    assert forest[s, 0, 2] == {(0, ((s, 0, 1), (s, 1, 2)))}
+    assert forest[s, 1, 2] == {(1, ((a, 1, 2),))}
+    assert forest[a, 1, 2] == frozenset()
+    assert set(forest) == {(s, 0, 3), (s, 0, 2), (s, 1, 3), *((s, i, i + 1) for i in range(3)),
+                           *((a, i, i + 1) for i in range(3))}
+
+
+def test_forest_keys_zero_width_nodes_by_symbol():
+    gr = g("%root S\nS -> A a A ;\nA -> | B ;\nB -> ;")
+    sym = {s.name: s.id for s in gr.symbols}
+    S, A, B, a = sym["S"], sym["A"], sym["B"], sym["a"]
+    forest = earley_forest(gr, tokenize_plain("a"))
+    # both empty A's are one node, whatever their position
+    assert forest[S, 0, 1] == {(0, ((A, EPS), (a, 0, 1), (A, EPS)))}
+    assert forest[A, EPS] == {(1, ()), (2, ((B, EPS),))}
+    assert forest[B, EPS] == {(3, ())}
+    assert set(forest) == {(S, 0, 1), (a, 0, 1), (A, EPS), (B, EPS)}
+    # an empty input: the nullable root's zero-width node
+    empty = g("%root S\nS -> | a ;")
+    assert set(earley_forest(empty, tokenize_plain(""))) == {(empty.symbol("S").id, EPS)}
+    assert earley_forest(gr, tokenize_plain("a a")) == {}
 
 
 def test_agrees_with_exhaustive_search():
