@@ -80,6 +80,10 @@ def cmd_parse(args) -> int:
         raise UsageError("need an input string or --lattice FILE")
 
     if args.engine == "earley":
+        for flag, value in (("--trace", args.trace), ("--forest", args.forest),
+                            ("--stats", args.stats)):
+            if value:
+                raise UsageError(f"{flag} needs --engine scp")
         lexical_symbols(compiled.grammar, lat)  # the same typed error as the engine's
         ok = earley_recognize(compiled.grammar, lat)
         if args.count_trees:

@@ -76,19 +76,20 @@ of every fusion partner facing it now whose pair is not pending, as a
 pending fusion merges it itself; any other partner met the event in a
 fusion, before the event held it.  `Chart.events` holds the live events
 by form: a run releases its event's key, and the node stands for the form
-from then on.  A cycle form closed on both sides is never built either,
-unless it closes by a move (`_mutate`): its event would be RUN from birth
-and only fire.  If its node is in, its derivations, a fired form's later
-ones among them, become the node's analyses at once; otherwise, given
-closed support on both sides, it waits in `Chart.pending`, keyed by
-form, collecting its derivations, and fires from a worklist, first in,
-first out, before the action judges any vanished class (`_fire`; the
-lemma at `_new_event`).  Init forms stay events.  When a fusion's merged
-form exists with other derivations, as an event, a node or a pending
-form, the new ones are packed into it, and an event that would have
-moved to that form is deleted instead (moving would have taken its old
-form away, or only fired).  So ambiguity costs one tuple per derivation,
-not one event life, and a complete constituent costs no event at all.
+from then on.  A complete constituent is its node (Billot & Lang 1989),
+so a cycle form closed on both sides is never an event, built or moved
+into: its event would be RUN from birth and only fire.  Its derivations
+go to its node at once (`_complete`), packed onto it if it is in, or,
+given closed support on both sides, making it; the node then waits on a
+worklist, first in, first out, for its coverage forms, which are made
+before the action judges any vanished class (`_fire`; the lemma at
+`_new_event`).  So every RUN event is an init event.  When a fusion's
+merged form exists with other derivations, as an event or a node, the
+new ones are packed into it, and an event that would have moved to a
+form that exists or is closed is deleted instead (moving would have
+taken its old form away, or only fired).  So ambiguity costs one tuple
+per derivation, not one event life, and a complete constituent costs no
+event at all.
 
 Once the cycle has started, an event is not built when it would be born
 DELETE or EPSILON: its status is decided from its support bits and a scan
@@ -104,7 +105,7 @@ form open at its own input edge, where it faces nothing, is stillborn
 before any other test.  For a node made at an input edge, that test is
 one bit of each coverage entry, set when the grammar was compiled
 (`CoverageEntry.edge`): an entry without it is stillborn in every form of
-its nullable expansion, and none of them is keyed or spawned (`add_node`).
+its nullable expansion, and none of them is keyed or spawned (`_fire`).
 `Chart.__init__` builds every form, never stillborn, in batch phases, as
 AC-4 initializes (Mohr & Henderson 1986): it admits every lexical node
 and sets the CaDs' lexical masks and lexical reach; builds every form
@@ -115,8 +116,9 @@ against the final counts, links each meeting fusion pair once and gives
 each event its status once; then deletes the unwired forms.
 `events_created` and `events_deleted` count built events only, those
 deleted in init included; `epsilon_expansions` counts the EPSILON events
-the cycle deletes; `stillborn` counts the forms not built, and
-`fired_at_once` the pending forms fired.
+the cycle deletes; `stillborn` counts the forms not built;
+`fired_at_once` counts the nodes that a closed form with no event made,
+and `packed_at_once` every derivation such a form gave its node.
 
 The two directions mirror each other, so every per-side fact is a pair
 indexed by LEFT (0) or RIGHT (1) and each step is written once for a
@@ -246,9 +248,9 @@ class CaD:
 def lexical_symbols(grammar: Grammar, lattice: InputLattice) -> list[int]:
     """The symbol id of every lattice item's preterminal, in item order;
     EngineError if one is not a terminal of the grammar.  A nonterminal
-    item's node may also be made by a run or a fire, and the forest would
-    count its analyses but not its lexical reading; the item would also
-    give an init form a second derivation (the lemma at `_pack`)."""
+    item's node may also be made in the cycle (`_complete`), and the forest
+    would count its analyses but not its lexical reading; the item would
+    also give an init form a second derivation (the lemma at `_pack`)."""
     ids = []
     for it in lattice.items:
         sym = grammar.by_name.get(it.preterminal)
@@ -280,7 +282,7 @@ class Chart:
         self.node_list: list[Node] = []
         # The live events by form (`event_key`; during init, the retired
         # ones too, until every form is built): a fired event's key goes, as
-        # its node stands for its form (`_run_node`).
+        # its node stands for its form (`_complete`).
         self.events: dict[tuple, Event] = {}
         # One deletion queue: EPSILON events are deleted like DELETE ones.
         self.delete_queue: deque[Event] = deque()
@@ -292,11 +294,9 @@ class Chart:
         # (key, children) of the derivations found stillborn (see
         # `_new_event`) in the current action; None until the cycle starts.
         self.stillborn: set[tuple] | None = None
-        # The cycle forms closed on both sides that fire with no event, by
-        # form: (production, CaDs, derivations as an ordered set), each
-        # waiting on `firing`, first in, first out, until `_fire` fires it.
-        self.pending: dict[tuple, tuple[Production, tuple, dict]] = {}
-        self.firing: deque[tuple] = deque()
+        # The nodes made in the cycle whose coverage forms are still to be
+        # made, first in, first out (`_complete`, `_fire`).
+        self.firing: deque[Node] = deque()
         self.stats = {
             "events_created": 0, "events_deleted": 0, "events_run": 0,
             "fired_at_once": 0, "fusions": 0, "stale_fusions": 0, "epsilon_expansions": 0,
@@ -315,7 +315,8 @@ class Chart:
         # the batch phases of init (see the module docstring)
         cads, lpd, rpd, la, ra = self.cads, compiled.lpd, compiled.rpd, compiled.la, compiled.ra
         for it, sid in zip(lattice.items, lexical_symbols(compiled.grammar, lattice)):
-            self._admit(sid, it.fbp, it.lbp, None, "lexical")
+            if (sid, it.fbp, it.lbp) not in self.nodes:  # an item may be read twice
+                self._admit(sid, it.fbp, it.lbp, None, "lexical")
             first, last = cads[it.fbp], cads[it.lbp]
             first.closable[RIGHT] |= la[sid]
             last.closable[LEFT] |= ra[sid]
@@ -360,21 +361,13 @@ class Chart:
 
     # -- steps 2 and 3: node creation with packing, events from coverage ---
 
-    def _admit(self, symbol, fbp, lbp, analysis, origin) -> Node | None:
-        """The new node of (symbol, span), holding the analysis if any; None
-        if the node exists, the analysis then packed onto it."""
-        key = (symbol, fbp, lbp)
-        existing = self.nodes.get(key)
-        if existing is not None:
-            if analysis is not None:
-                self._pack_node(existing, analysis)
-            return None
+    def _admit(self, symbol, fbp, lbp, analysis, origin) -> Node:
+        """The new node of (symbol, span), which is not in, holding the
+        analysis if any."""
         node = Node(len(self.eps_nodes) + self.stats["nodes"], symbol, fbp, lbp, origin)
         if analysis is not None:
             node.add_analysis(analysis)
-        if self.debug and analysis is not None:
-            self._assert_tiling(fbp, lbp, analysis.children)
-        self.nodes[key] = node
+        self.nodes[symbol, fbp, lbp] = node
         self.node_list.append(node)
         self.stats["nodes"] += 1
         if self.tracing:
@@ -392,54 +385,35 @@ class Chart:
                                     f"analysis {analysis.production.id}")
         return True
 
-    def add_node(self, symbol: int, fbp: int, lbp: int, analysis: Analysis):
-        """Admit a (symbol, span) node made in the cycle; pack the analysis
-        onto an existing node, or create the node and its events from the
-        coverage tables.  The node gives no support: a closed extreme takes
-        its own from the lexical items (`_support`)."""
-        node = self._admit(symbol, fbp, lbp, analysis, "derived")
+    def _complete(self, production, cad, derivations, ev=None) -> int:
+        """Give the node of a cycle form closed on both sides, with closed
+        support on both, one analysis per derivation, and return how many
+        were new to it.  The derivations are those of ev, an event run, or,
+        with no ev, of a form with no event (`fired_at_once`,
+        `packed_at_once`; the lemma at `_new_event`).  The node is in if a
+        run or an earlier form made it: every lexical node is a terminal's
+        (`lexical_symbols`) and no terminal is an lhs.  Otherwise it is made
+        now and waits on `firing` for its coverage forms (`_fire`), and from
+        then on it stands for the form: a complete constituent is its node
+        (Billot & Lang 1989)."""
+        if self.debug:
+            self._assert_form_tiling(production, (0, len(production.rhs)), cad, derivations)
+        lhs, new = production.lhs.id, 0
+        node = self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
         if node is None:
-            return
-        ends = (fbp, lbp)
-        # An entry's forms (its dots out to `CoverageEntry.lo`/`hi`) share the
-        # node's CaDs.  At an input edge, each form of an entry without the
-        # edge bit of that side is open there or closed there with an lhs
-        # that may not stand there: no such form is ever live, and each
-        # derivation holds the new node, so none was met before in this
-        # action.  All count as stillborn, none is keyed or spawned.
-        # `_new_event` decides the birth of every other entry's forms.
-        at_edge = (fbp == 0) | (lbp == self.n) << 1
-        for entry in self.compiled.coverage[symbol]:
-            production, position = entry.production, entry.position
-            if not at_edge & ~entry.edge:
-                self._new_event(production, (position, position + 1), ends, (node,))
-                continue
-            lo, hi = entry.lo, entry.hi
-            self.stats["stillborn"] += (position - lo + 1) * (hi - position)
-            if self.tracing:
-                # in spawn order (`_spawn_epsilon_variants`): the right dot
-                # outward, then for each right dot from the outermost in,
-                # the left dot outward
-                rdots = range(position + 1, hi + 1)
-                dots = [(position, r) for r in rdots] + [
-                    (ldot, r) for r in reversed(rdots) for ldot in range(position - 1, lo - 1, -1)]
-                for dot in dots:
-                    self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
-
-    def _run_node(self, lhs: int, cad: tuple) -> Node | None:
-        """The node of an lhs form closed on both sides at cad, if a run or a
-        fire (`_fire`) has made it.  Every lexical node is a terminal's
-        (`lexical_symbols`) and no terminal is an lhs, so a run or a fire
-        made any node of an lhs."""
-        return self.nodes.get((lhs, cad[LEFT], cad[RIGHT]))
-
-    def _assert_tiling(self, fbp, lbp, children):
-        pos = fbp
-        for c in children:
-            if c.fbp >= 0:  # not a zero-width epsilon node
-                assert c.fbp == pos, "children spans must tile the parent span"
-                pos = c.lbp
-        assert pos == lbp, "children spans must tile the parent span"
+            if ev is None:
+                self.stats["fired_at_once"] += 1
+                if self.tracing:
+                    self.trace_lines.append(
+                        f"fire {render(production, (0, len(production.rhs)), cad)}")
+            node = self._admit(lhs, *cad, Analysis(production, derivations[0]), "derived")
+            self.firing.append(node)
+            new, derivations = 1, derivations[1:]
+        for children in derivations:
+            new += self._pack_node(node, Analysis(production, children))
+        if ev is None:
+            self.stats["packed_at_once"] += new
+        return new
 
     def _new_event(self, production, dot, cad, children, alts=None):
         """Create the event of this form holding these derivations (children,
@@ -464,24 +438,25 @@ class Chart:
         e1's left and e2's right, each with evidence when the action started
         and none lost since (the consumed link was at the CaD where they
         meet), a support bit `_support` finds again or a partner `_partners`
-        finds again.  Nor is such a form's node in, nor is it pending:
-        `fuse` packs onto the node or into the pending form itself.
+        finds again.  Nor is such a form closed on both sides: `fuse` gives
+        those derivations to their node itself (`_complete`).
         During `Chart.__init__` every form is built; one with an extreme
         that can never have evidence (the bound at `_support`) is retired:
         keyed, so a later derivation packs into it, never wired, and
         deleted at the end of init; the others are only wired (`_wire`),
         and analyzed once all are built.
 
-        In the cycle, a form closed on both sides whose node is in
-        (`_run_node`) is not built either: its derivations become the
-        node's analyses at once (`packed_at_once`), with no event, key,
-        wiring, support bit, status, queue entry or run.  Built, it would
-        only have packed them later in the same drain, and skipping it
-        changes no node and no analysis:
-        (a) Its only fate is to fire.  The node's run was of an event of
-        the same lhs and CaDs, so the form's closed support, which is fixed,
-        holds.  It has no open extreme, so no link, fusion or move: it is
-        RUN from birth and fires before the drain of its action ends.
+        In the cycle, a form closed on both sides is not built either.  With
+        closed support on both sides its derivations go to its node at once
+        (`_complete`), with no event, key, wiring, support bit, status,
+        queue entry, run or release; without, it is stillborn.  A node that
+        is in proves the support: a form of the same lhs and CaDs made it,
+        and closed support is fixed.  Built, the form would be RUN from
+        birth and only fire, and skipping it changes no node and no
+        analysis.  Where its node is in (`packed_at_once`):
+        (a) Its only fate is to fire.  It has no open extreme, so no link,
+        fusion or move: it is RUN from birth and fires before the drain of
+        its action ends.
         (b) Its run makes no node: every derivation packs onto the node.  So
         it brings no class, spawns no form and links nothing; besides
         packing, it only takes its classes away (`_starve`).
@@ -503,10 +478,10 @@ class Chart:
         right) at c, made in the window: no fusion runs in the drain, and
         the forms of a run are coverage forms of its node or merges of live
         events (`_pack`), whose extremes at c copy live ones that were no
-        partner of Q.  M's run fired an event of lhs X closed at c, whose
+        partner of Q.  M was made by a form of lhs X closed at c, whose
         class X covers X there, and by case (1) at `_support` such a class
-        arrives only with the node of a run whose event's class covers X at
-        c already: a chain of runs that starts at a class covering X at c
+        arrives only with the node of a form whose class covers X at c
+        already: a chain of nodes that starts at a class covering X at c
         when the window opened.  Only the waiting form's did, and its run,
         which makes no node, starts no chain.  Where the partner crosses X
         empty (the nullable crossing), its first real child is a node of a
@@ -517,36 +492,41 @@ class Chart:
         made from the siblings (by induction over the symbols crossed, as
         the sibling's need X2 is in the same case as X).
 
-        In the cycle, a form closed on both sides whose node is not in, with
-        closed support on both sides, would be born RUN; it is not built
-        either, but pending (`Chart.pending`): it holds its derivations, a
-        later one joins them (with no open extreme, it has no epsilon
-        sibling and no partner, so `_pack` would only have added it), and
-        `_fire` gives its node one analysis per derivation, with no event,
-        key, wiring, support bit, status, queue entry, release or `_starve`.
-        The worklist is empty at every `_starve` of the action and at its
-        end, so the form waits only within the action that made it.
-        (e) Lemma (a) holds as it stands: the form's only fate is to fire,
-        and the event's run would have given the node the same analyses,
-        each derivation arriving before the fire through the event, each
-        later one at once.  Lemma (c) holds, and more: no open extreme facing its closed
-        extremes arrives while it waits.  Every form an action makes spans
-        the action's width or more (a run's node, a fusion's merged form):
-        coverage forms span their node, merges and moves the pair, siblings
-        share their form's CaDs, and a fired node spans its form.  So does
-        the pending form, and an open extreme facing it would lie on a form
-        ending where it begins or beginning where it ends.  So, as in (d),
-        its class could only have put off a starving: of an open extreme Q
-        whose other cover the action took away (a run's event, or an event
-        `fuse` deletes), until the run, which would have judged Q again once
-        its node's forms were in.  The fire makes that node and those forms
-        before the action judges any vanished class (`_starve` empties the
-        worklist first), so Q is judged once, against the classes the run
-        would have left.  The fire comes before the action's deletions, where the run came after
-        them, so a form it makes may also meet a fusion partner that they
-        take: it is built with evidence where the run's form was stillborn.
-        That only adds a form with evidence, whose merges are real
-        derivations, and it takes no evidence away."""
+        Where its node is not in, the form makes it now (`fired_at_once`),
+        and the node waits on `firing` for its coverage forms, which `_fire`
+        makes at the next `_starve` of the action or at its end.
+        (e) Lemma (a) holds as it stands, and the event's run would have
+        given the node the same analyses: each derivation arriving before
+        the run through the event, each later one at once, as now every one
+        does.  Until its coverage forms are made, only `_complete` reads the
+        node, for which it stands for the form.  Lemma (c) holds, and more:
+        no open extreme facing its closed extremes arrives before they are
+        made.  Every form an action makes spans the action's width or more
+        (a run's node, a fusion's merged form): coverage forms span their
+        node, merges and moves the pair, siblings share their form's CaDs,
+        and a node made at once spans its form.  So does this form, and an
+        open extreme facing it would lie on a form ending where it begins
+        or beginning where it ends.  So, as in (d), its class could only
+        have put off a starving: of an open extreme Q whose other cover the
+        action took away (a run's event, or an event `fuse` deletes), until
+        the run, which would have judged Q again once its node's forms were
+        in.  Those forms are made before the action judges any vanished
+        class (`_starve` empties the worklist first), so Q is judged once,
+        against the classes the run would have left.
+        (f) Where a fusion's merged form is closed on both sides, an event
+        that would have moved to it is deleted instead (`fuse`).  Moved, it
+        would have been RUN, with no link, and run after the action's
+        deletions: giving the node the merged derivations, as `_complete`
+        does now, and taking its classes away.  Its deletion takes away its
+        unmoved extreme, and the moved one would have copied a live closed
+        extreme whose class is there (case (2) at `_support`), so, as in
+        (e), it could only have put off a starving until the run, and the
+        deletion judges it once the node's forms are in.
+        The node's forms are made before the action's deletions, where the
+        run came after them, so a form they make may also meet a fusion
+        partner that the deletions take: it is built with evidence where the
+        run's form was stillborn.  That only adds a form with evidence, whose
+        merges are real derivations, and it takes no evidence away."""
         key = event_key(production, dot, cad)
         ev = self.events.get(key)
         if ev is not None:
@@ -561,31 +541,20 @@ class Chart:
         partners = (None, None)
         born = True
         if stillborn is not None:  # the cycle has started
-            if (cad[LEFT] == 0 and need[LEFT] is not None
+            lhs = production.lhs.id
+            if need[LEFT] is None and need[RIGHT] is None:
+                # `_support` of both closed extremes, inline: one bit each
+                if (self.cads[cad[LEFT]].closable[LEFT] >> lhs & 1
+                        and self.cads[cad[RIGHT]].closable[RIGHT] >> lhs & 1):
+                    self._complete(production, cad, (children,))
+                    return
+                born = False
+            elif (cad[LEFT] == 0 and need[LEFT] is not None
                     or cad[RIGHT] == self.n and need[RIGHT] is not None):
                 born = False  # an extreme open at its own input edge faces nothing
             else:
-                lhs = production.lhs.id
-                closed = need[LEFT] is None and need[RIGHT] is None
-                if closed:
-                    if self.debug:
-                        self._assert_form_tiling(production, dot, cad, (children,))
-                    node = self._run_node(lhs, cad)
-                    if node is not None:
-                        self.stats["packed_at_once"] += self._pack_node(
-                            node, Analysis(production, children))
-                        return
-                    entry = self.pending.get(key)
-                    if entry is not None:
-                        entry[2][children] = None  # it joins the pending form
-                        return
                 supported = (self._support(cad[LEFT], LEFT, need[LEFT], lhs),
                              self._support(cad[RIGHT], RIGHT, need[RIGHT], lhs))
-                if closed and supported[LEFT] and supported[RIGHT]:
-                    self.pending[key] = (production, cad, {children: None, **alts} if alts
-                                         else {children: None})
-                    self.firing.append(key)
-                    return
                 if not (supported[LEFT] and supported[RIGHT]):
                     partners = [None, None]
                     for side in (LEFT, RIGHT):
@@ -631,23 +600,43 @@ class Chart:
                 self._spawn_epsilon_variants(production, dot, cad, kids, need)
 
     def _fire(self):
-        """Fire the pending forms, first in, first out: give each form's
-        node one analysis per derivation (`add_node`), in a fresh stillborn
-        scope, as a run does (the lemma at `_new_event`).  A form that a
-        fire makes pending joins the worklist, so a chain of unit forms
-        fires in a loop, never by recursion.  Called before every `_starve`
-        and at the end of every fusion action."""
-        firing, stillborn = self.firing, self.stillborn
+        """Make the coverage forms of the nodes on `firing`, first in, first
+        out, each node in a fresh stillborn scope.  A node that one of these
+        forms makes joins the worklist, so a chain of unit forms fires in a
+        loop, never by recursion.  Called before every `_starve` and at the
+        end of every fusion action.  The node gives no support: a closed
+        extreme takes its own from the lexical items (`_support`).
+
+        An entry's forms (its dots out to `CoverageEntry.lo`/`hi`) share the
+        node's CaDs.  At an input edge, each form of an entry without the
+        edge bit of that side is open there or closed there with an lhs that
+        may not stand there: no such form is ever live, and each derivation
+        holds the new node, so none was met before in this action.  All
+        count as stillborn, none is keyed or spawned.  `_new_event` decides
+        the birth of every other entry's forms."""
+        firing, stillborn, coverage = self.firing, self.stillborn, self.compiled.coverage
         while firing:
-            production, cad, derivations = self.pending.pop(firing.popleft())
-            self.stats["fired_at_once"] += 1
-            if self.tracing:
-                self.trace_lines.append(
-                    f"fire {render(production, (0, len(production.rhs)), cad)}")
+            node = firing.popleft()
             stillborn.clear()
-            lhs = production.lhs.id
-            for children in derivations:
-                self.add_node(lhs, *cad, Analysis(production, children))
+            ends = (node.fbp, node.lbp)
+            at_edge = (node.fbp == 0) | (node.lbp == self.n) << 1
+            for entry in coverage[node.symbol]:
+                production, position = entry.production, entry.position
+                if not at_edge & ~entry.edge:
+                    self._new_event(production, (position, position + 1), ends, (node,))
+                    continue
+                lo, hi = entry.lo, entry.hi
+                self.stats["stillborn"] += (position - lo + 1) * (hi - position)
+                if self.tracing:
+                    # in spawn order (`_spawn_epsilon_variants`): the right dot
+                    # outward, then for each right dot from the outermost in,
+                    # the left dot outward
+                    rdots = range(position + 1, hi + 1)
+                    dots = [(position, r) for r in rdots] + [
+                        (ldot, r) for r in reversed(rdots)
+                        for ldot in range(position - 1, lo - 1, -1)]
+                    for dot in dots:
+                        self.trace_lines.append(f"stillborn {render(production, dot, ends)}")
 
     def _pack(self, ev: Event, children: tuple):
         """A derivation of ev's form that ev does not hold yet joins it, and
@@ -658,9 +647,8 @@ class Chart:
         action comes here: nothing in the action can give the form
         evidence.  Nor does one of a cycle form closed on both sides, a
         fired form's among them: it has no event, and `_new_event` or
-        `fuse` gives its node or its pending entry every such derivation
-        at once.)  The
-        epsilon siblings are spawned with these children, and on each open
+        `fuse` gives its node every such derivation at once, `_complete`.)
+        The epsilon siblings are spawned with these children, and on each open
         side the derivation is merged (`_new_event`, alongside) with every
         derivation of every fusion partner facing it now, unless their pair
         is pending on the fusion agenda, whose fusion merges every
@@ -728,7 +716,12 @@ class Chart:
         assert 0 <= ldot < rdot <= len(production.rhs)
         for children in derivations:
             assert len(children) == rdot - ldot
-            self._assert_tiling(*cad, children)
+            pos = cad[LEFT]
+            for c in children:
+                if c.fbp >= 0:  # not a zero-width epsilon node
+                    assert c.fbp == pos, "children spans must tile the parent span"
+                    pos = c.lbp
+            assert pos == cad[RIGHT], "children spans must tile the parent span"
 
     # -- step 4: link analyses --------------------------------------------
 
@@ -792,18 +785,19 @@ class Chart:
         facing it that waits for a symbol in its pd row.  A closed extreme
         arrives in the cycle in one of three ways, and by induction over the
         arrivals only the first brings a new class.
-        (1) As a form of the coverage of the node N a run has just made, at
+        (1) As a form of the coverage of a node N made in this action, at
         N's end.  N's symbol Y is a corner of its lhs on that side, so the
-        lhs's pd row is within Y's, and the run's event, closed there with
-        class Y, was wired when the action started: every live open extreme
-        facing it that waits for a symbol in the row had its bit.  Bits go
-        off only in `_starve`, after `add_node`, and no open extreme facing
-        N's ends arrives in a run: every form taken there spans N or more.
-        If a fire made N, its pending form, closed there with class Y, had
-        arrived in the same action, in one of these three ways: had its
-        class been wired then, it would have found every such extreme with
-        its bit (by induction over the arrivals), and none arrived since nor
-        lost its bit (`_starve` fires the pending forms first; the lemma at
+        lhs's pd row is within Y's.  If a run made N, the run's event,
+        closed there with class Y, was wired when the action started: every
+        live open extreme facing it that waits for a symbol in the row had
+        its bit.  Bits go off only in `_starve`, after `_fire` has made N's
+        forms, and no open extreme facing N's ends arrives in a run: every
+        form taken there spans N or more.  If a form with no event made N,
+        that form, closed there with class Y, had arrived in the same
+        action, in one of these three ways: had its class been wired then,
+        it would have found every such extreme with its bit (by induction
+        over the arrivals), and none arrived since nor lost its bit
+        (`_starve` has the waiting nodes' forms made first; the lemma at
         `_new_event`).
         (2) As a copy of a live event's closed extreme: a merged form's
         outer extremes are e1's left and e2's right, and a moved extreme
@@ -814,9 +808,9 @@ class Chart:
         built when G took its form, with G's evidence at the other extreme
         (no action gives a stillborn form evidence, `_new_event`), and while
         G' stays, so does its class.  If G is closed at the other extreme,
-        G' fired or is pending, and the closure taken has the form of G',
-        whose node or pending entry stands for it: it packs there, with no
-        class.
+        G' is closed on both sides and went to its node (`_complete`), and
+        the closure taken has the form of G', whose node stands for it: it
+        packs there, with no class.
         Otherwise G' leaves only through a fusion with a partner y there, or
         once its evidence there is gone, which, as G keeps its own, means
         that such a fusion consumed a link that G had too; either way it
@@ -832,7 +826,7 @@ class Chart:
         partner's evidence until a wider width pops, or a pair is still
         pending and its merge live: the closure is packed, or its class is
         there.  Otherwise that coverage form came after G' left, so its node
-        was made by a run whose event's class covers the symbol G' waits for
+        was made by a form whose class covers the symbol G' waits for
         (or, where the form crosses nullable symbols, the one the sibling of
         G' it meets waits for, built with G' or stillborn for want of such a
         class).  That class would be new there after none was, which by (1)
@@ -934,9 +928,9 @@ class Chart:
         had its bit, as every closed extreme of a live or fired event has:
         init phase 3 sets it, and in the cycle `_new_event` builds no form
         with a closed extreme without support, and a moved closed extreme
-        takes the place of its stayer's.  The pending forms fire first, so
-        the classes of their nodes' forms are in before any vanished class
-        is judged (the lemma at `_new_event`)."""
+        takes the place of its stayer's.  The waiting nodes' coverage forms
+        are made first (`_fire`), so their classes are in before any
+        vanished class is judged (the lemma at `_new_event`)."""
         if self.firing:
             self._fire()
         lost = []
@@ -1032,27 +1026,20 @@ class Chart:
         self._starve(ev)
 
     def run_event(self, ev: Event):
-        """Fire a closed-closed event: apply the production and admit the
-        resulting node, with one analysis per derivation.  The event leaves
-        its CaDs and the live events, its key with it (`_release`): from now
-        on the node stands for its form, and a later derivation of the form
-        becomes the node's analysis at once (`_new_event`, `fuse`), so no
-        closed form fires twice, as an event or pending (`_fire`).  The
-        node is new or made after the event was built: in the cycle, a form
-        closed on both sides whose node is in is not built, and no lexical
-        node is an lhs's (`_run_node`).  Its vanished classes are judged
-        only once the node and its events are in and the forms they made
-        pending have fired (`_starve`): an extreme that they cover again
-        keeps its bit and its status."""
+        """Fire a closed-closed event, an init one (the lemma at
+        `_new_event`): apply the production, giving its node one analysis
+        per derivation (`_complete`).  The event leaves its CaDs and the
+        live events, its key with it (`_release`): from now on the node
+        stands for its form, and a later derivation of the form goes to the
+        node at once, so no closed form fires twice.  Its vanished classes
+        are judged only once the forms of the node, and of the nodes those
+        make, are in (`_starve`): an extreme that they cover again keeps its
+        bit and its status."""
         self.stats["events_run"] += 1
         if self.tracing:
             self.trace_lines.append(f"run e{ev.id} {ev.render()}")
         self._release(ev)
-        production, lhs = ev.production, ev.production.lhs.id
-        self.add_node(lhs, *ev.cad, Analysis(production, ev.children))
-        if ev.alts:
-            for children in ev.alts:
-                self.add_node(lhs, *ev.cad, Analysis(production, children))
+        self._complete(ev.production, ev.cad, ev.derivations(), ev)
         self._starve(ev)
 
     def _join(self, e1: Event, e2: Event) -> tuple:
@@ -1068,14 +1055,13 @@ class Chart:
         new width.  Otherwise the fusion consumes the link, whatever
         follows, so a link means exactly that its pair is on the agenda; it
         is stale if the merged form already holds every merged derivation.
-        Where the merged form has no event but is closed on both sides and
-        its node is in (`_run_node`) or it is pending, the node or the
-        pending form stands for it: the fusion is stale if that holds every
-        merged derivation; otherwise the new ones join it, as the node's
-        analyses at once (`packed_at_once`) or as the pending form's
-        derivations, and an event that would have moved to the form is
-        deleted instead, since the moved event would only have fired into
-        the node (the lemma at `_new_event`).
+        Where the merged form is closed on both sides, it has no event, and
+        its node, in or made now, stands for it (`_complete`): the fusion is
+        stale if the node holds every merged derivation; otherwise the new
+        ones become its analyses at once, and an event that would have
+        moved to the form is deleted instead, since the moved event would
+        only have fired into the node (lemma (f) at `_new_event`).  So no
+        move closes both sides.
 
         Where both extremes meeting at c hold other evidence, e1 and e2
         stay, the merged form M = e1+e2 is built or packed beside them, and
@@ -1098,8 +1084,8 @@ class Chart:
         E at E's left CaD, meets that merge there, and q+(E+e2) holds every
         derivation of (q+E)+e2.
         (2) As a coverage form of a node N newly made at c: N is the child
-        left of its dot at c, so N's symbol Y is what L waits for.  N's run
-        fired an event of lhs Y closed at c, whose class covers Y there, and
+        left of its dot at c, so N's symbol Y is what L waits for.  N was
+        made by a form of lhs Y closed at c, whose class covers Y there, and
         by case (1) at `_support` such a class arrives only where a class
         covering Y is already.  That class set L's support bit, which goes
         off only as the last such class leaves, and none comes back after
@@ -1137,21 +1123,10 @@ class Chart:
             # the derivations it lacks join its event
             merged = [children for children in merged if self._pack(ev, children)]
         elif dot[LEFT] == 0 and dot[RIGHT] == len(prod.rhs):
-            if self.debug:
-                self._assert_form_tiling(prod, dot, cad, merged)
-            node = self._run_node(prod.lhs.id, cad)
-            if node is not None:
-                # its node stands for it: the analyses it lacks join it at once
-                made = True
-                merged = [c for c in merged if self._pack_node(node, Analysis(prod, c))]
-                self.stats["packed_at_once"] += len(merged)
-            else:
-                entry = self.pending.get(key)
-                if entry is not None:
-                    # it is pending: the derivations it lacks join it
-                    made, held = True, entry[2]
-                    merged = [c for c in merged if c not in held]
-                    held.update(dict.fromkeys(merged))
+            # its node, in or made now, takes the analyses it lacks
+            made = True
+            if not self._complete(prod, cad, merged):
+                merged = ()
         if not merged:
             # the merged form already holds them all
             for s, e in enumerate(pair):
@@ -1168,8 +1143,9 @@ class Chart:
         # the event whose extreme has other evidence stays as it is; the
         # other absorbs the merge, moving its extreme on the stayer's side.
         # If neither has, e1 absorbs and e2 goes away.  Where the merged form
-        # exists, the absorber is deleted instead: a move would have taken
-        # its old form away, or, where its node stands for it, only fired.
+        # exists or is closed (its node stands for it), the absorber is
+        # deleted instead: a move would have taken its old form away, or
+        # only fired.
         if held[LEFT] or held[RIGHT]:
             side = LEFT if held[LEFT] else RIGHT
             mover, gone = pair[1 - side], None
@@ -1186,7 +1162,8 @@ class Chart:
         """Give a surviving event the merged form and derivations, which
         moves its extreme on side.  The moved extreme held the consumed
         fusion link, so it is open and leaving its CaD takes no support
-        away (`_detach`).  `fuse` found no event of the merged form."""
+        away (`_detach`).  `fuse` found no event of the merged form, and it
+        is open on a side: a closed one goes to its node (`_complete`)."""
         del self.events[ev.key]
         self._detach(ev, side)
         need = needs(ev.production, dot)
@@ -1209,11 +1186,12 @@ class Chart:
     def parse_cycle(self):
         """Drain the deletion queue, the run queue and the fusion agenda,
         in that strict priority order, the agenda's buckets narrowest first,
-        until nothing is pending.  Each run or fusion action starts with no
-        stillborn keys: the drain after an action would have deleted its
-        stillborn events, keys and all.  A fusion action ends by firing the
-        forms it made pending, as a run fires its own before it judges its
-        vanished classes (`_fire`).
+        until all three are empty.  Each fusion action, and the coverage
+        forms of each node made (`_fire`), start with no stillborn keys: the
+        drain after an action would have deleted its stillborn events, keys
+        and all.  A fusion action ends by making the coverage forms of the
+        nodes it made, as a run makes its node's before it judges its
+        vanished classes (`_starve`).
 
         It stops with no event live.  The agenda is empty, and every link
         is queued, so no extreme holds a link, and the queues are empty, so
@@ -1246,8 +1224,8 @@ class Chart:
         on both sides, so it has no link and never moves, and its closed
         support is fixed (the lemma at `_support`).  Only this drain deletes
         it: the events `fuse` deletes are open where the consumed link was.
-        Such an event was built in init or closed by a move (`_mutate`): a
-        form built closed in the cycle is pending instead (`_fire`).
+        Such an event was built in init: a form closed in the cycle, built
+        or moved into, goes to its node instead (`_complete`).
         Why it holds: an extreme gains evidence only as it arrives, built or
         moved, and the event then has evidence on both sides.  A support bit
         is set only then and is afterwards only lost (`_support`); a link
@@ -1267,7 +1245,6 @@ class Chart:
                     self.delete_event(ev)
                 continue
             if self.run_queue:
-                self.stillborn.clear()
                 self.run_event(self.run_queue.popleft())
                 continue
             return
@@ -1290,7 +1267,7 @@ class Chart:
         stored status is current.  The cycle stops with no event live
         (`parse_cycle`), so the fixpoint part bites on the chart after
         init."""
-        assert not (self.pending or self.firing), "a closed form is still pending"
+        assert not self.firing, "a node's coverage forms are still to be made"
         closed = {}  # (CaD index, side) -> the lhs of each live closed extreme there
         queued = {(e1.id, e2.id) for bucket in self.fusion_agenda for e1, e2 in bucket}
         for key, ev in self.events.items():

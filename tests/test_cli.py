@@ -89,9 +89,11 @@ def test_parse_stats_show_packed_derivations(tmp_path, capsys):
     path = tmp_path / "catalan.g"
     path.write_text("%root S\nS -> S S | a ;\n")
     assert main(["parse", "-g", str(path), "a a a a", "--stats"]) == 0
-    # every later derivation is of a closed form whose node is in
+    # every later derivation is of a closed form, which its node takes at
+    # once: 4 of them, besides the first analyses of the 6 nodes made at once
     out = capsys.readouterr().out.splitlines()
-    assert "packed_derivations=0" in out and "packed_at_once=4" in out
+    assert "packed_derivations=0" in out and "fired_at_once=6" in out
+    assert "packed_at_once=10" in out
 
 
 def test_parse_shows_forms_fired_at_once(tmp_path, capsys):
@@ -127,6 +129,16 @@ def test_parse_lexicon(g2_file, tmp_path):
 def test_parse_earley_engine(g2_file):
     assert main(["parse", "-g", g2_file, "a a a b", "--engine", "earley"]) == 0
     assert main(["parse", "-g", g2_file, "a a b b", "--engine", "earley"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--trace"], ["--forest", "forest.txt"], ["--stats"],
+                                   ["--stats", "json"]])
+def test_parse_earley_engine_rejects_scp_outputs(g2_file, tmp_path, monkeypatch, capsys, flags):
+    # the Earley engine has no trace, forest or counters to print
+    monkeypatch.chdir(tmp_path)
+    assert main(["parse", "-g", g2_file, "a a a b", "--engine", "earley", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} needs --engine scp\n"
+    assert not (tmp_path / "forest.txt").exists()
 
 
 def test_parse_forest_dump(g2_file, tmp_path):

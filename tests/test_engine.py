@@ -155,14 +155,18 @@ def catalan_counts(text, **kwargs):
 
 
 def test_derivation_after_its_form_fired_lands_in_the_node():
-    # S -> . S S . @ [0,3] fires with S[0,2] S[2,3]; S[0,1] S[1,3] arrives
-    # later from a fusion, and its form's node takes the analysis at once,
-    # with no event of the form to pack it into: the run released its key
+    # the fusion that closes S -> . S S . @ [0,3] with S[0,2] S[2,3] makes
+    # its node at once, with no event; S[0,1] S[1,3] arrives later from a
+    # fusion, and the node takes the analysis at once: it stands for the form
     chart, mine, theirs = catalan_counts("a a a a", trace=True)
     form = "S -> . S S . @ [0,3]"
-    [run_line] = [line for line in chart.trace_lines if line.startswith("run") and form in line]
+    assert not [line for line in chart.trace_lines if form in line and not line.startswith("fire")]
+    fire = chart.trace_lines.index(f"fire {form}")
+    assert chart.trace_lines[fire - 1].startswith("fuse ")
+    node_line = chart.trace_lines[fire + 1]
+    assert node_line.startswith("node ") and node_line.endswith(" S [0,3] derived")
     pack = chart.trace_lines.index("pack S [0,3] analysis 0")
-    assert pack > chart.trace_lines.index(run_line)
+    assert pack > fire
     assert chart.trace_lines[pack - 1].startswith("fuse ")
     assert not [line for line in chart.trace_lines if line.startswith("pack e")]
     s03 = chart.nodes[(chart.compiled.grammar.symbol("S").id, 0, 3)]
@@ -347,7 +351,11 @@ def test_run_produces_node(g2_compiled):
     chart = init_session(g2_compiled, tokenize_plain("a b"))
     chart.parse_cycle()
     assert ("A1", 0, 1) in node_names(chart)
-    assert chart.stats["events_run"] >= 2
+    # A1 -> . a . runs; the fusion that closes S -> . A1 b . makes S's
+    # node at once, with no event
+    assert chart.stats["events_run"] == chart.stats["fired_at_once"] == 1
+    count = count_trees(build_forest(chart))
+    assert (count.kind, count.value) == (FINITE, 1)
 
 
 def test_status_values_are_legal(g2_compiled):
@@ -444,35 +452,41 @@ NULLABLE_HEAVY = CaseLimits(max_nonterminals=12, max_productions=50, eps_probabi
 def test_invariants_hold_at_fixpoint(monkeypatch, seed, limits):
     # debug mode runs check_invariants when the cycle stops
     fired = []  # the form and derivations of each event run
-    at_once = []  # the form and derivations of each form fired at once
+    made = []  # each node made in the cycle, as it waits for its coverage forms
     run_event = engine.Chart.run_event
 
     def spy(chart, ev):
         fired.append((ev.key, ev.derivations()))
         run_event(chart, ev)
 
-    class Pending(dict):
-        def pop(self, key):
-            entry = super().pop(key)
-            at_once.append((key, tuple(entry[2])))
-            return entry
+    class Firing(deque):
+        def append(self, node):
+            made.append(node)
+            super().append(node)
 
     monkeypatch.setattr(engine.Chart, "run_event", spy)
     grammar, lattice = random_case(seed, limits)
     chart = init_session(compile_grammar(grammar), lattice, debug=True)
-    chart.pending = Pending()
+    chart.firing = Firing()
     chart.parse_cycle()
-    # no closed form fires twice, as an event or at once: a later derivation
-    # of a fired form goes to its node at once.  Each fired derivation is a
-    # distinct analysis of a derived node, and so is each one packed at
-    # once, with no event, where the node was in: the three make up every
-    # analysis of a derived node
-    assert len(fired) == chart.stats["events_run"]
-    assert len(at_once) == chart.stats["fired_at_once"]
-    keys = [key for key, _ in fired + at_once]
-    assert len(keys) == len(set(keys))
+    # no node is made twice, and no closed form both runs and makes its
+    # node at once: a later derivation of the form goes to its node.  A
+    # node a run made holds the run's first derivation first; every other
+    # one was made at once, by the form of its first analysis.  Each run
+    # derivation is a distinct analysis of a derived node, and so is each
+    # one a form with no event gave its node (packed_at_once): the two make
+    # up every analysis of a derived node
     derived = [n for n in chart.node_list if n.origin == "derived"]
-    assert (sum(len(derivations) for _, derivations in fired + at_once)
+    assert sorted(n.id for n in made) == sorted(n.id for n in derived)
+    assert len(fired) == chart.stats["events_run"]
+    assert len({key for key, _ in fired}) == len(fired)
+    runs = {(key[0], derivations[0]) for key, derivations in fired}
+    at_once = [n for n in made
+               if (n.analyses[0].production.id, n.analyses[0].children) not in runs]
+    assert len(at_once) == chart.stats["fired_at_once"]
+    ran = {(key[0], key[2]) for key, _ in fired}
+    assert not ran & {(n.analyses[0].production.id, (n.fbp, n.lbp)) for n in at_once}
+    assert (sum(len(derivations) for _, derivations in fired)
             + chart.stats["packed_at_once"] == sum(len(n.analyses) for n in derived))
     # with every link queued and the agenda empty, no event is left
     assert not chart.events
@@ -546,7 +560,10 @@ def test_statuses_only_fall_in_the_cycle(monkeypatch):
     # the lemma at Chart._drain: once the cycle runs, no event goes from
     # DELETE or EPSILON to RUN or DERIVATION, so the drain checks no status:
     # every live event popped from the deletion queue is deleted, and every
-    # event popped from the run queue is live and RUN, and fires
+    # event popped from the run queue is live and RUN, and fires.  No event
+    # turns RUN in the cycle at all: a form closed there, built, merged or
+    # moved into, makes its node at once, so every event run is an init
+    # event in its init form
     log = []  # the queue pops, each with its event's state, and the actions
 
     class Logged(deque):
@@ -572,6 +589,7 @@ def test_statuses_only_fall_in_the_cycle(monkeypatch):
                              *suite_cases((16, 32, 96))]:
         chart = init_session(compile_grammar(grammar), lattice, trace=True)
         start = len(chart.trace_lines)
+        init_forms = {ev.id: ev.key for ev in chart.events.values()}
         for name in ("delete", "run"):
             queue = Logged(getattr(chart, name + "_queue"))
             queue.name = name
@@ -583,6 +601,7 @@ def test_statuses_only_fall_in_the_cycle(monkeypatch):
             if line.startswith("status "):
                 _, eid, new = line.split()[:3]
                 old = status.get(eid)
+                assert i < start or new != RUN, f"{eid} turns RUN in the cycle"
                 if i >= start and old is not None and old != new:
                     assert not (old in (DELETE, EPSILON) and new in (RUN, DERIVATION)), \
                         f"{eid}: {old} -> {new}"
@@ -595,6 +614,7 @@ def test_statuses_only_fall_in_the_cycle(monkeypatch):
             pops[name] += 1
             if name == "run":
                 assert alive and st == RUN, f"e{ev.id} popped to run {st}, alive {alive}"
+                assert init_forms.get(ev.id) == ev.key, f"e{ev.id} runs, not in its init form"
             if alive:
                 assert log[i + 1][:2] == ("deleted" if name == "delete" else "ran", ev), \
                     f"e{ev.id} popped {st} from the {name} queue and not acted on"
@@ -702,54 +722,66 @@ def test_a_closed_form_whose_node_is_in_becomes_its_analyses(monkeypatch):
 def test_a_closed_form_with_support_and_no_node_fires_at_once(monkeypatch):
     # in the cycle, a form closed on both sides with closed support on both
     # and neither a node nor an event when its first derivation arrives is
-    # not built: it waits in the pending map and fires from there with no
-    # event (test_forest_is_earleys checks the forests)
-    new_event = engine.Chart._new_event
-    vetted, fired = set(), []
+    # not built: it makes its node at once, with no event, and the node
+    # waits on `firing` for its coverage forms (test_forest_is_earleys
+    # checks the forests)
+    admit, run_event = engine.Chart._admit, engine.Chart.run_event
+    running, vetted, popped = [None], set(), []
 
-    def spy(chart, production, dot, cad, children, alts=None):
-        key = engine.event_key(production, dot, cad)
-        lhs, pending = production.lhs.id, key in chart.pending
-        node, event = chart.nodes.get((lhs, *cad)), key in chart.events
-        new_event(chart, production, dot, cad, children, alts)
-        if key in chart.pending and not pending:
-            # the form is closed on both sides, and only the pending map
-            # changed: the scans see the state its derivation arrived in
+    def run_spy(chart, ev):
+        running[0] = ev
+        run_event(chart, ev)
+        running[0] = None
+
+    def admit_spy(chart, symbol, fbp, lbp, analysis, origin):
+        if chart.stillborn is not None:
+            # a node made in the cycle: by the event run, or at once by the
+            # form of its first analysis, vetted in the state it arrived in
+            production, cad = analysis.production, (fbp, lbp)
+            dot = (0, len(production.rhs))
+            key = engine.event_key(production, dot, cad)
             form = engine.render(production, dot, cad)
-            assert chart.stillborn is not None and dot == (0, len(production.rhs)), form
-            assert node is None and not event, f"{form} pending with its node or event"
-            assert all(closed_support_by_scan(chart, cad[side], side, lhs)
-                       for side in (LEFT, RIGHT)), f"{form} pending without support"
-            vetted.add(key)
+            assert (symbol, fbp, lbp) not in chart.nodes, f"{form}: its node made twice"
+            if not (running[0] and running[0].key == key):
+                assert key not in chart.events, f"{form} made its node with an event"
+                assert all(closed_support_by_scan(chart, cad[side], side, symbol)
+                           for side in (LEFT, RIGHT)), f"{form} made its node without support"
+                vetted.add((symbol, fbp, lbp))
+        return admit(chart, symbol, fbp, lbp, analysis, origin)
 
-    class Pending(dict):
-        def pop(self, key):
-            assert key in vetted, f"form {key} fired at once without being vetted"
-            fired.append(key)
-            return super().pop(key)
+    class Firing(deque):
+        def popleft(self):
+            node = super().popleft()
+            popped.append((node.symbol, node.fbp, node.lbp))
+            return node
 
-    monkeypatch.setattr(engine.Chart, "_new_event", spy)
+    monkeypatch.setattr(engine.Chart, "run_event", run_spy)
+    monkeypatch.setattr(engine.Chart, "_admit", admit_spy)
     total = 0
     for grammar, lattice in [*(random_case(s) for s in range(200)),
                              *(random_case(s, DENSE_40) for s in range(60)),
                              *(with_extra_items(s, NULLABLE_HEAVY) for s in range(60)),
                              *suite_cases((16,))]:
         chart = init_session(compile_grammar(grammar), lattice)
-        chart.pending = Pending()
+        chart.firing = Firing()
         vetted.clear()
-        fired.clear()
+        popped.clear()
         chart.parse_cycle()
-        assert chart.stats["fired_at_once"] == len(fired) == len(set(fired))
-        total += len(fired)
+        assert chart.stats["fired_at_once"] == len(vetted)
+        # every node made in the cycle left the worklist for its coverage
+        # forms, once
+        assert sorted(popped) == sorted((n.symbol, n.fbp, n.lbp) for n in chart.node_list
+                                        if n.origin == "derived")
+        total += len(vetted)
     assert total > 2000
 
 
 def test_a_deep_unit_chain_fires_in_a_loop():
     # S -> A1, A1 -> A2, ..., A1000 -> a: the run of A1000 -> a makes each
-    # form of the chain pending in turn, and the forms fire from a
-    # worklist, so the depth of the chain is not the depth of the stack (a
-    # fire recursing through add_node and _new_event, two frames a link,
-    # would pass Python's default limit of 1000 frames)
+    # node of the chain at once in turn, and the nodes make their coverage
+    # forms from a worklist, so the depth of the chain is not the depth of
+    # the stack (a fire recursing through _new_event and _complete, two
+    # frames a link, would pass Python's default limit of 1000 frames)
     depth = 1000
     rules = ["%root S", "S -> A1 ;"] + [f"A{i} -> A{i + 1} ;" for i in range(1, depth)]
     chart = run("\n".join(rules + [f"A{depth} -> a ;"]), "a", debug=True)
@@ -924,7 +956,7 @@ def test_invariant_check_catches_a_released_key_left_indexed(monkeypatch):
         run_event(chart, ev)
 
     monkeypatch.setattr(engine.Chart, "run_event", spy)
-    chart = parse_case(2)
+    chart = parse_case(13)
     chart.check_invariants()
     assert fired
     # a fired event put back under its key
@@ -934,13 +966,12 @@ def test_invariant_check_catches_a_released_key_left_indexed(monkeypatch):
 
 
 def test_invariant_check_catches_a_form_left_pending():
-    # after init and when the cycle stops, every pending form has fired
+    # after init and when the cycle stops, every node made has its
+    # coverage forms: none is left waiting on `firing`
     for chart in (init_case(2), parse_case(2)):
         chart.check_invariants()
-        production = chart.compiled.grammar.productions[0]
-        key = engine.event_key(production, (0, len(production.rhs)), (0, 1))
-        chart.pending[key] = (production, (0, 1), {(): None})
-        with pytest.raises(AssertionError, match="a closed form is still pending"):
+        chart.firing.append(chart.node_list[-1])
+        with pytest.raises(AssertionError, match="a node's coverage forms are still to be made"):
             chart.check_invariants()
 
 
@@ -1443,13 +1474,13 @@ def counters(events_created, events_deleted, events_run, fired_at_once, fusions,
 # off both input edges have coverage entries none of whose forms has
 # evidence: `_new_event` finds each form stillborn, spawning its siblings.
 OFF_EDGE_STILLBORN = {
-    "recursive/4": (counters(16, 12, 4, 0, 3, 0, 0, 20, 8, 0, 0, 0, 3), [
+    "recursive/4": (counters(16, 15, 1, 3, 3, 0, 0, 17, 8, 0, 3, 0, 3), [
         "S -> . A1 . b @ [2,3]", "S -> . A1 . b @ [1,3]", "A1 -> a . A1 . @ [0,3]",
     ]),
-    "local/4": (counters(6, 3, 3, 3, 3, 0, 0, 13, 10, 0, 0, 0, 3), [
+    "local/4": (counters(6, 6, 0, 6, 3, 0, 0, 10, 10, 0, 6, 0, 3), [
         "S -> . P . @ [0,2]", "S -> . P . S @ [2,4]", "S -> P . S . @ [0,4]",
     ]),
-    13: (counters(164, 151, 13, 0, 8, 2, 4, 68, 32, 1, 1, 0, 39), [
+    13: (counters(164, 155, 9, 4, 8, 2, 4, 64, 32, 1, 5, 0, 39), [
         "N4 -> t2 . N2 . t1 @ [0,1]", "N2 -> N4 . N2 . t2 N3 @ [0,1]",
         "N1 -> . N2 . t2 t2 @ [0,1]", "N0 -> t2 . N3 . @ [0,1]", "N1 -> . N3 . t0 @ [0,1]",
         "N2 -> N4 N2 t2 . N3 . @ [0,1]", "N0 -> . N3 . N1 t0 @ [0,1]",
@@ -1470,7 +1501,7 @@ OFF_EDGE_STILLBORN = {
         "N4 -> t2 . N4 . @ [4,8]", "N2 -> . N4 . N2 t2 N3 @ [4,8]",
         "N0 -> t0 . N4 . @ [4,8]",
     ]),
-    17: (counters(87, 72, 15, 3, 13, 4, 0, 77, 35, 0, 0, 0, 21), [
+    17: (counters(87, 81, 6, 12, 13, 4, 0, 68, 35, 0, 12, 0, 21), [
         "N1 -> N0 t1 . N4 . @ [3,4]", "N1 -> N0 t1 . N4 . @ [5,6]",
         "N1 -> N0 t1 . N4 . @ [6,7]", "N1 -> N0 t1 . N4 . @ [8,9]",
         "N1 -> N0 t1 . N4 . @ [9,10]", "N0 -> N5 . N1 . @ [2,4]",
